@@ -30,7 +30,7 @@ from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  graded_differential, HomologicalLali, id_gmap, is_chain_map,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
-from .ratmat import eye, mmul, rank
+from .ratmat import eye, is_zero, mmul, place, rank
 from .report import CheckReport
 
 
@@ -516,22 +516,10 @@ class TruncatedCodescent:
                     continue
                 coff = offs[(k, n)]
                 if n >= 1 and (k - 1, n - 1) in offs:
-                    roff = offs[(k - 1, n - 1)]
-                    blk = drop[n].block(k - n)
-                    for i, row in enumerate(blk):
-                        orow = out[roff + i]
-                        for j, v in enumerate(row):
-                            if v:
-                                orow[coff + j] += v
+                    place(out, drop[n].block(k - n), offs[(k - 1, n - 1)], coff)
                 if (k - 1, n) in offs:
-                    roff = offs[(k - 1, n)]
-                    sign = -1 if n % 2 else 1
-                    blk = lv.boundary(k - n)
-                    for i, row in enumerate(blk):
-                        orow = out[roff + i]
-                        for j, v in enumerate(row):
-                            if v:
-                                orow[coff + j] += sign * v
+                    place(out, lv.boundary(k - n), offs[(k - 1, n)], coff,
+                          -1 if n % 2 else 1)
             d[k] = tuple(tuple(r) for r in out)
         self.total = ChainComplex(dims, d)
         self.offsets = offs
@@ -593,7 +581,12 @@ class TruncatedCodescent:
         rep = report if report is not None else CheckReport()
         calc = self.calc
         sub = f"{calc.alg.name}/{calc.mod.name}"
-        rep.record("cod.boundary.sq", sub, True)  # enforced at construction
+        d = self.total.d
+        bad = [k for k in sorted(d)
+               if k - 1 in d and not is_zero(mmul(d[k - 1], d[k]))]
+        if not rep.record("cod.boundary.sq", sub, not bad,
+                          f"d.d nonzero out of degrees {bad}", 0):
+            return rep  # the checks below build A (x) |X|, which needs d.d = 0
 
         bad = tot = 0
         for n in range(1, self.L + 1):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .ratmat import (eye, is_zero, kron, madd, mmul, rank, smul,
+from .ratmat import (eye, is_zero, madd, mmul, place, rank, smul,
                      transpose, zeros)
 from .report import CheckReport
 
@@ -205,27 +205,11 @@ class TensorComplex(ChainComplex):
         out = [[0] * cols for _ in range(rows)]
         tgt_off = {b[0]: b[2] for b in self.blocks(n - 1)}
         for p, q, off, xd, yd in self.blocks(n):
-            if x.dim(p - 1):
-                dx = x.boundary(p)
-                base = tgt_off.get(p - 1)
-                if base is not None:
-                    m = kron(dx, eye(yd))
-                    for i, row in enumerate(m):
-                        orow = out[base + i]
-                        for j, v in enumerate(row):
-                            if v:
-                                orow[off + j] += v
-            if y.dim(q - 1):
-                dy = y.boundary(q)
-                base = tgt_off.get(p)
-                if base is not None:
-                    sign = -1 if p % 2 else 1
-                    m = kron(eye(xd), dy)
-                    for i, row in enumerate(m):
-                        orow = out[base + i]
-                        for j, v in enumerate(row):
-                            if v:
-                                orow[off + j] += sign * v
+            if p - 1 in tgt_off:
+                place(out, x.boundary(p), tgt_off[p - 1], off, 1, eye(yd))
+            if p in tgt_off:
+                place(out, eye(xd), tgt_off[p], off, -1 if p % 2 else 1,
+                      y.boundary(q))
         return tuple(tuple(r) for r in out)
 
 
@@ -257,13 +241,7 @@ def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
             base = tgt_off.get(p + f.deg)
             if base is None:
                 continue
-            sign = -1 if (g.deg * p) % 2 else 1
-            m = kron(fp, gq)
-            for i, row in enumerate(m):
-                orow = out[base + i]
-                for j, v in enumerate(row):
-                    if v:
-                        orow[off + j] += sign * v
+            place(out, fp, base, off, -1 if (g.deg * p) % 2 else 1, gq)
             touched = True
         if touched:
             mats[n] = tuple(tuple(r) for r in out)

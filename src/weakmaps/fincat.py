@@ -408,9 +408,10 @@ def validate_category(cat, objects, report=None) -> CheckReport:
                 for f in cat.hom(a, b):
                     for g in cat.hom(b, c):
                         gf = cat.compose(g, f)
-                        ok = cat.dom(gf) == a and cat.cod(gf) == c
-                        if not ok:
-                            rep.record("compose.endpoints", f"{g!r} . {f!r}", False)
+                        if (cat.dom(gf), cat.cod(gf)) != (a, c):
+                            rep.record("compose.endpoints", f"{g!r} . {f!r}", False,
+                                       f"{fmt_obj(cat.dom(gf))} -> {fmt_obj(cat.cod(gf))}",
+                                       f"{fmt_obj(a)} -> {fmt_obj(c)}")
     triples = 0
     bad = None
     for a in objects:
@@ -477,7 +478,9 @@ def validate_comonad(cat, p: ComonadData, objects, report=None) -> CheckReport:
                                cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f)))
                 if not cat.eq(cat.compose(dup(b), P.arr(f)),
                               cat.compose(P.arr(P.arr(f)), dup(a))):
-                    rep.record("comonad.comult.natural", repr(f), False)
+                    rep.record("comonad.comult.natural", repr(f), False,
+                               cat.compose(dup(b), P.arr(f)),
+                               cat.compose(P.arr(P.arr(f)), dup(a)))
     rep.record("comonad.natural", f"fragment of {len(objects)} objects", True)
     return rep
 
@@ -498,10 +501,13 @@ def validate_monad(cat, t: MonadData, objects, report=None) -> CheckReport:
         for b in objects:
             for f in cat.hom(a, b):
                 if not cat.eq(cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f)):
-                    rep.record("monad.unit.natural", repr(f), False)
+                    rep.record("monad.unit.natural", repr(f), False,
+                               cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f))
                 if not cat.eq(cat.compose(mu(b), T.arr(T.arr(f))),
                               cat.compose(T.arr(f), mu(a))):
-                    rep.record("monad.mult.natural", repr(f), False)
+                    rep.record("monad.mult.natural", repr(f), False,
+                               cat.compose(mu(b), T.arr(T.arr(f))),
+                               cat.compose(T.arr(f), mu(a)))
     rep.record("monad.natural", f"fragment of {len(objects)} objects", True)
     return rep
 

@@ -1,19 +1,19 @@
-"""Small dense matrices over exact rational scalars.
+"""Small matrices over exact rational scalars.
 
 A matrix is a tuple of row tuples whose entries are Python ints or
 fractions.Fraction; mixed arithmetic stays exact.  Callers keep track of
 shapes themselves (a 0-row or 0-column matrix cannot carry its other
 dimension), so the graded-map layer only stores blocks whose shapes are
 nonzero on both sides.
+
+Storage is dense but the products are not: `mmul` and `place` multiply
+nonzero entries only.  Leaving out products with a zero factor gives an
+equal exact sum, so results compare and hash as the dense formulas would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def mat(rows):
-    return tuple(tuple(v for v in row) for row in rows)
 
 
 def zeros(r, c):
@@ -37,16 +37,25 @@ def mmul(a, b):
         raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
     if not b or not b[0]:
         return tuple(() for _ in a)
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+    c = len(b[0])
+    bnz = {}  # k -> nonzero (j, b[k][j]), built when row k of b is first hit
+    out = []
+    for row in a:
+        acc = [0] * c
+        if any(row):
+            for k, x in enumerate(row):
+                if x:
+                    nz = bnz.get(k)
+                    if nz is None:
+                        nz = bnz[k] = [(j, y) for j, y in enumerate(b[k]) if y]
+                    for j, y in nz:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def madd(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def smul(c, a):
@@ -57,13 +66,31 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
+def place(out, a, r0, c0, sign=1, b=((1,),)):
+    """Add sign * (a (x) b) into the list of lists `out` at (r0, c0).
+
+    Only products of two nonzero entries are touched.  Returns `out`.
+    """
+    br, bc = len(b), len(b[0]) if b else 0
+    bnz = [(p, [(q, sign * y) for q, y in enumerate(brow) if y])
+           for p, brow in enumerate(b)]
+    for i, arow in enumerate(a):
+        rbase = r0 + i * br
+        for k, x in enumerate(arow):
+            if x:
+                cbase = c0 + k * bc
+                for p, brow in bnz:
+                    orow = out[rbase + p]
+                    for q, y in brow:
+                        orow[cbase + q] += x * y
+    return out
+
+
 def kron(a, b):
     """Kronecker product; index (i,j) of the product means i*rows(b)+j."""
-    return tuple(
-        tuple(x * y for x in arow for y in brow)
-        for arow in a
-        for brow in b
-    )
+    cols = (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
+    out = place([[0] * cols for _ in range(len(a) * len(b))], a, 0, 0, 1, b)
+    return tuple(map(tuple, out))
 
 
 def rank(a):

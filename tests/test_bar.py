@@ -195,6 +195,20 @@ def test_codescent_dual_ground_laws():
                             "TRUNCATION-EXEMPT": 0}
 
 
+def test_codescent_boundary_square_is_checked():
+    t = codescent(bar_complex(DUAL, DG, 3))  # not the shared cached one
+    d = t.total.d
+    # adding 1 at (i, j) of d_k adds column i of d_{k-1} to column j of
+    # d_{k-1}.d_k, so pick a row i whose column in d_{k-1} is nonzero
+    k = max(k for k in d if k - 1 in d)
+    i = next(i for i in range(len(d[k])) if any(row[i] for row in d[k - 1]))
+    d[k] = tuple(tuple(v + (r == i and c == 0) for c, v in enumerate(row))
+                 for r, row in enumerate(d[k]))
+    lines = t.validate().lines()
+    assert any(ln.startswith("EQ cod.boundary.sq @ dual_numbers/ground : FAIL(")
+               for ln in lines), lines
+
+
 def test_codescent_exterior_ground():
     t = cod(EG, 4)
     assert t.total.dims == {k: 1 for k in range(10)}

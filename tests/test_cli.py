@@ -1,10 +1,14 @@
 """Exit codes, determinism, and report formats of the command line."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from weakmaps.cli import main
+from weakmaps.cli import build_parser, main
+from weakmaps.schemas import load_algebra, load_module
 
 
 def run(capsys, *args):
@@ -200,3 +204,28 @@ def test_broken_lali_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "EQ lali.homotopy" in out and "FAIL" in out
     assert "lali=" in out.splitlines()[1]
+
+
+# --- the README stays in step with the parser --------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_command_lines_parse():
+    block = README.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("weakmaps ")]
+    assert len(lines) >= 8
+    for ln in lines:
+        build_parser().parse_args(shlex.split(ln)[1:])
+
+
+def test_readme_builtin_kinds_load():
+    kinds = re.findall(r'`\{"kind": "(\w+)"\}`', README)
+    assert {"dual_numbers", "ground"} <= set(kinds)
+    alg = load_algebra({"kind": "dual_numbers"})
+    for kind in kinds:
+        if kind in ("ground", "free"):
+            load_module({"kind": kind}, alg)
+        else:
+            load_algebra({"kind": kind})

@@ -138,6 +138,59 @@ def test_identity_comonad_and_monad_are_lawful():
     assert validate_monad(C, identity_monad(C), finset_fragment(2)).ok
 
 
+# Every itemised FAIL record carries both sides of its equation.
+
+SWAP = fsarrow(("x0", "x1"), ("x0", "x1"), {"x0": "x1", "x1": "x0"})
+
+
+def _swap_on_pairs(good):
+    """Corrupt a structure map: compose it with the swap on 2-sets."""
+    def bad(x):
+        m = good(x)
+        return C.compose(SWAP, m) if tuple(x) == SWAP.dom else m
+    return bad
+
+
+def _failures_named(rep, name):
+    found = [c for c in rep.failures() if c.name == name]
+    assert found, f"no {name} failure"
+    for c in found:
+        assert c.lhs and c.rhs and c.lhs != c.rhs
+        assert f"FAIL(lhs={c.lhs}, rhs={c.rhs})" in c.line()
+    return found
+
+
+def test_compose_endpoints_failure_has_both_sides():
+    class MisreportedCod(FinSetCategory):
+        def cod(self, f):
+            return f.cod + ("z",) if len(f.dom) == 2 else f.cod
+
+    rep = validate_category(MisreportedCod(), finset_fragment(2))
+    found = _failures_named(rep, "compose.endpoints")
+    assert (found[0].lhs, found[0].rhs) == ("{x0,x1} -> {x0,z}", "{x0,x1} -> {x0}")
+
+
+def test_comonad_comult_natural_failure_has_both_sides():
+    p = identity_comonad(C)
+    p.comult = _swap_on_pairs(p.comult)
+    _failures_named(validate_comonad(C, p, finset_fragment(2)),
+                    "comonad.comult.natural")
+
+
+def test_monad_unit_natural_failure_has_both_sides():
+    t = identity_monad(C)
+    t.unit = _swap_on_pairs(t.unit)
+    _failures_named(validate_monad(C, t, finset_fragment(2)),
+                    "monad.unit.natural")
+
+
+def test_monad_mult_natural_failure_has_both_sides():
+    t = identity_monad(C)
+    t.mult = _swap_on_pairs(t.mult)
+    _failures_named(validate_monad(C, t, finset_fragment(2)),
+                    "monad.mult.natural")
+
+
 def test_co_kleisli_hom_count_and_identity():
     # hom_kl(A,B) = functions AxS -> B: with |A|=1, |S|=2, |B|=2 that is 2^2 = 4
     p = coreader_comonad(C, "st")
