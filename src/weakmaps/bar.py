@@ -28,8 +28,8 @@ from fractions import Fraction
 from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  gmap_add, gmap_compose, gmap_smul, gmap_sub,
                  graded_differential, HomologicalLali, id_gmap, is_chain_map,
-                 random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
-                 tensor_map, unit_complex, zero_gmap)
+                 lunit_iso, random_gmap, runit_iso, signed_perm_inverse,
+                 tensor_complex, tensor_map, unit_complex, zero_gmap)
 from .ratmat import eye, is_zero, mmul, place, rank
 from .report import CheckReport
 
@@ -40,14 +40,7 @@ class BarError(Exception):
 
 def _lunit_inv(x: ChainComplex) -> GradedMap:
     """X -> I (x) X, inverse of the left unit collapse."""
-    src = tensor_complex(unit_complex(), x)
-    return GradedMap(x, src, 0, {n: eye(x.dim(n)) for n in x.degrees()})
-
-
-def _runit_inv(x: ChainComplex) -> GradedMap:
-    """X -> X (x) I."""
-    src = tensor_complex(x, unit_complex())
-    return GradedMap(x, src, 0, {n: eye(x.dim(n)) for n in x.degrees()})
+    return signed_perm_inverse(lunit_iso(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +122,7 @@ class DgAlgebra:
                                      tensor_complex(a, unit_complex()),
                                      self.sq))
         rep.eq("alg.unit.right", self.name,
-               gmap_compose(ru, _runit_inv(a)), one)
+               gmap_compose(ru, signed_perm_inverse(runit_iso(a)[0])), one)
         asso, left, right = assoc_iso(a, a, a)
         lhs = gmap_compose(self.mult, tensor_map(self.mult, one, left, self.sq))
         rhs = gmap_compose(self.mult,
@@ -353,44 +346,23 @@ class BarCalculus:
         return self._facesum[n]
 
 
-class BarComplexData:
-    """Augmented simplicial object X_m = T^{m+1}M with unit contraction."""
-
-    def __init__(self, calc: BarCalculus):
-        self.calc = calc
-        self.L = calc.L
-
-    def level(self, m: int) -> ChainComplex:
-        """X_m for -1 <= m <= L+1 (X_{-1} is M itself)."""
-        return self.calc.pow[m + 1]
-
-    def face(self, m: int, j: int) -> GradedMap:
-        """d_j : X_m -> X_{m-1}; for m = 0 this is the augmentation."""
-        return self.calc.face(m + 1, j)
-
-    def degen(self, m: int, j: int) -> GradedMap:
-        """s_j : X_m -> X_{m+1}, including the extra j = -1."""
-        return self.calc.degen(m + 1, j)
-
-
-def bar_complex(alg: DgAlgebra, mod: DgModule, L: int) -> BarComplexData:
+def bar_complex(alg: DgAlgebra, mod: DgModule, L: int) -> BarCalculus:
     rep = alg.validate()
     mod.validate(rep)
     if not rep.ok:
         bad = "; ".join(c.line() for c in rep.failures())
         raise BarError(f"algebra/module laws fail: {bad}")
-    return BarComplexData(mod.calculus(L))
+    return mod.calculus(L)
 
 
-def validate_bar(bar: BarComplexData, report: CheckReport = None,
+def validate_bar(c: BarCalculus, report: CheckReport = None,
                  top_power: int = None) -> CheckReport:
-    """Check the simplicial and contraction identities on the powers.
+    """Check the simplicial and contraction identities on the powers of c.
 
     `top_power` caps the largest power exercised (default L+2); the
     identity counts are aggregated per family to keep reports short.
     """
     rep = report if report is not None else CheckReport()
-    c = bar.calc
     top = c.L + 2 if top_power is None else min(top_power, c.L + 2)
     sub = f"{c.alg.name}/{c.mod.name}"
 
@@ -640,8 +612,8 @@ class TruncatedCodescent:
         return DgModule(self.calc.alg, self.total, self.abar, name=nm)
 
 
-def codescent(bar: BarComplexData) -> TruncatedCodescent:
-    return TruncatedCodescent(bar.calc)
+def codescent(calc: BarCalculus) -> TruncatedCodescent:
+    return TruncatedCodescent(calc)
 
 
 def bar_lali(t: TruncatedCodescent,

@@ -20,8 +20,6 @@ import sys
 from . import schemas
 from .awfs import p_split_epi_awfs, split_epi_awfs, validate_awfs
 from .bar import (
-    BarCalculus,
-    BarComplexData,
     bar_lali,
     codescent,
     lift_ulali,
@@ -226,9 +224,9 @@ def _run_bar_resolve(ns):
     mod.validate(rep)
     if not rep.ok:
         return cfg, rep, []
-    bar = BarComplexData(BarCalculus(mod, ns.trunc))
-    validate_bar(bar, rep)
-    t = codescent(bar)
+    calc = mod.calculus(ns.trunc)
+    validate_bar(calc, rep)
+    t = codescent(calc)
     t.validate(rep)
     bar_lali(t, rep)
     table, _ = normalized_level_dims(t, rep)
@@ -321,7 +319,7 @@ def _run_factor_ulali(ns):
     cfg["trunc"] = str(ns.trunc)
     (modB, g, f0, eps0), extra = _load_lali(ns, alg, mod)
     cfg.update(extra)
-    t = codescent(BarComplexData(BarCalculus(mod, ns.trunc)))
+    t = codescent(mod.calculus(ns.trunc))
     h, _ = free_ulali_factor(t, modB, g, f0, eps0, rep)
     tables = [("comparison", [
         ("chain map", str(is_chain_map(h))),

@@ -1,16 +1,13 @@
 """Finite categories with computable structure.
 
-Two interchangeable backends:
-
 * FinSetCategory: objects are tuples of distinct element labels, arrows
   are tabulated total functions.  Hom-sets enumerate in lexicographic
   order of function graphs, coproducts are tagged unions (tags "L"/"R"),
   pullbacks are lexicographically ordered subsets of the product with a
-  mediating-map solver.
+  mediating-map solver.  It is the only backend that computes anything.
 * TableCategory: objects, arrows, identities and a composition table
-  supplied explicitly (typically from JSON).  Any (co)limits it claims
-  must be declared; validators check the universal property instead of
-  searching for one.
+  supplied explicitly (typically from JSON).  It serves the validators
+  only (`validate --category/--comonad/--monad`) and has no limits.
 
 On top of either backend: functor / comonad / monad data, their law
 validators, and the co-Kleisli category of a comonad.
@@ -176,17 +173,19 @@ class SchemaError(Exception):
 
 
 class TableCategory:
-    def __init__(self, objects, arrows, identities, compose, limits=None):
+    def __init__(self, objects, arrows, identities, compose):
         self.objects = list(objects)
         self.arrows = dict(arrows)  # id -> (dom, cod)
         self.identities = dict(identities)  # obj -> id
         self.table = dict(compose)  # (g, f) -> g.f
-        self.limits = limits or {}
 
     @classmethod
     def from_dict(cls, data) -> "TableCategory":
         if not isinstance(data, dict):
             raise SchemaError("$: expected an object")
+        for key in data:
+            if key not in ("objects", "arrows", "identities", "compose"):
+                raise SchemaError(f"$.{key}: unknown key")
         objs = data.get("objects")
         if not isinstance(objs, list) or not all(isinstance(o, str) for o in objs):
             raise SchemaError("$.objects: expected a list of strings")
@@ -230,7 +229,7 @@ class TableCategory:
                     f"{where}: composite {gf!r} has endpoints {arrows[gf]}, expected {want}"
                 )
             comp[(g, f)] = gf
-        return cls(objs, arrows, idents, comp, data.get("limits"))
+        return cls(objs, arrows, idents, comp)
 
     def identity(self, x):
         if x not in self.identities:
@@ -256,19 +255,6 @@ class TableCategory:
 
     def hom(self, a, b):
         return sorted(i for i, (d, c) in self.arrows.items() if d == a and c == b)
-
-    def copair(self, cop: CoproductData, f, g):
-        """Unique mediating arrow out of a declared coproduct, found by search."""
-        found = [
-            h
-            for h in self.hom(cop.obj, self.cod(f))
-            if self.compose(h, cop.inl) == f and self.compose(h, cop.inr) == g
-        ]
-        if len(found) != 1:
-            raise CategoryError(
-                f"declared coproduct {cop.obj!r} has {len(found)} copairings, want 1"
-            )
-        return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +366,6 @@ def exception_monad(cat: FinSetCategory, e) -> MonadData:
 # Validators
 
 
-def _all_arrows(cat, objects):
-    out = []
-    for a in objects:
-        for b in objects:
-            out.extend(cat.hom(a, b))
-    return out
-
-
 def validate_category(cat, objects, report=None) -> CheckReport:
     """Identity and associativity laws on the full fragment spanned by `objects`."""
     rep = report if report is not None else CheckReport()
@@ -444,6 +422,7 @@ def validate_functor(cat, fun: FunctorData, objects, report=None) -> CheckReport
     for a in objects:
         lhs = fun.arr(cat.identity(a))
         rep.eq(f"{fun.name}.id", fmt_obj(a), lhs, cat.identity(fun.obj(a)))
+    fails = 0
     for a in objects:
         for b in objects:
             for c in objects:
@@ -452,8 +431,10 @@ def validate_functor(cat, fun: FunctorData, objects, report=None) -> CheckReport
                         lhs = fun.arr(cat.compose(g, f))
                         rhs = cat.compose(fun.arr(g), fun.arr(f))
                         if not cat.eq(lhs, rhs):
+                            fails += 1
                             rep.record(f"{fun.name}.compose", f"{g!r} . {f!r}", False, lhs, rhs)
-    rep.record(f"{fun.name}.compose", f"fragment of {len(objects)} objects", True)
+    rep.record(f"{fun.name}.compose", f"fragment of {len(objects)} objects",
+               fails == 0, f"{fails} failing", "0")
     return rep
 
 
@@ -470,18 +451,22 @@ def validate_comonad(cat, p: ComonadData, objects, report=None) -> CheckReport:
                cat.compose(P.arr(eps(a)), dup(a)), cat.identity(pa))
         rep.eq("comonad.coassoc", fmt_obj(a),
                cat.compose(dup(pa), dup(a)), cat.compose(P.arr(dup(a)), dup(a)))
+    fails = 0
     for a in objects:
         for b in objects:
             for f in cat.hom(a, b):
                 if not cat.eq(cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f))):
+                    fails += 1
                     rep.record("comonad.counit.natural", repr(f), False,
                                cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f)))
                 if not cat.eq(cat.compose(dup(b), P.arr(f)),
                               cat.compose(P.arr(P.arr(f)), dup(a))):
+                    fails += 1
                     rep.record("comonad.comult.natural", repr(f), False,
                                cat.compose(dup(b), P.arr(f)),
                                cat.compose(P.arr(P.arr(f)), dup(a)))
-    rep.record("comonad.natural", f"fragment of {len(objects)} objects", True)
+    rep.record("comonad.natural", f"fragment of {len(objects)} objects",
+               fails == 0, f"{fails} failing", "0")
     return rep
 
 
@@ -497,18 +482,22 @@ def validate_monad(cat, t: MonadData, objects, report=None) -> CheckReport:
                cat.compose(mu(a), T.arr(eta(a))), cat.identity(ta))
         rep.eq("monad.assoc", fmt_obj(a),
                cat.compose(mu(a), mu(ta)), cat.compose(mu(a), T.arr(mu(a))))
+    fails = 0
     for a in objects:
         for b in objects:
             for f in cat.hom(a, b):
                 if not cat.eq(cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f)):
+                    fails += 1
                     rep.record("monad.unit.natural", repr(f), False,
                                cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f))
                 if not cat.eq(cat.compose(mu(b), T.arr(T.arr(f))),
                               cat.compose(T.arr(f), mu(a))):
+                    fails += 1
                     rep.record("monad.mult.natural", repr(f), False,
                                cat.compose(mu(b), T.arr(T.arr(f))),
                                cat.compose(T.arr(f), mu(a)))
-    rep.record("monad.natural", f"fragment of {len(objects)} objects", True)
+    rep.record("monad.natural", f"fragment of {len(objects)} objects",
+               fails == 0, f"{fails} failing", "0")
     return rep
 
 
@@ -569,26 +558,6 @@ class CoKleisliCategory:
 
 def co_kleisli(cat, comonad: ComonadData) -> CoKleisliCategory:
     return CoKleisliCategory(cat, comonad)
-
-
-# ---------------------------------------------------------------------------
-# Limit wrappers (FinSet computes, tables must declare)
-
-
-def compute_coproduct(cat, a, b) -> CoproductData:
-    if isinstance(cat, FinSetCategory):
-        return cat.coproduct(a, b)
-    decl = cat.limits.get("coproducts", []) if isinstance(cat, TableCategory) else []
-    for d in decl:
-        if d["left"] == a and d["right"] == b:
-            return CoproductData(d["object"], d["inl"], d["inr"])
-    raise CategoryError(f"no declared coproduct of {a!r} and {b!r}")
-
-
-def compute_pullback(cat, f, g) -> PullbackData:
-    if isinstance(cat, FinSetCategory):
-        return cat.pullback(f, g)
-    raise CategoryError("pullbacks are only computed in FinSetCategory")
 
 
 def empty_sum_strip(cat: FinSetCategory, x):

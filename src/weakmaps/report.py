@@ -49,10 +49,6 @@ class CheckReport:
     def exempt(self, name, subject):
         self.checks.append(Check(name, subject, EXEMPT))
 
-    def merge(self, other: "CheckReport"):
-        self.checks.extend(other.checks)
-        return self
-
     @property
     def ok(self) -> bool:
         return not any(c.status == FAIL for c in self.checks)

@@ -80,10 +80,21 @@ def _matrix(rows, where):
         for i, r in enumerate(rows))
 
 
-def _mats(data, where):
+def _mats(data, where, shape):
+    """Blocks keyed by degree; shape(k) is the (rows, cols) of degree k,
+    and a degree with a zero side is outside the support."""
     out = {}
     for k, rows in _dict(data, where).items():
-        out[_degree(k, where)] = _matrix(rows, f"{where}.{k}")
+        deg = _degree(k, where)
+        m = _matrix(rows, f"{where}.{k}")
+        want = shape(deg)
+        if 0 in want:
+            raise SchemaError(f"{where}.{k}: degree {deg} is outside the support")
+        got = (len(m), len(m[0]) if m else 0)
+        if got != want:
+            raise SchemaError(f"{where}.{k}: block has the wrong shape"
+                              f" {got[0]}x{got[1]}, expected {want[0]}x{want[1]}")
+        out[deg] = m
     return out
 
 
@@ -95,7 +106,8 @@ def load_complex(data, where="$") -> ChainComplex:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise SchemaError(f"{where}.degrees.{k}: expected a dimension >= 0")
         dims[_degree(k, f"{where}.degrees")] = v
-    bnd = _mats(data.get("boundary", {}), f"{where}.boundary")
+    bnd = _mats(data.get("boundary", {}), f"{where}.boundary",
+                lambda k: (dims.get(k - 1, 0), dims.get(k, 0)))
     try:
         return ChainComplex(dims, bnd)
     except DgError as e:
@@ -103,10 +115,8 @@ def load_complex(data, where="$") -> ChainComplex:
 
 
 def _gmap(data, src, dst, where, deg=0) -> GradedMap:
-    try:
-        return GradedMap(src, dst, deg, _mats(data, where))
-    except DgError as e:
-        raise SchemaError(f"{where}: {e}") from e
+    return GradedMap(src, dst, deg, _mats(
+        data, where, lambda k: (dst.dim(k + deg), src.dim(k))))
 
 
 def load_gradedmap(data, where="$") -> GradedMap:

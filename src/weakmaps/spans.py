@@ -30,7 +30,6 @@ from .awfs import (
 from .fincat import (
     CategoryError,
     FinSetArrow,
-    FinSetCategory,
     KleisliArrow,
     canonical_set,
     co_kleisli,
@@ -69,9 +68,6 @@ class WeakMapCategory:
         e = aw.earr(aw.lam(bang), f, cat.from_initial(a), aw.rho(bang))
         under = cat.compose(alg.p, cat.compose(e, aw.comult(bang)))
         return KleisliArrow(b, a, under)
-
-    def cofree(self, h) -> KleisliArrow:
-        return self.kleisli.cofree(h)
 
 
 def weak_maps_kleisli(awfs) -> WeakMapCategory:
@@ -136,8 +132,6 @@ def span_compose(s: ASpan, t: ASpan) -> ASpan:
     cat = aw.cat
     if s.dst != t.src:
         raise CategoryError("spans are not composable")
-    if not isinstance(cat, FinSetCategory):
-        raise CategoryError("span composition needs computed pullbacks")
     pb = cat.pullback(s.right, t.left.arrow)
     lift = cartesian_lift(t.left, pb.p1, pb.p2, s.right)
     left = r_algebra_compose(s.left, lift)
@@ -165,9 +159,6 @@ def normalize_span(s: ASpan) -> ASpan:
     interchangeable by a span automorphism, so the result is a class
     invariant."""
     aw = s.left.awfs
-    cat = aw.cat
-    if not isinstance(cat, FinSetCategory):
-        raise CategoryError("span normalisation is defined over finite sets")
     l, r, w = s.left.arrow, s.right, s.left.witness
     pre = {i: [] for i in range(len(l.dom))}
     for j in range(len(w.dom)):

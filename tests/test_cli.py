@@ -131,6 +131,19 @@ def test_boundary_square_rejected_at_load(tmp_path, capsys):
     assert "schema error" in err
 
 
+@pytest.mark.parametrize("flag,payload", [
+    ("--gradedmap", {"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                     "matrices": {"0": [[0, 0, 0]]}}),
+    ("--gradedmap", {"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                     "matrices": {"5": [[7]]}}),
+    ("--complex", {"degrees": {"0": 1}, "boundary": {"7": [[1]]}}),
+])
+def test_dropped_blocks_rejected_at_load(tmp_path, capsys, flag, payload):
+    code, out, err = run(capsys, "validate", flag, write(tmp_path, "x.json", payload))
+    assert code == 2 and out == ""
+    assert re.search(r"schema error: .*\$\.(matrices|boundary)\.\d", err)
+
+
 def test_validate_without_inputs(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2

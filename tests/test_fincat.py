@@ -10,7 +10,6 @@ from weakmaps.fincat import (
     TableCategory,
     canonical_set,
     co_kleisli,
-    compute_coproduct,
     coreader_comonad,
     empty_sum_strip,
     exception_monad,
@@ -20,7 +19,14 @@ from weakmaps.fincat import (
     identity_monad,
     validate_category,
     validate_comonad,
+    validate_functor,
     validate_monad,
+)
+from weakmaps.awfs import (
+    cofibrant_replacement,
+    replacement_comparison,
+    split_epi_awfs,
+    validate_comonad_iso,
 )
 
 C = FinSetCategory()
@@ -191,6 +197,47 @@ def test_monad_mult_natural_failure_has_both_sides():
                     "monad.mult.natural")
 
 
+# Each aggregate line fails with its itemised failures and counts them.
+
+
+def _aggregate_fails(rep, name, items):
+    line, = [c for c in rep.checks
+             if c.name == name and c.subject.startswith("fragment of")]
+    n = len([c for c in rep.failures() if c.name in items and c is not line])
+    assert line.status == "FAIL" and n > 0
+    assert (line.lhs, line.rhs) == (f"{n} failing", "0")
+
+
+def test_functor_compose_aggregate_fails():
+    p = identity_comonad(C)
+    p.functor.arr = lambda f: C.compose(SWAP, f) if f.cod == SWAP.dom else f
+    _aggregate_fails(validate_functor(C, p.functor, finset_fragment(2)),
+                     "Id.compose", {"Id.compose"})
+
+
+def test_comonad_natural_aggregate_fails():
+    p = identity_comonad(C)
+    p.comult = _swap_on_pairs(p.comult)
+    _aggregate_fails(validate_comonad(C, p, finset_fragment(2)), "comonad.natural",
+                     {"comonad.counit.natural", "comonad.comult.natural"})
+
+
+def test_monad_natural_aggregate_fails():
+    t = identity_monad(C)
+    t.unit = _swap_on_pairs(t.unit)
+    _aggregate_fails(validate_monad(C, t, finset_fragment(2)), "monad.natural",
+                     {"monad.unit.natural", "monad.mult.natural"})
+
+
+def test_iso_natural_aggregate_fails():
+    aw = split_epi_awfs(C)
+    tau = _swap_on_pairs(lambda b: replacement_comparison(aw, b)[0])
+    rep = validate_comonad_iso(C, cofibrant_replacement(aw), aw.comonad, tau,
+                               lambda b: replacement_comparison(aw, b)[1],
+                               finset_fragment(2))
+    _aggregate_fails(rep, "iso.natural", {"iso.natural"})
+
+
 def test_co_kleisli_hom_count_and_identity():
     # hom_kl(A,B) = functions AxS -> B: with |A|=1, |S|=2, |B|=2 that is 2^2 = 4
     p = coreader_comonad(C, "st")
@@ -331,7 +378,6 @@ def test_table_schema_errors_have_positions():
         TableCategory.from_dict({"objects": ["0"], "arrows": [], "identities": {}})
 
 
-def test_compute_coproduct_requires_declaration_on_tables():
-    cat = TableCategory.from_dict(WALKING_ARROW)
-    with pytest.raises(CategoryError, match="no declared coproduct"):
-        compute_coproduct(cat, "0", "1")
+def test_table_schema_rejects_unknown_keys():
+    with pytest.raises(SchemaError, match=r"\$\.limits: unknown key"):
+        TableCategory.from_dict({**WALKING_ARROW, "limits": {"coproducts": []}})

@@ -1,0 +1,47 @@
+"""Every function, class and method in the package is referenced by name.
+
+A definition counts as used when its name appears as a name, an
+attribute or an imported name anywhere in `src/` or `tests/` outside its
+own definition.  Matching by name alone is generous: one call of any
+`validate` keeps every `validate` alive, so some dead code can pass.
+Dunder methods are called by the language and are exempt.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "weakmaps"
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree):
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name.split(".")[-1]] += 1
+    return refs
+
+
+def test_every_definition_has_a_reference():
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for d in (ROOT / "src", ROOT / "tests") for p in sorted(d.rglob("*.py"))}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_references(tree))
+    unused = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFS) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            if refs[node.name] - _references(node)[node.name] == 0:
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not unused, "no reference to: " + ", ".join(unused)

@@ -75,6 +75,34 @@ def test_gradedmap_roundtrip():
                         "degree": "up"})
 
 
+def test_blocks_outside_the_support_are_rejected():
+    with pytest.raises(SchemaError, match=r"\$\.boundary\.7: degree 7 is outside"):
+        load_complex({"degrees": {"0": 1}, "boundary": {"7": [[1]]}})
+    with pytest.raises(SchemaError, match=r"\$\.matrices\.5: degree 5 is outside"):
+        load_gradedmap({"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                        "matrices": {"5": [[7]]}})
+    # the target degree k + deg must be supported too
+    with pytest.raises(SchemaError, match=r"\$\.matrices\.0: degree 0 is outside"):
+        load_gradedmap({"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                        "degree": 1, "matrices": {"0": [[0]]}})
+
+
+def test_blocks_of_the_wrong_shape_are_rejected_even_when_zero():
+    with pytest.raises(SchemaError, match=r"\$\.matrices\.0: .*wrong shape 1x3, expected 1x1"):
+        load_gradedmap({"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                        "matrices": {"0": [[0, 0, 0]]}})
+    with pytest.raises(SchemaError, match=r"\$\.boundary\.1: .*wrong shape 1x2, expected 2x1"):
+        load_complex({"degrees": {"0": 2, "1": 1}, "boundary": {"1": [[0, 0]]}})
+
+
+def test_zero_blocks_of_the_right_shape_are_accepted():
+    cx = load_complex({"degrees": {"0": 2, "1": 1}, "boundary": {"1": [[0], [0]]}})
+    assert cx.d == {}
+    g = load_gradedmap({"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 2}},
+                        "matrices": {"0": [[0], [0]]}})
+    assert g.is_zero()
+
+
 # --- algebras, modules, lalis -----------------------------------------------
 
 
