@@ -395,8 +395,9 @@ def validate_awfs(awfs, max_size=3, report=None, squares=True) -> CheckReport:
     if not squares:
         return rep
 
-    counts = {"nat.lambda": 0, "nat.rho": 0, "nat.comult": 0, "nat.mult": 0}
-    fails = {name: 0 for name in counts}
+    nat = [rep.family(name)
+           for name in ("nat.lambda", "nat.rho", "nat.comult", "nat.mult")]
+    nat_lam, nat_rho, nat_comult, nat_mult = nat
     for f in arrows:
         lf, rf = awfs.lam(f), awfs.rho(f)
         dl_f, mu_f = awfs.comult(f), awfs.mult(f)
@@ -405,33 +406,19 @@ def validate_awfs(awfs, max_size=3, report=None, squares=True) -> CheckReport:
             dl_g, mu_g = awfs.comult(g), awfs.mult(g)
             for h, k in squares_between(cat, f, g):
                 e_hk = awfs.earr(f, g, h, k)
-                sub = f"({h!r},{k!r}): {f!r} -> {g!r}"
-                l1 = cat.compose(e_hk, lf)
-                r1 = cat.compose(lg, h)
-                counts["nat.lambda"] += 1
-                if not cat.eq(l1, r1):
-                    fails["nat.lambda"] += 1
-                    rep.record("nat.lambda", sub, False, l1, r1)
-                l2 = cat.compose(rg, e_hk)
-                r2 = cat.compose(k, rf)
-                counts["nat.rho"] += 1
-                if not cat.eq(l2, r2):
-                    fails["nat.rho"] += 1
-                    rep.record("nat.rho", sub, False, l2, r2)
+                sub = lambda: f"({h!r},{k!r}): {f!r} -> {g!r}"
+                l1, r1 = cat.compose(e_hk, lf), cat.compose(lg, h)
+                nat_lam.check(cat.eq(l1, r1), sub, l1, r1)
+                l2, r2 = cat.compose(rg, e_hk), cat.compose(k, rf)
+                nat_rho.check(cat.eq(l2, r2), sub, l2, r2)
                 l3 = cat.compose(awfs.earr(lf, lg, h, e_hk), dl_f)
                 r3 = cat.compose(dl_g, e_hk)
-                counts["nat.comult"] += 1
-                if not cat.eq(l3, r3):
-                    fails["nat.comult"] += 1
-                    rep.record("nat.comult", sub, False, l3, r3)
+                nat_comult.check(cat.eq(l3, r3), sub, l3, r3)
                 l4 = cat.compose(e_hk, mu_f)
                 r4 = cat.compose(mu_g, awfs.earr(rf, rg, e_hk, k))
-                counts["nat.mult"] += 1
-                if not cat.eq(l4, r4):
-                    fails["nat.mult"] += 1
-                    rep.record("nat.mult", sub, False, l4, r4)
-    for name, n in counts.items():
-        rep.record(name, f"{n} squares", fails[name] == 0)
+                nat_mult.check(cat.eq(l4, r4), sub, l4, r4)
+    for fam in nat:
+        fam.close(f"{fam.n} squares")
     return rep
 
 
@@ -440,8 +427,7 @@ def validate_e_functoriality(awfs, max_size=2, report=None) -> CheckReport:
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
     arrows = fragment_arrows(cat, max_size)
-    n = 0
-    bad = None
+    fam = rep.family("e.compose")
     for f in arrows:
         for g in arrows:
             sq_fg = list(squares_between(cat, f, g))
@@ -451,16 +437,13 @@ def validate_e_functoriality(awfs, max_size=2, report=None) -> CheckReport:
                 for h2, k2 in squares_between(cat, g, e):
                     e2 = awfs.earr(g, e, h2, k2)
                     for h1, k1 in sq_fg:
-                        n += 1
                         lhs = awfs.earr(f, e, cat.compose(h2, h1), cat.compose(k2, k1))
                         rhs = cat.compose(e2, awfs.earr(f, g, h1, k1))
-                        if not cat.eq(lhs, rhs) and bad is None:
-                            bad = (f, g, e, lhs, rhs)
-    if bad is None:
-        rep.record("e.compose", f"{n} composable square pairs", True)
-    else:
-        rep.record("e.compose", f"{bad[0]!r} -> {bad[1]!r} -> {bad[2]!r}",
-                   False, bad[3], bad[4])
+                        fam.check(cat.eq(lhs, rhs),
+                                  lambda: f"({h1!r},{k1!r}) then ({h2!r},{k2!r}):"
+                                          f" {f!r} -> {g!r} -> {e!r}",
+                                  lhs, rhs)
+    fam.close(f"{fam.n} composable square pairs")
     return rep
 
 
@@ -475,15 +458,13 @@ def awfs_equal_on(a, b, max_size=2, report=None) -> CheckReport:
         rep.eq("agree.rho", sub, a.rho(f), b.rho(f))
         rep.eq("agree.comult", sub, a.comult(f), b.comult(f))
         rep.eq("agree.mult", sub, a.mult(f), b.mult(f))
-    bad = 0
+    fam = rep.family("agree.e")
     for f in arrows:
         for g in arrows:
             for h, k in squares_between(cat, f, g):
                 lhs, rhs = a.earr(f, g, h, k), b.earr(f, g, h, k)
-                if not cat.eq(lhs, rhs):
-                    bad += 1
-                    rep.record("agree.e", f"({h!r},{k!r})", False, lhs, rhs)
-    rep.record("agree.e", "all squares", bad == 0)
+                fam.check(cat.eq(lhs, rhs), lambda: f"({h!r},{k!r})", lhs, rhs)
+    fam.close("all squares")
     return rep
 
 
@@ -536,17 +517,14 @@ def validate_comonad_iso(cat, q: ComonadData, p: ComonadData, tau, tau_inv,
         rhs = cat.compose(tau(p.functor.obj(b)),
                           cat.compose(q.functor.arr(t), q.comult(b)))
         rep.eq("iso.comult", sub, lhs, rhs)
-    fails = 0
+    fam = rep.family("iso.natural")
     for a in objects:
         for b in objects:
             for h in cat.hom(a, b):
                 lhs = cat.compose(tau(b), q.functor.arr(h))
                 rhs = cat.compose(p.functor.arr(h), tau(a))
-                if not cat.eq(lhs, rhs):
-                    fails += 1
-                    rep.record("iso.natural", repr(h), False, lhs, rhs)
-    rep.record("iso.natural", f"fragment of {len(objects)} objects",
-               fails == 0, f"{fails} failing", "0")
+                fam.check(cat.eq(lhs, rhs), lambda: repr(h), lhs, rhs)
+    fam.close(f"fragment of {len(objects)} objects")
     return rep
 
 

@@ -366,22 +366,19 @@ def validate_bar(c: BarCalculus, report: CheckReport = None,
     top = c.L + 2 if top_power is None else min(top_power, c.L + 2)
     sub = f"{c.alg.name}/{c.mod.name}"
 
-    bad = tot = 0
+    fam = rep.family("bar.face_face")
     for n in range(2, top + 1):
         for j in range(1, n):
             for i in range(j):
-                tot += 1
                 lhs = gmap_compose(c.face(n - 1, i), c.face(n, j))
                 rhs = gmap_compose(c.face(n - 1, j - 1), c.face(n, i))
-                if lhs != rhs:
-                    bad += 1
-    rep.record("bar.face_face", sub, bad == 0, f"{bad}/{tot} pairs differ")
+                fam.check(lhs == rhs, f"{sub} n={n} i={i} j={j}", lhs, rhs)
+    fam.close(sub)
 
-    bad = tot = 0
+    fam = rep.family("bar.face_degen")
     for n in range(1, top):
         for j in range(-1, n):
             for i in range(n + 1):
-                tot += 1
                 got = gmap_compose(c.face(n + 1, i), c.degen(n, j))
                 if i < j:
                     want = gmap_compose(c.degen(n - 1, j - 1), c.face(n, i))
@@ -389,45 +386,38 @@ def validate_bar(c: BarCalculus, report: CheckReport = None,
                     want = id_gmap(c.pow[n])
                 else:
                     want = gmap_compose(c.degen(n - 1, j), c.face(n, i - 1))
-                if got != want:
-                    bad += 1
-    rep.record("bar.face_degen", sub, bad == 0, f"{bad}/{tot} pairs differ")
+                fam.check(got == want, f"{sub} n={n} i={i} j={j}", got, want)
+    fam.close(sub)
 
-    bad = tot = 0
+    fam = rep.family("bar.degen_degen")
     for n in range(0, top - 1):
         for j in range(-1, n):
             for i in range(-1, j + 1):
-                tot += 1
                 lhs = gmap_compose(c.degen(n + 1, i), c.degen(n, j))
                 rhs = gmap_compose(c.degen(n + 1, j + 1), c.degen(n, i))
-                if lhs != rhs:
-                    bad += 1
-    rep.record("bar.degen_degen", sub, bad == 0, f"{bad}/{tot} pairs differ")
+                fam.check(lhs == rhs, f"{sub} n={n} i={i} j={j}", lhs, rhs)
+    fam.close(sub)
 
-    bad = tot = 0
+    fam = rep.family("bar.shift")
     for n in range(1, top):
         for i in range(n):
-            tot += 1
-            if c.T(c.face(n, i)) != c.face(n + 1, i + 1):
-                bad += 1
+            lhs, rhs = c.T(c.face(n, i)), c.face(n + 1, i + 1)
+            fam.check(lhs == rhs, f"{sub} face n={n} i={i}", lhs, rhs)
         for j in range(-1, n):
-            tot += 1
-            if c.T(c.degen(n, j)) != c.degen(n + 1, j + 1):
-                bad += 1
-    rep.record("bar.shift", sub, bad == 0, f"{bad}/{tot} maps differ")
+            lhs, rhs = c.T(c.degen(n, j)), c.degen(n + 1, j + 1)
+            fam.check(lhs == rhs, f"{sub} degen n={n} j={j}", lhs, rhs)
+    fam.close(sub)
 
-    bad = tot = 0
-    for n in range(1, top + 1):
-        for j in range(n):
-            tot += 1
-            if not is_chain_map(c.face(n, j)):
-                bad += 1
-        for j in range(-1, n):
-            if n <= top - 1:
-                tot += 1
-                if not is_chain_map(c.degen(n, j)):
-                    bad += 1
-    rep.record("bar.chain", sub, bad == 0, f"{bad}/{tot} maps not chain")
+    fam = rep.family("bar.chain")
+    maps = [(f"face n={n} j={j}", c.face(n, j))
+            for n in range(1, top + 1) for j in range(n)]
+    maps += [(f"degen n={n} j={j}", c.degen(n, j))
+             for n in range(1, top) for j in range(-1, n)]
+    for what, m in maps:
+        dm = graded_differential(m)
+        fam.check(m.deg == 0 and dm.is_zero(), f"{sub} {what}",
+                  f"deg={m.deg} D={dm!r}", "deg=0 D=0")
+    fam.close(sub)
 
     rep.eq("bar.augment", sub,
            gmap_compose(c.face(1, 0), c.face(2, 0)),
@@ -560,24 +550,22 @@ class TruncatedCodescent:
                           f"d.d nonzero out of degrees {bad}", 0):
             return rep  # the checks below build A (x) |X|, which needs d.d = 0
 
-        bad = tot = 0
+        fam = rep.family("cod.iota.degen")
         for n in range(1, self.L + 1):
             it = self.iota(n)
             for j in range(n):
-                tot += 1
-                if not gmap_compose(it, calc.degen(n, j)).is_zero():
-                    bad += 1
-        rep.record("cod.iota.degen", sub, bad == 0, f"{bad}/{tot} nonzero")
+                m = gmap_compose(it, calc.degen(n, j))
+                fam.check(m.is_zero(), f"{sub} n={n} j={j}", m, 0)
+        fam.close(sub)
 
-        bad = tot = 0
+        fam = rep.family("cod.reduced.boundary")
         for n, lv in enumerate(self.levels):
-            tot += 1
             induced = gmap_compose(
                 self.proj_n[n],
                 gmap_compose(boundary_gmap(calc.pow[n + 1]), self.incl_n[n]))
-            if induced != boundary_gmap(lv):
-                bad += 1
-        rep.record("cod.reduced.boundary", sub, bad == 0, f"{bad}/{tot}")
+            want = boundary_gmap(lv)
+            fam.check(induced == want, f"{sub} n={n}", induced, want)
+        fam.close(sub)
 
         for n in range(self.L + 1):
             got = graded_differential(self.iota(n))
@@ -976,13 +964,12 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
         hs.append(gmap_compose(modB.act,
                                calc.T(gmap_compose(eps0, hs[-1]))))
 
-    bad = tot = 0
+    fam = rep.family("factor.reduced")
     for n in range(1, L + 1):
         for j in range(n):
-            tot += 1
-            if not gmap_compose(hs[n], calc.degen(n, j)).is_zero():
-                bad += 1
-    rep.record("factor.reduced", sub, bad == 0, f"{bad}/{tot} nonzero")
+            m = gmap_compose(hs[n], calc.degen(n, j))
+            fam.check(m.is_zero(), f"{sub} n={n} j={j}", m, 0)
+    fam.close(sub)
 
     h = zero_gmap(t.total, modB.cx, 0)
     for n in range(L + 1):

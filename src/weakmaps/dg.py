@@ -22,9 +22,8 @@ g.xi = xi.q = xi.xi = 0.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .ratmat import (eye, is_zero, madd, mmul, place, rank, smul,
+from .ratmat import (eye, inverse, is_zero, madd, mmul, place, rank, smul,
                      transpose, zeros)
 from .report import CheckReport
 
@@ -113,7 +112,13 @@ class GradedMap:
                 and self.deg == other.deg and self.mats == other.mats)
 
     def __repr__(self):
-        return f"GradedMap(deg={self.deg}, blocks={sorted(self.mats)})"
+        """Degree and nonzero entries: {k: (i,j)=v ...} per source degree k,
+        so the two sides of a failing equation print differently."""
+        blocks = "; ".join(
+            f"{k}: " + " ".join(f"({i},{j})={v}" for i, row in enumerate(m)
+                                for j, v in enumerate(row) if v)
+            for k, m in sorted(self.mats.items()))
+        return f"GradedMap(deg={self.deg}, {{{blocks}}})"
 
 
 def zero_gmap(src, dst, deg=0) -> GradedMap:
@@ -248,47 +253,29 @@ def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
     return GradedMap(src, dst, deg, mats)
 
 
-def _basis(t: TensorComplex, n):
-    """Pairs ((p, i), (q, j)) in storage order at total degree n."""
-    for p, q, off, xd, yd in t.blocks(n):
-        for i in range(xd):
-            for j in range(yd):
-                yield (p, i), (q, j)
-
-
 def assoc_iso(x, y, z):
-    """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a signless basis bijection."""
+    """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a signless basis bijection.
+
+    For fixed i in X_p, the basis elements (j, k) of Y_q (x) Z_r are
+    contiguous and in the same order on both sides, so each i places one
+    identity block of size |Y_q|*|Z_r|.
+    """
     xy = tensor_complex(x, y)
     src = tensor_complex(xy, z)
     yz = tensor_complex(y, z)
     dst = tensor_complex(x, yz)
     mats = {}
     for n in src.degrees():
-        cols = src.dim(n)
-        rows = dst.dim(n)
-        out = [[0] * cols for _ in range(rows)]
-        col = 0
-        for pq, r, off, xyd, zd in src.blocks(n):
-            pairs = list(_basis(xy, pq))
-            for (p, i), (q, j) in pairs:
-                for k in range(zd):
-                    row = _locate(dst, x, yz, n, p, i, q + r,
-                                  _yz_index(yz, q, j, r, k))
-                    out[row][col] = 1
-                    col += 1
-        mats[n] = tuple(tuple(r) for r in out)
+        out = [[0] * src.dim(n) for _ in range(dst.dim(n))]
+        for pq, r, off, _, zd in src.blocks(n):
+            for p, q, xy_off, xd, yd in xy.blocks(pq):
+                row0 = dst.offset(n, p) + yz.offset(q + r, q)
+                col0 = off + xy_off * zd
+                for i in range(xd):
+                    place(out, eye(yd * zd), row0 + i * yz.dim(q + r),
+                          col0 + i * yd * zd)
+        mats[n] = tuple(map(tuple, out))
     return GradedMap(src, dst, 0, mats), src, dst
-
-
-def _yz_index(yz: TensorComplex, q, j, r, k):
-    z = yz.factors[1]
-    off = yz.offset(q + r, q)
-    return off + j * z.dim(r) + k
-
-
-def _locate(t: TensorComplex, x, y, n, p, i, q, j):
-    off = t.offset(n, p)
-    return off + i * y.dim(q) + j
 
 
 def lunit_iso(x: ChainComplex):
@@ -431,22 +418,6 @@ def _unimodular(rng: random.Random, n):
     return tuple(tuple(r) for r in m)
 
 
-def _inv_unimodular(m):
-    n = len(m)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return tuple(tuple(v for v in row[n:]) for row in aug)
-
-
 def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
     """Direct sum of spheres and disks in degrees <= max_deg, conjugated
     by unimodular changes of basis so the matrices look arbitrary while
@@ -479,7 +450,7 @@ def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
         d[k] = tuple(tuple(r) for r in m)
     base = ChainComplex(dims, d)
     u = {k: _unimodular(rng, n) for k, n in base.dims.items()}
-    uinv = {k: _inv_unimodular(m) for k, m in u.items()}
+    uinv = {k: inverse(m) for k, m in u.items()}
     nd = {}
     for k in list(base.d):
         nd[k] = mmul(u.get(k - 1, eye(base.dim(k - 1))),
@@ -550,7 +521,7 @@ def random_lali(rng: random.Random, max_deg=3,
     q = GradedMap(b, a, 0, q_mats)
     xi = GradedMap(a, a, 1, xi_mats)
     u = {k: _unimodular(rng, n) for k, n in a.dims.items()}
-    uinv = {k: _inv_unimodular(m) for k, m in u.items()}
+    uinv = {k: inverse(m) for k, m in u.items()}
     a2 = ChainComplex(a.dims, {
         k: mmul(u.get(k - 1, eye(a.dim(k - 1))),
                 mmul(a.boundary(k), uinv.get(k, eye(a.dim(k)))))

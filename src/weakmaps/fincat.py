@@ -390,8 +390,7 @@ def validate_category(cat, objects, report=None) -> CheckReport:
                             rep.record("compose.endpoints", f"{g!r} . {f!r}", False,
                                        f"{fmt_obj(cat.dom(gf))} -> {fmt_obj(cat.cod(gf))}",
                                        f"{fmt_obj(a)} -> {fmt_obj(c)}")
-    triples = 0
-    bad = None
+    assoc = rep.family("assoc")
     for a in objects:
         for b in objects:
             homs_ab = cat.hom(a, b)
@@ -404,16 +403,12 @@ def validate_category(cat, objects, report=None) -> CheckReport:
                         for g in homs_bc:
                             hg = cat.compose(h, g)
                             for f in homs_ab:
-                                triples += 1
                                 lhs = cat.compose(hg, f)
                                 rhs = cat.compose(h, cat.compose(g, f))
-                                if not cat.eq(lhs, rhs) and bad is None:
-                                    bad = (f, g, h, lhs, rhs)
-    if bad is None:
-        rep.record("assoc", f"{triples} triples", True)
-    else:
-        f, g, h, lhs, rhs = bad
-        rep.record("assoc", f"h={h!r} g={g!r} f={f!r}", False, lhs, rhs)
+                                assoc.check(cat.eq(lhs, rhs),
+                                            lambda: f"h={h!r} g={g!r} f={f!r}",
+                                            lhs, rhs)
+    assoc.close(f"{assoc.n} triples")
     return rep
 
 
@@ -422,7 +417,7 @@ def validate_functor(cat, fun: FunctorData, objects, report=None) -> CheckReport
     for a in objects:
         lhs = fun.arr(cat.identity(a))
         rep.eq(f"{fun.name}.id", fmt_obj(a), lhs, cat.identity(fun.obj(a)))
-    fails = 0
+    fam = rep.family(f"{fun.name}.compose")
     for a in objects:
         for b in objects:
             for c in objects:
@@ -430,11 +425,8 @@ def validate_functor(cat, fun: FunctorData, objects, report=None) -> CheckReport
                     for g in cat.hom(b, c):
                         lhs = fun.arr(cat.compose(g, f))
                         rhs = cat.compose(fun.arr(g), fun.arr(f))
-                        if not cat.eq(lhs, rhs):
-                            fails += 1
-                            rep.record(f"{fun.name}.compose", f"{g!r} . {f!r}", False, lhs, rhs)
-    rep.record(f"{fun.name}.compose", f"fragment of {len(objects)} objects",
-               fails == 0, f"{fails} failing", "0")
+                        fam.check(cat.eq(lhs, rhs), lambda: f"{g!r} . {f!r}", lhs, rhs)
+    fam.close(f"fragment of {len(objects)} objects")
     return rep
 
 
@@ -451,22 +443,18 @@ def validate_comonad(cat, p: ComonadData, objects, report=None) -> CheckReport:
                cat.compose(P.arr(eps(a)), dup(a)), cat.identity(pa))
         rep.eq("comonad.coassoc", fmt_obj(a),
                cat.compose(dup(pa), dup(a)), cat.compose(P.arr(dup(a)), dup(a)))
-    fails = 0
+    fam = rep.family("comonad.natural")
     for a in objects:
         for b in objects:
             for f in cat.hom(a, b):
-                if not cat.eq(cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f))):
-                    fails += 1
-                    rep.record("comonad.counit.natural", repr(f), False,
-                               cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f)))
-                if not cat.eq(cat.compose(dup(b), P.arr(f)),
-                              cat.compose(P.arr(P.arr(f)), dup(a))):
-                    fails += 1
-                    rep.record("comonad.comult.natural", repr(f), False,
-                               cat.compose(dup(b), P.arr(f)),
-                               cat.compose(P.arr(P.arr(f)), dup(a)))
-    rep.record("comonad.natural", f"fragment of {len(objects)} objects",
-               fails == 0, f"{fails} failing", "0")
+                lhs, rhs = cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f))
+                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs,
+                          "comonad.counit.natural")
+                lhs = cat.compose(dup(b), P.arr(f))
+                rhs = cat.compose(P.arr(P.arr(f)), dup(a))
+                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs,
+                          "comonad.comult.natural")
+    fam.close(f"fragment of {len(objects)} objects")
     return rep
 
 
@@ -482,22 +470,16 @@ def validate_monad(cat, t: MonadData, objects, report=None) -> CheckReport:
                cat.compose(mu(a), T.arr(eta(a))), cat.identity(ta))
         rep.eq("monad.assoc", fmt_obj(a),
                cat.compose(mu(a), mu(ta)), cat.compose(mu(a), T.arr(mu(a))))
-    fails = 0
+    fam = rep.family("monad.natural")
     for a in objects:
         for b in objects:
             for f in cat.hom(a, b):
-                if not cat.eq(cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f)):
-                    fails += 1
-                    rep.record("monad.unit.natural", repr(f), False,
-                               cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f))
-                if not cat.eq(cat.compose(mu(b), T.arr(T.arr(f))),
-                              cat.compose(T.arr(f), mu(a))):
-                    fails += 1
-                    rep.record("monad.mult.natural", repr(f), False,
-                               cat.compose(mu(b), T.arr(T.arr(f))),
-                               cat.compose(T.arr(f), mu(a)))
-    rep.record("monad.natural", f"fragment of {len(objects)} objects",
-               fails == 0, f"{fails} failing", "0")
+                lhs, rhs = cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f)
+                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs, "monad.unit.natural")
+                lhs = cat.compose(mu(b), T.arr(T.arr(f)))
+                rhs = cat.compose(T.arr(f), mu(a))
+                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs, "monad.mult.natural")
+    fam.close(f"fragment of {len(objects)} objects")
     return rep
 
 

@@ -93,12 +93,18 @@ def kron(a, b):
     return tuple(map(tuple, out))
 
 
-def rank(a):
-    """Row-reduce over the rationals; exact, no pivot tolerance."""
+def _rref(a):
+    """Gauss-Jordan over the rationals; exact, no pivot tolerance.
+
+    Returns the nonzero rows of the reduced row echelon form of `a`, as
+    lists of Fractions with the pivot rows first, and the rank.
+    """
     rows = [[Fraction(x) for x in row] for row in a if any(x != 0 for x in row)]
     r = 0
     ncols = len(a[0]) if a else 0
     for col in range(ncols):
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
@@ -111,6 +117,17 @@ def rank(a):
                 f = rows[i][col]
                 rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
         r += 1
-        if r == len(rows):
-            break
-    return r
+    return rows, r
+
+
+def rank(a):
+    return _rref(a)[1]
+
+
+def inverse(a):
+    """Exact inverse of a square matrix: the right half of rref[a | 1]."""
+    n = len(a)
+    rows, _ = _rref([(*row, *e) for row, e in zip(a, eye(n))])
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)

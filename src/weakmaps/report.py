@@ -5,6 +5,12 @@ named equations together with the object or arrow they were tested at and
 a PASS / FAIL / TRUNCATION-EXEMPT status.  Reports render one line per
 equation and mirror to JSON.  Ordering is exactly insertion order, so a
 validator that iterates deterministically yields byte-identical output.
+
+A family of equations (all naturality squares, all face pairs, ...) is
+checked through `CheckReport.family(name)`.  Passing items leave no line;
+each failing item is recorded when it fails, with both sides; `close`
+then records the aggregate line: PASS when no item failed, otherwise
+FAIL(lhs=<k> failing, rhs=0) with k the number of itemised failures.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ class CheckReport:
         """Record lhs == rhs under `name`, keeping reprs on failure."""
         return self.record(name, subject, lhs == rhs, lhs, rhs)
 
+    def family(self, name) -> Family:
+        return Family(self, name)
+
     def exempt(self, name, subject):
         self.checks.append(Check(name, subject, EXEMPT))
 
@@ -86,3 +95,32 @@ class CheckReport:
             "summary": {k.lower(): v for k, v in self.counts().items()},
             "ok": self.ok,
         }
+
+
+@dataclass(slots=True)
+class Family:
+    """Counts the items of one check family and records its failures.
+
+    `subject` may be a callable; it is called only for a failing item, so
+    a hot loop formats no label for the items that pass.  A failing item
+    is recorded under `name` when given (e.g. `comonad.counit.natural`
+    inside the `comonad.natural` family), else under the family's name.
+    """
+
+    rep: CheckReport
+    name: str
+    n: int = 0
+    failed: int = 0
+
+    def check(self, ok, subject, lhs, rhs, name=None) -> bool:
+        self.n += 1
+        if not ok:
+            self.failed += 1
+            self.rep.record(name or self.name,
+                            subject() if callable(subject) else subject,
+                            False, lhs, rhs)
+        return ok
+
+    def close(self, subject) -> bool:
+        return self.rep.record(self.name, subject, self.failed == 0,
+                               f"{self.failed} failing", 0)

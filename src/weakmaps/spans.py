@@ -332,32 +332,25 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     kleisli_count = b_size ** pa if pa else 1
     classes = {}
     span_count = 0
-    checked_api = 0
+    api = rep.family("api.kappa")
     for k, l, sigma, r in _int_spans(a_size, b_size, eps, apex_bound):
         span_count += 1
         kappa = tuple(r[sigma[w]] for w in range(pa))
         classes[kappa] = classes.get(kappa, 0) + 1
         if k <= full_upto or rng.randrange(1000) == 0:
             s = _api_span(awfs, a_labels, b_labels, k, l, sigma, r)
-            u = span_to_kleisli(wm, s)
-            if u.under.idx != kappa:
-                rep.record("api.kappa", f"{(k, l, sigma, r)}", False,
-                           u.under.idx, kappa)
-            checked_api += 1
-    ok_api = not any(c.name == "api.kappa" for c in rep.failures())
-    rep.record("api.kappa", f"{checked_api} spans cross-checked", ok_api)
+            got = span_to_kleisli(wm, s).under.idx
+            api.check(got == kappa, lambda: str((k, l, sigma, r)), got, kappa)
+    api.close(f"{api.n} spans cross-checked")
 
     qa = wm.q.functor.obj(a_labels)
-    bad_rt = 0
+    rt = rep.family("roundtrip")
     for under_idx in itertools.product(range(b_size), repeat=len(qa)):
         u = KleisliArrow(a_labels, b_labels,
                         FinSetArrow(qa, b_labels, under_idx))
-        s = kleisli_to_span(wm, u)
-        back = span_to_kleisli(wm, s)
-        if not wm.kleisli.eq(back, u):
-            bad_rt += 1
-            rep.record("roundtrip", repr(u), False, back, u)
-    rep.record("roundtrip", f"{kleisli_count} co-Kleisli arrows", bad_rt == 0)
+        back = span_to_kleisli(wm, kleisli_to_span(wm, u))
+        rt.check(wm.kleisli.eq(back, u), lambda: repr(u), back, u)
+    rt.close(f"{kleisli_count} co-Kleisli arrows")
 
     rep.record("class.count", f"apex<={apex_bound}",
                len(classes) == kleisli_count, len(classes), kleisli_count)
@@ -365,11 +358,10 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     # invariance: build sources over sampled targets by arbitrary relabeling
     targets = list(_int_spans(a_size, b_size, eps, min(2, apex_bound)))
     all_targets = targets if len(targets) <= sample else rng.sample(targets, sample)
-    bad_inv = 0
-    n_inv = 0
+    inv = rep.family("kappa.invariant")
     for k, l, sigma, r in all_targets:
         t = _api_span(awfs, a_labels, b_labels, k, l, sigma, r)
-        kt = span_to_kleisli(wm, t)
+        kt = span_to_kleisli(wm, t).under.idx
         for ksrc in range(1, min(3, apex_bound) + 1):
             for rmap in itertools.product(range(k), repeat=ksrc):
                 fibres = [[x for x in range(ksrc) if rmap[x] == sigma[w]]
@@ -381,17 +373,12 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
                     sr = tuple(r[rmap[x]] for x in range(ksrc))
                     s = _api_span(awfs, a_labels, b_labels, ksrc, sl, s_sigma, sr)
                     rarr = FinSetArrow(s.apex, t.apex, rmap)
-                    n_inv += 1
-                    if not span_is_map(rarr, s, t):
-                        bad_inv += 1
-                        rep.record("kappa.invariant", f"map {rmap} into {(k,l,sigma,r)}",
-                                   False, "not a span map", "")
-                    elif span_to_kleisli(wm, s).under.idx != kt.under.idx:
-                        bad_inv += 1
-                        rep.record("kappa.invariant", f"map {rmap} into {(k,l,sigma,r)}",
-                                   False, span_to_kleisli(wm, s).under.idx,
-                                   kt.under.idx)
-    rep.record("kappa.invariant", f"{n_inv} one-step maps", bad_inv == 0)
+                    ks = (span_to_kleisli(wm, s).under.idx
+                          if span_is_map(rarr, s, t) else "not a span map")
+                    inv.check(ks == kt,
+                              lambda: f"map {rmap} into {(k, l, sigma, r)}",
+                              ks, kt)
+    inv.close(f"{inv.n} one-step maps")
 
     ordered = tuple(SpanClass(kappa, classes[kappa]) for kappa in sorted(classes))
     return HomComparison(a_labels, b_labels, apex_bound, kleisli_count,

@@ -91,6 +91,37 @@ def test_broken_comult_is_reported_not_raised():
     assert not any(c.name in ("factor", "monad.unit1") for c in rep.failures())
 
 
+ONE = fragment_arrows(C, 1)[-1]  # the arrow {x0} -> {x0}
+TWO = fragment_arrows(C, 2)[2]  # the arrow {} -> {x0,x1}
+
+
+class BrokenEarr(SplitEpiAwfs):
+    # reverses E(h, k) on the squares from ONE to ONE (E = {L:x0,R:x0}) and
+    # from TWO to TWO (E = {R:x0,R:x1})
+    def earr(self, f, g, h, k):
+        e = super().earr(f, g, h, k)
+        if f == g and f in (ONE, TWO):
+            return FinSetArrow(e.dom, e.cod, e.idx[::-1])
+        return e
+
+
+def test_corrupted_earr_fails_each_square_family(family_fails):
+    bad = BrokenEarr(C)
+    rep = validate_awfs(bad, max_size=2)
+    square = f"({ONE!r},{ONE!r}): {ONE!r} -> {ONE!r}"
+    assert [c.subject for c in family_fails(rep, "nat.lambda")] == [square]
+    for name in ("nat.comult", "nat.mult"):
+        assert square in [c.subject for c in family_fails(rep, name)]
+    # on TWO, E(1, k) only permutes the points over the codomain, which
+    # rho sees: the squares with k = 1 and k = swap fail
+    assert len(family_fails(rep, "nat.rho")) == 2
+    items = family_fails(validate_e_functoriality(bad, max_size=1), "e.compose")
+    assert len(items) == 2 and items[-1].subject == (
+        f"({ONE!r},{ONE!r}) then ({ONE!r},{ONE!r}): {ONE!r} -> {ONE!r} -> {ONE!r}")
+    items = family_fails(awfs_equal_on(SPLIT, bad, max_size=1), "agree.e")
+    assert [c.subject for c in items] == [f"({ONE!r},{ONE!r})"]
+
+
 # --- algebras, coalgebras, fillers -----------------------------------------
 
 

@@ -35,6 +35,7 @@ from weakmaps.bar import (
     weak_zero,
 )
 from weakmaps.dg import (
+    ChainComplex,
     GradedMap,
     HomologicalLali,
     gmap_add,
@@ -522,3 +523,55 @@ def test_codescent_map_identity_and_mismatch():
         codescent_map(t, cod(DG, 3), id_gmap(DG.cx))
     with pytest.raises(BarError):
         codescent_map(t, cod(EG, 2), id_gmap(DG.cx))
+
+
+def test_corrupted_face_fails_face_face(family_fails):
+    calc = BarCalculus(DG, 2)  # a private calculus, not the module's cache
+    calc._face[(2, 0)] = gmap_add(calc.face(2, 0), calc.face(2, 0))
+    rep = validate_bar(calc)
+    items = family_fails(rep, "bar.face_face")
+    assert [c.subject for c in items] == ["dual_numbers/ground n=2 i=0 j=1",
+                                          "dual_numbers/ground n=3 i=0 j=2"]
+    assert ("EQ bar.face_face @ dual_numbers/ground : FAIL(lhs=2 failing, rhs=0)"
+            in rep.lines())
+    family_fails(rep, "bar.face_degen")
+    family_fails(rep, "bar.shift")
+
+
+def test_corrupted_degeneracy_and_degree_fail_their_families(family_fails):
+    calc = BarCalculus(EG, 2)
+    calc._degen[(1, 0)] = gmap_add(calc.degen(1, 0), calc.degen(1, 0))
+    f = calc.face(1, 0)
+    calc._face[(1, 0)] = zero_gmap(f.src, f.dst, 1)  # the wrong degree
+    rep = validate_bar(calc)
+    items = family_fails(rep, "bar.degen_degen")
+    assert [c.subject for c in items] == ["exterior/ground n=0 i=-1 j=-1",
+                                          "exterior/ground n=1 i=-1 j=0"]
+    items = family_fails(rep, "bar.chain")
+    assert [c.line() for c in items] == [
+        "EQ bar.chain @ exterior/ground face n=1 j=0"
+        " : FAIL(lhs=deg=1 D=GradedMap(deg=0, {}), rhs=deg=0 D=0)"]
+
+
+def test_corrupted_codescent_fails_its_families(family_fails):
+    # a degeneracy replaced by the extra one, s_{-1}, which iota does not kill
+    calc = BarCalculus(DF, 2)
+    t = codescent(calc)
+    calc._degen[(1, 0)] = calc.degen(1, -1)
+    items = family_fails(t.validate(), "cod.iota.degen")
+    assert [c.subject for c in items] == ["dual_numbers/free n=1 j=0"]
+    # a level complex whose boundary is not the one its stage induces
+    t = codescent(BarCalculus(EG, 2))
+    t.levels[0] = ChainComplex({0: 1, 1: 1}, {1: ((1,),)})
+    items = family_fails(t.validate(), "cod.reduced.boundary")
+    assert [c.subject for c in items] == ["exterior/ground n=0"]
+
+
+def test_corrupted_degeneracy_fails_factor_reduced(family_fails):
+    calc = BarCalculus(DF, 3)
+    t = codescent(calc)
+    modB, g, f0, eps0 = thickened_lali(DF, twist=nonequivariant_twist(DUAL))
+    calc._degen[(1, 0)] = calc.degen(1, -1)
+    _, rep = free_ulali_factor(t, modB, g, f0, eps0)
+    items = family_fails(rep, "factor.reduced")
+    assert [c.subject for c in items] == ["thick->free n=1 j=0"]

@@ -219,6 +219,42 @@ def test_broken_lali_file_exits_1(tmp_path, capsys):
     assert "lali=" in out.splitlines()[1]
 
 
+def test_non_chain_gradedmap_exits_1(tmp_path, capsys):
+    # a degree-0 map C -> C that does not commute with d: C_1 -> C_0
+    cx = {"degrees": {"0": 1, "1": 1}, "boundary": {"1": [[1]]}}
+    g = write(tmp_path, "g.json", {"src": cx, "dst": cx,
+                                   "matrices": {"0": [[1]]}})
+    code, out, _ = run(capsys, "validate", "--gradedmap", g)
+    assert code == 1
+    line, = [ln for ln in out.splitlines() if ln.startswith("EQ ")]
+    assert line.startswith("EQ gradedmap.chain @ g.json : FAIL(lhs=deg=0 D=")
+    assert line.endswith(", rhs=deg=0 D=0)")
+
+
+def test_unreachable_span_fails_canonical_reach(monkeypatch, capsys):
+    import weakmaps.cli as cli
+    from weakmaps.spans import SpanEquivResult
+
+    real = cli.span_equiv
+
+    def lost_on_apex_2(wm, s, t, **kw):
+        if len(s.apex) == 2:
+            return SpanEquivResult("not-found-within-bounds")
+        return real(wm, s, t, **kw)
+
+    monkeypatch.setattr(cli, "span_equiv", lost_on_apex_2)
+    code, out, _ = run(capsys, "weakmaps", "compare", "--A", "1", "--B", "2",
+                       "--bound", "2", "--zigzag", "2")
+    assert code == 1
+    fails = [ln for ln in out.splitlines() if ln.startswith("EQ canonical.reach")]
+    items, agg = fails[:-1], fails[-1]
+    assert items and all(
+        ln.endswith(": FAIL(lhs=not-found-within-bounds, rhs=equal or connected)")
+        for ln in items)
+    assert re.fullmatch(r"EQ canonical.reach @ \d+ spans within apex<=2"
+                        rf" : FAIL\(lhs={len(items)} failing, rhs=0\)", agg)
+
+
 # --- the README stays in step with the parser --------------------------------
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -208,6 +208,21 @@ def test_assoc_iso_is_permutation_chain_map():
         assert all(sum(row) == 1 for row in m)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_assoc_iso_is_natural(seed):
+    # a (f(x)g)(x)h = f(x)(g(x)h) a for random degree-0 maps pins down
+    # where every basis element (i, j, k) goes, not just that it is a bijection
+    rng = random.Random(700 + seed)
+    xs = [random_complex(rng, max_deg=2, max_cells=2) for _ in range(3)]
+    ys = [random_complex(rng, max_deg=2, max_cells=2) for _ in range(3)]
+    f, g, h = (random_gmap(rng, x, y) for x, y in zip(xs, ys))
+    a_x, _, _ = assoc_iso(*xs)
+    a_y, _, _ = assoc_iso(*ys)
+    lhs = gmap_compose(a_y, tensor_map(tensor_map(f, g), h))
+    rhs = gmap_compose(tensor_map(f, tensor_map(g, h)), a_x)
+    assert lhs == rhs
+
+
 def test_symmetry_frozen():
     s, src, dst = symmetry_iso(X, Y)
     assert is_chain_map(s)

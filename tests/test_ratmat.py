@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from weakmaps.ratmat import kron, mmul, place, rank, zeros
+from weakmaps.dg import _unimodular
+from weakmaps.ratmat import eye, inverse, kron, mmul, place, rank, zeros
 
 
 # -- dense reference formulas ------------------------------------------------
@@ -144,3 +145,20 @@ def test_rank_matches_sympy(seed):
         a = a[:-1] + (tuple(x + 2 * y for x, y in zip(a[0], a[1 % (r - 1)])),)
     assert rank(a) == sympy.Matrix(a).rank()
     assert rank(zeros(r, c)) == 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_inverse_of_unimodular(seed):
+    rng = random.Random(400 + seed)
+    n = rng.randint(1, 6)
+    m = _unimodular(rng, n)
+    inv = inverse(m)
+    assert mmul(inv, m) == eye(n) == mmul(m, inv)
+    assert all(v.denominator == 1 for row in inv for v in row)
+
+
+def test_inverse_of_rational_matrix_and_singular():
+    a = ((2, 1), (Fraction(1, 2), 3))
+    assert mmul(a, inverse(a)) == eye(2)
+    with pytest.raises(ValueError, match="singular"):
+        inverse(((1, 2), (2, 4)))

@@ -1,8 +1,10 @@
 """Loaders turn JSON payloads into validated structures or positioned errors."""
 
+from fractions import Fraction
+
 import pytest
 
-from weakmaps.dg import Fraction, is_chain_map
+from weakmaps.dg import is_chain_map
 from weakmaps.fincat import FinSetCategory, SchemaError, validate_category
 from weakmaps.schemas import (
     load_algebra,

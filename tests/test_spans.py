@@ -283,3 +283,25 @@ def test_compare_hom_classes_are_balanced_split():
     for cl in cmp.classes:
         swapped = tuple(1 - x for x in cl.kappa)
         assert sizes[swapped] == cl.count
+
+
+def test_corrupted_kappa_fails_each_census_family(monkeypatch, family_fails):
+    # span_to_kleisli swaps b0 and b1 on every span whose apex has two points
+    import weakmaps.spans as spans_mod
+
+    real = spans_mod.span_to_kleisli
+
+    def swapped(wm, s):
+        u = real(wm, s)
+        if len(s.apex) != 2:
+            return u
+        under = FinSetArrow(u.under.dom, u.under.cod,
+                            tuple(1 - x for x in u.under.idx))
+        return type(u)(u.dom, u.cod, under)
+
+    monkeypatch.setattr(spans_mod, "span_to_kleisli", swapped)
+    rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3).report
+    for name in ("api.kappa", "roundtrip", "kappa.invariant"):
+        family_fails(rep, name)
+    assert rep.lines()[-1].startswith("EQ kappa.invariant @ ")
+    assert "EQ roundtrip @ 4 co-Kleisli arrows : FAIL(lhs=4 failing, rhs=0)" in rep.lines()
