@@ -36,7 +36,7 @@ from .bar import (
     weak_smul,
 )
 from .bar import BarError
-from .dg import DgError, graded_differential, homology_ranks, is_chain_map
+from .dg import DgError, chain_sides, homology_ranks, is_chain_map
 from .fincat import (
     CategoryError,
     FinSetCategory,
@@ -164,8 +164,7 @@ def _run_validate(ns):
         cfg["gradedmap"] = ns.gradedmap
         g = schemas.load_gradedmap(schemas.load_file(ns.gradedmap))
         rep.record("gradedmap.chain", os.path.basename(ns.gradedmap),
-                   is_chain_map(g), f"deg={g.deg} D={graded_differential(g)!r}",
-                   "deg=0 D=0")
+                   *chain_sides(g))
     if not cfg:
         raise SchemaError("validate: no input files given")
     return cfg, rep, []

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import random
 
-from .ratmat import (eye, inverse, is_zero, madd, mmul, place, rank, smul,
-                     transpose, zeros)
+from .ratmat import (eye, inverse, is_zero, madd, mmul, nonzeros, place, rank,
+                     smul, transpose, zeros)
 from .report import CheckReport
 
 
@@ -114,10 +114,8 @@ class GradedMap:
     def __repr__(self):
         """Degree and nonzero entries: {k: (i,j)=v ...} per source degree k,
         so the two sides of a failing equation print differently."""
-        blocks = "; ".join(
-            f"{k}: " + " ".join(f"({i},{j})={v}" for i, row in enumerate(m)
-                                for j, v in enumerate(row) if v)
-            for k, m in sorted(self.mats.items()))
+        blocks = "; ".join(f"{k}: {nonzeros(m)}"
+                           for k, m in sorted(self.mats.items()))
         return f"GradedMap(deg={self.deg}, {{{blocks}}})"
 
 
@@ -168,8 +166,18 @@ def graded_differential(f: GradedMap) -> GradedMap:
     return gmap_sub(left, gmap_smul(sign, right))
 
 
+def chain_sides(f: GradedMap) -> tuple[bool, str, str]:
+    """(f is a chain map, lhs, rhs) for a report line.  Df is computed
+    once; the sides `deg=.. D=..` / `deg=0 D=0` are formatted only when f
+    is not a chain map."""
+    df = graded_differential(f)
+    if f.deg == 0 and df.is_zero():
+        return True, "", ""
+    return False, f"deg={f.deg} D={df!r}", "deg=0 D=0"
+
+
 def is_chain_map(f: GradedMap) -> bool:
-    return f.deg == 0 and graded_differential(f).is_zero()
+    return chain_sides(f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +356,8 @@ class HomologicalLali:
         rep.record("lali.shape", sub, ok_shape)
         if not ok_shape:
             return rep
-        rep.record("lali.g.chain", sub, is_chain_map(g))
-        rep.record("lali.q.chain", sub, is_chain_map(q))
+        rep.record("lali.g.chain", sub, *chain_sides(g))
+        rep.record("lali.q.chain", sub, *chain_sides(q))
         rep.eq("lali.section", sub, gmap_compose(g, q), id_gmap(g.dst))
         want = gmap_sub(id_gmap(g.src), gmap_compose(q, g))
         rep.eq("lali.homotopy", sub, graded_differential(xi), want)

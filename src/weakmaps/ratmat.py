@@ -66,6 +66,12 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
+def nonzeros(a) -> str:
+    """The nonzero entries of `a` as `(i,j)=v ...`, for report sides."""
+    return " ".join(f"({i},{j})={v}" for i, row in enumerate(a)
+                    for j, v in enumerate(row) if v)
+
+
 def place(out, a, r0, c0, sign=1, b=((1,),)):
     """Add sign * (a (x) b) into the list of lists `out` at (r0, c0).
 

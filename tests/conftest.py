@@ -1,18 +1,29 @@
 import pytest
 
-from weakmaps.report import FAIL
+from weakmaps.report import FAIL, PASS
 
 
-def _family_fails(rep, name, items=None):
+def _family_fails(rep, name, items=None, subject=None):
     """Assert that family `name` FAILed as the primitive records it.
 
-    Its aggregate is the last line named `name`; it must read
-    FAIL(lhs=<k> failing, rhs=0), where k is the number of itemised FAIL
-    lines recorded under `items` (default: the family's own name), and
-    every itemised FAIL must carry two sides that print differently.
-    Returns the items.
+    Exactly one aggregate line is named `name` (PASS, or a FAIL that
+    reads FAIL(lhs=<digits> failing, rhs=0)); it is the last line of that
+    name, its subject starts with `subject` when given, and it FAILed with
+    k = the number of itemised FAIL lines recorded under `items` (default:
+    the family's own name).  Every itemised FAIL carries two sides that
+    print differently.  Returns the items.
     """
-    agg = [c for c in rep.checks if c.name == name][-1]
+    named = [c for c in rep.checks if c.name == name]
+    aggs = [c for c in named
+            if c.status == PASS
+            or (c.status == FAIL and c.rhs == "0"
+                and c.lhs.endswith(" failing")
+                and c.lhs.removesuffix(" failing").isdigit())]
+    assert len(aggs) == 1, [c.line() for c in aggs]
+    agg, = aggs
+    assert agg is named[-1], [c.line() for c in named]
+    if subject is not None:
+        assert agg.subject.startswith(subject), agg.line()
     failed = [c for c in rep.failures()
               if c.name in (items or {name}) and c is not agg]
     assert failed and agg.status == FAIL, [c.line() for c in rep.failures()]

@@ -196,7 +196,7 @@ def test_codescent_dual_ground_laws():
                             "TRUNCATION-EXEMPT": 0}
 
 
-def test_codescent_boundary_square_is_checked():
+def test_codescent_boundary_square_is_checked(family_fails):
     t = codescent(bar_complex(DUAL, DG, 3))  # not the shared cached one
     d = t.total.d
     # adding 1 at (i, j) of d_k adds column i of d_{k-1} to column j of
@@ -205,9 +205,13 @@ def test_codescent_boundary_square_is_checked():
     i = next(i for i in range(len(d[k])) if any(row[i] for row in d[k - 1]))
     d[k] = tuple(tuple(v + (r == i and c == 0) for c, v in enumerate(row))
                  for r, row in enumerate(d[k]))
-    lines = t.validate().lines()
+    rep = t.validate()
+    lines = rep.lines()
     assert any(ln.startswith("EQ cod.boundary.sq @ dual_numbers/ground : FAIL(")
                for ln in lines), lines
+    items = family_fails(rep, "cod.boundary.sq", subject="dual_numbers/ground")
+    assert [c.subject for c in items] == [f"dual_numbers/ground k={k}"]
+    assert lines[-1].startswith("EQ cod.boundary.sq @ dual_numbers/ground : ")
 
 
 def test_codescent_exterior_ground():

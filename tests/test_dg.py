@@ -12,6 +12,7 @@ from weakmaps.dg import (
     HomologicalLali,
     assoc_iso,
     boundary_gmap,
+    chain_sides,
     compose_lali,
     gmap_add,
     gmap_compose,
@@ -97,6 +98,25 @@ def test_graded_differential_frozen():
     g = GradedMap(c, c, 0, {0: ((2,),), 1: ((2,),)})
     assert is_chain_map(g)
     assert is_chain_map(id_gmap(c))
+
+
+def test_chain_sides_frozen():
+    c = ChainComplex({0: 1, 1: 1}, {1: ((1,),)})
+    assert chain_sides(GradedMap(c, c, 0, {0: ((2,),), 1: ((2,),)})) == (True, "", "")
+    assert chain_sides(GradedMap(c, c, 0, {0: ((2,),), 1: ((3,),)})) == (
+        False, "deg=0 D=GradedMap(deg=-1, {1: (0,0)=1})", "deg=0 D=0")
+    # a degree-1 map is not a chain map even when its D vanishes
+    assert chain_sides(zero_gmap(c, c, 1)) == (
+        False, "deg=1 D=GradedMap(deg=0, {})", "deg=0 D=0")
+
+
+def test_lali_chain_check_fails_with_both_sides():
+    c = ChainComplex({0: 1, 1: 1}, {1: ((1,),)})
+    g = GradedMap(c, c, 0, {0: ((2,),), 1: ((3,),)})
+    rep = HomologicalLali(g, id_gmap(c), zero_gmap(c, c, 1)).validate()
+    bad, = [x for x in rep.failures() if x.name == "lali.g.chain"]
+    assert (bad.lhs, bad.rhs) == ("deg=0 D=GradedMap(deg=-1, {1: (0,0)=1})",
+                                  "deg=0 D=0")
 
 
 def _seeded_complexes(seed, n=2, max_deg=2, max_cells=3):
