@@ -30,7 +30,7 @@ from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  graded_differential, HomologicalLali, id_gmap, lunit_iso,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
-from .ratmat import eye, mmul, nonzeros, place, rank
+from .ratmat import assemble, eye, mmul, nonzeros, rank
 from .report import CheckReport
 
 
@@ -80,14 +80,16 @@ class DgAlgebra:
         imats = {k: eye(cx.dim(k)) for k in cx.degrees() if k != 0}
         pmats = dict(imats)
         if keep:
-            imats[0] = tuple(tuple(1 if r == j else 0 for j in keep)
-                             for r in range(n0))
-            pmats[0] = tuple(
-                tuple((1 if c == j else 0)
-                      - (Fraction(uvec[j]) / Fraction(uvec[piv])
-                         if c == piv else 0)
-                      for c in range(n0))
-                for j in keep)
+            # Abar_0 is the coordinates other than piv; proj also takes
+            # off the unit component, (u_j / u_piv) times coordinate piv
+            rest = n0 - 1 - piv
+            imats[0] = assemble(n0, n0 - 1, [(eye(piv), 0, 0),
+                                              (eye(rest), piv + 1, piv)])
+            ratio = tuple((Fraction(uvec[j]) / Fraction(uvec[piv]),)
+                          for j in keep)
+            pmats[0] = assemble(n0 - 1, n0, [(eye(piv), 0, 0),
+                                              (eye(rest), piv, piv + 1),
+                                              (ratio, 0, piv, -1)])
         bdims = {k: cx.dim(k) for k in cx.degrees() if k != 0}
         if keep:
             bdims[0] = len(keep)
@@ -101,9 +103,8 @@ class DgAlgebra:
         self.abar = ChainComplex(bdims, bd)
         self.incl_bar = GradedMap(self.abar, cx, 0, imats)
         self.proj_bar = GradedMap(cx, self.abar, 0, pmats)
-        prow = tuple(Fraction(1, 1) / Fraction(uvec[piv]) if c == piv else 0
-                     for c in range(n0))
-        self.pivot = GradedMap(cx, unit_complex(), 0, {0: (prow,)})
+        prow = assemble(1, n0, [(((1 / Fraction(uvec[piv]),),), 0, piv)])
+        self.pivot = GradedMap(cx, unit_complex(), 0, {0: prow})
 
     def validate(self, report: CheckReport = None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -355,15 +356,13 @@ def bar_complex(alg: DgAlgebra, mod: DgModule, L: int) -> BarCalculus:
     return mod.calculus(L)
 
 
-def validate_bar(c: BarCalculus, report: CheckReport = None,
-                 top_power: int = None) -> CheckReport:
-    """Check the simplicial and contraction identities on the powers of c.
-
-    `top_power` caps the largest power exercised (default L+2); the
-    identity counts are aggregated per family to keep reports short.
+def validate_bar(c: BarCalculus, report: CheckReport = None) -> CheckReport:
+    """Check the simplicial and contraction identities on the powers of c
+    up to the power L+2; the identity counts are aggregated per family to
+    keep reports short.
     """
     rep = report if report is not None else CheckReport()
-    top = c.L + 2 if top_power is None else min(top_power, c.L + 2)
+    top = c.L + 2
     sub = f"{c.alg.name}/{c.mod.name}"
 
     fam = rep.family("bar.face_face")
@@ -470,18 +469,19 @@ class TruncatedCodescent:
             rows = dims.get(k - 1, 0)
             if not rows:
                 continue
-            out = [[0] * dims[k] for _ in range(rows)]
+            terms = []
             for n, lv in enumerate(self.levels):
                 cn = lv.dim(k - n)
                 if not cn:
                     continue
                 coff = offs[(k, n)]
                 if n >= 1 and (k - 1, n - 1) in offs:
-                    place(out, drop[n].block(k - n), offs[(k - 1, n - 1)], coff)
+                    terms.append((drop[n].block(k - n), offs[(k - 1, n - 1)],
+                                  coff))
                 if (k - 1, n) in offs:
-                    place(out, lv.boundary(k - n), offs[(k - 1, n)], coff,
-                          -1 if n % 2 else 1)
-            d[k] = tuple(tuple(r) for r in out)
+                    terms.append((lv.boundary(k - n), offs[(k - 1, n)], coff,
+                                  -1 if n % 2 else 1))
+            d[k] = assemble(rows, dims[k], terms)
         self.total = ChainComplex(dims, d)
         self.offsets = offs
 
@@ -492,15 +492,10 @@ class TruncatedCodescent:
             rmats = {}
             for m in lv.degrees():
                 k = m + n
-                dm = lv.dim(m)
+                one = eye(lv.dim(m))
                 off = offs[(k, n)]
-                rows = dims[k]
-                tmats[m] = tuple(tuple(1 if r == off + c else 0
-                                       for c in range(dm))
-                                 for r in range(rows))
-                rmats[k] = tuple(tuple(1 if c == off + r else 0
-                                       for c in range(rows))
-                                 for r in range(dm))
+                tmats[m] = assemble(dims[k], len(one), [(one, off, 0)])
+                rmats[k] = assemble(len(one), dims[k], [(one, 0, off)])
             self.tag_n.append(GradedMap(lv, self.total, n, tmats))
             self.read_n.append(GradedMap(self.total, lv, -n, rmats))
         self._iota = {}
@@ -652,12 +647,10 @@ def degeneracy_image_dims(calc: BarCalculus, n: int):
     x = calc.pow[n + 1]
     out = {}
     for k in x.degrees():
-        rows = None
-        for j in range(n):
-            blk = calc.degen(n, j).block(k)
-            rows = blk if rows is None else tuple(
-                r + b for r, b in zip(rows, blk))
-        out[k] = rank(rows) if rows and rows[0] else 0
+        w = calc.pow[n].dim(k)
+        out[k] = rank(assemble(x.dim(k), n * w,
+                               [(calc.degen(n, j).block(k), 0, j * w)
+                                for j in range(n)]))
     return out
 
 

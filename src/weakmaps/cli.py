@@ -346,6 +346,14 @@ def _add_dg_inputs(p, default_module):
                    default=default_module, help="built-in module")
 
 
+def _add_lali_inputs(p):
+    p.add_argument("--trunc", type=_positive, default=4)
+    p.add_argument("--lali", metavar="FILE",
+                   help="lali instance file (default: built-in fibration)")
+    p.add_argument("--plain", action="store_true",
+                   help="keep the built-in fibration untwisted")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weakmaps",
@@ -418,11 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     " coherent one")
     _add_common(c)
     _add_dg_inputs(c, "free")
-    c.add_argument("--trunc", type=_positive, default=4)
-    c.add_argument("--lali", metavar="FILE",
-                   help="lali instance file (default: built-in fibration)")
-    c.add_argument("--plain", action="store_true",
-                   help="keep the built-in fibration untwisted")
+    _add_lali_inputs(c)
     c.set_defaults(handler=_run_lift_lali, tool="lift lali")
 
     fa = sub.add_parser("factor", help="factorisation through the resolution")
@@ -431,11 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      " resolution")
     _add_common(c)
     _add_dg_inputs(c, "free")
-    c.add_argument("--trunc", type=_positive, default=4)
-    c.add_argument("--lali", metavar="FILE",
-                   help="lali instance file (default: built-in fibration)")
-    c.add_argument("--plain", action="store_true",
-                   help="keep the built-in fibration untwisted")
+    _add_lali_inputs(c)
     c.set_defaults(handler=_run_factor_ulali, tool="factor ulali")
     return ap
 

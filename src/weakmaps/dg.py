@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import random
 
-from .ratmat import (eye, inverse, is_zero, madd, mmul, nonzeros, place, rank,
-                     smul, transpose, zeros)
+from .ratmat import (assemble, eye, inverse, is_zero, madd, mmul, nonzeros,
+                     rank, shape, smul, transpose, zeros)
 from .report import CheckReport
 
 
@@ -35,18 +35,17 @@ class DgError(Exception):
 class ChainComplex:
     """dims: degree -> dimension; d: degree k -> matrix C_k -> C_{k-1}."""
 
-    def __init__(self, dims, d, check=True):
+    def __init__(self, dims, d):
         self.dims = {k: n for k, n in dims.items() if n}
         self.d = {}
         for k, m in d.items():
             if self.dim(k) and self.dim(k - 1) and not is_zero(m):
                 self.d[k] = m
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         for k, m in self.d.items():
-            if (len(m), len(m[0]) if m else 0) != (self.dim(k - 1), self.dim(k)):
+            if shape(m) != (self.dim(k - 1), self.dim(k)):
                 raise DgError(f"boundary at degree {k} has the wrong shape")
         for k in self.d:
             if k - 1 in self.d:
@@ -94,7 +93,7 @@ class GradedMap:
         self.mats = {}
         for k, m in mats.items():
             if src.dim(k) and dst.dim(k + deg) and not is_zero(m):
-                if (len(m), len(m[0]) if m else 0) != (dst.dim(k + deg), src.dim(k)):
+                if shape(m) != (dst.dim(k + deg), src.dim(k)):
                     raise DgError(f"block at degree {k} has the wrong shape")
                 self.mats[k] = m
 
@@ -198,9 +197,7 @@ class TensorComplex(ChainComplex):
                 off = dims.get(n, 0)
                 block.append((p, q, off, x.dim(p), y.dim(q)))
                 dims[n] = off + x.dim(p) * y.dim(q)
-        d = {n: self._boundary(n) for n in dims}
-        super().__init__(dims, d, check=False)
-        self._check()
+        super().__init__(dims, {n: self._boundary(n) for n in dims})
 
     def blocks(self, n):
         return self._layout.get(n, [])
@@ -215,15 +212,15 @@ class TensorComplex(ChainComplex):
         x, y = self.factors
         rows = sum(b[3] * b[4] for b in self.blocks(n - 1))
         cols = sum(b[3] * b[4] for b in self.blocks(n))
-        out = [[0] * cols for _ in range(rows)]
         tgt_off = {b[0]: b[2] for b in self.blocks(n - 1)}
+        terms = []
         for p, q, off, xd, yd in self.blocks(n):
             if p - 1 in tgt_off:
-                place(out, x.boundary(p), tgt_off[p - 1], off, 1, eye(yd))
+                terms.append((x.boundary(p), tgt_off[p - 1], off, 1, eye(yd)))
             if p in tgt_off:
-                place(out, eye(xd), tgt_off[p], off, -1 if p % 2 else 1,
-                      y.boundary(q))
-        return tuple(tuple(r) for r in out)
+                terms.append((eye(xd), tgt_off[p], off, -1 if p % 2 else 1,
+                              y.boundary(q)))
+        return assemble(rows, cols, terms)
 
 
 def tensor_complex(x: ChainComplex, y: ChainComplex) -> TensorComplex:
@@ -244,9 +241,8 @@ def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
         cols = src.dim(n)
         if not rows or not cols:
             continue
-        out = [[0] * cols for _ in range(rows)]
         tgt_off = {b[0]: b[2] for b in dst.blocks(n + deg)}
-        touched = False
+        terms = []
         for p, q, off, xd, yd in src.blocks(n):
             fp, gq = f.block(p), g.block(q)
             if is_zero(fp) or is_zero(gq):
@@ -254,10 +250,9 @@ def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
             base = tgt_off.get(p + f.deg)
             if base is None:
                 continue
-            place(out, fp, base, off, -1 if (g.deg * p) % 2 else 1, gq)
-            touched = True
-        if touched:
-            mats[n] = tuple(tuple(r) for r in out)
+            terms.append((fp, base, off, -1 if (g.deg * p) % 2 else 1, gq))
+        if terms:
+            mats[n] = assemble(rows, cols, terms)
     return GradedMap(src, dst, deg, mats)
 
 
@@ -274,15 +269,15 @@ def assoc_iso(x, y, z):
     dst = tensor_complex(x, yz)
     mats = {}
     for n in src.degrees():
-        out = [[0] * src.dim(n) for _ in range(dst.dim(n))]
+        terms = []
         for pq, r, off, _, zd in src.blocks(n):
             for p, q, xy_off, xd, yd in xy.blocks(pq):
                 row0 = dst.offset(n, p) + yz.offset(q + r, q)
                 col0 = off + xy_off * zd
-                for i in range(xd):
-                    place(out, eye(yd * zd), row0 + i * yz.dim(q + r),
-                          col0 + i * yd * zd)
-        mats[n] = tuple(map(tuple, out))
+                one = eye(yd * zd)
+                terms += [(one, row0 + i * yz.dim(q + r), col0 + i * yd * zd)
+                          for i in range(xd)]
+        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
     return GradedMap(src, dst, 0, mats), src, dst
 
 
@@ -301,21 +296,23 @@ def runit_iso(x: ChainComplex):
 
 
 def symmetry_iso(x: ChainComplex, y: ChainComplex):
-    """X (x) Y -> Y (x) X with sign (-1)^{pq} on the (p,q) block."""
+    """X (x) Y -> Y (x) X with sign (-1)^{pq} on the (p,q) block.
+
+    x_i (x) y_j sits at column off + i*|Y_q| and row base + j*|X_p| + i,
+    so the basis vectors with a fixed i map by eye(|Y_q|) (x) e_i.
+    """
     src = tensor_complex(x, y)
     dst = tensor_complex(y, x)
     mats = {}
     for n in src.degrees():
-        cols = src.dim(n)
-        rows = dst.dim(n)
-        out = [[0] * cols for _ in range(rows)]
+        terms = []
         for p, q, off, xd, yd in src.blocks(n):
             base = dst.offset(n, q)
             sign = -1 if (p * q) % 2 else 1
-            for i in range(xd):
-                for j in range(yd):
-                    out[base + j * xd + i][off + i * yd + j] = sign
-        mats[n] = tuple(tuple(r) for r in out)
+            one = eye(yd)
+            terms += [(one, base, off + i * yd, sign, transpose((e_i,)))
+                      for i, e_i in enumerate(eye(xd))]
+        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
     return GradedMap(src, dst, 0, mats), src, dst
 
 
@@ -415,15 +412,15 @@ def homology_ranks(x: ChainComplex, degrees=None):
 
 
 def _unimodular(rng: random.Random, n):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    """A product of at most 2n random elementary matrices 1 + c e_ij."""
+    m = eye(n)
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            m[i][k] += c * m[j][k]
-    return tuple(tuple(r) for r in m)
+        m = mmul(assemble(n, n, [(eye(n), 0, 0), (((c,),), i, j)]), m)
+    return m
 
 
 def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
@@ -452,10 +449,8 @@ def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
             pos[k - 1] = j + 1
             spots.setdefault(k, []).append((j, i))
     for k, pairs in spots.items():
-        m = [[0] * dims.get(k, 0) for _ in range(dims.get(k - 1, 0))]
-        for j, i in pairs:
-            m[j][i] = rng.choice([1, -1, 2])
-        d[k] = tuple(tuple(r) for r in m)
+        d[k] = assemble(dims.get(k - 1, 0), dims.get(k, 0),
+                        [(((rng.choice([1, -1, 2]),),), j, i) for j, i in pairs])
     base = ChainComplex(dims, d)
     u = {k: _unimodular(rng, n) for k, n in base.dims.items()}
     uinv = {k: inverse(m) for k, m in u.items()}
@@ -489,45 +484,29 @@ def random_lali(rng: random.Random, max_deg=3,
     for k in disks:
         dims[k] = dims.get(k, 0) + 1
         dims[k - 1] = dims.get(k - 1, 0) + 1
-    a_d = {}
-    off = {k: b.dim(k) for k in dims}
-    extra = {}
-    taken = dict(off)
-    place = []
+    # disk k spans basis vector i of degree k and j of degree k-1
+    taken = {k: b.dim(k) for k in dims}
+    cells = []
     for k in disks:
-        i = taken.get(k, 0)
+        i = taken[k]
         taken[k] = i + 1
-        j = taken.get(k - 1, 0)
+        j = taken[k - 1]
         taken[k - 1] = j + 1
-        place.append((k, i, j))
-    for k in dims:
-        m = [[0] * dims[k] for _ in range(dims.get(k - 1, 0))]
-        bm = b.boundary(k)
-        for r in range(b.dim(k - 1)):
-            for c in range(b.dim(k)):
-                m[r][c] = bm[r][c]
-        a_d[k] = m
-    for k, i, j in place:
-        a_d[k][j][i] = 1
-    a = ChainComplex(dims, {k: tuple(tuple(r) for r in m) for k, m in a_d.items()})
-    g_mats = {}
-    q_mats = {}
-    xi_mats = {}
-    for k in a.dims:
-        bn, an = b.dim(k), a.dim(k)
-        g_mats[k] = tuple(tuple(1 if (r == c and c < bn) else 0 for c in range(an))
-                          for r in range(bn))
-    for k in b.dims:
-        bn, an = b.dim(k), a.dim(k)
-        q_mats[k] = tuple(tuple(1 if (r == c) else 0 for c in range(bn))
-                          for r in range(an))
-    for k, i, j in place:
-        m = xi_mats.setdefault(k - 1, [[0] * a.dim(k - 1) for _ in range(a.dim(k))])
-        m[i][j] = 1
-    xi_mats = {k: tuple(tuple(r) for r in m) for k, m in xi_mats.items()}
-    g = GradedMap(a, b, 0, g_mats)
-    q = GradedMap(b, a, 0, q_mats)
-    xi = GradedMap(a, a, 1, xi_mats)
+        cells.append((k, i, j))
+    unit = ((1,),)
+    a = ChainComplex(dims, {
+        k: assemble(dims.get(k - 1, 0), dims[k],
+                    [(b.boundary(k), 0, 0)]
+                    + [(unit, j, i) for kk, i, j in cells if kk == k])
+        for k in dims})
+    g = GradedMap(a, b, 0, {k: assemble(b.dim(k), a.dim(k), [(eye(b.dim(k)), 0, 0)])
+                            for k in a.dims})
+    q = GradedMap(b, a, 0, {k: assemble(a.dim(k), b.dim(k), [(eye(b.dim(k)), 0, 0)])
+                            for k in b.dims})
+    xi = GradedMap(a, a, 1, {
+        k - 1: assemble(a.dim(k), a.dim(k - 1),
+                        [(unit, i, j) for kk, i, j in cells if kk == k])
+        for k in dict.fromkeys(k for k, _, _ in cells)})
     u = {k: _unimodular(rng, n) for k, n in a.dims.items()}
     uinv = {k: inverse(m) for k, m in u.items()}
     a2 = ChainComplex(a.dims, {

@@ -1,14 +1,15 @@
 """Small matrices over exact rational scalars.
 
 A matrix is a tuple of row tuples whose entries are Python ints or
-fractions.Fraction; mixed arithmetic stays exact.  Callers keep track of
-shapes themselves (a 0-row or 0-column matrix cannot carry its other
-dimension), so the graded-map layer only stores blocks whose shapes are
-nonzero on both sides.
+fractions.Fraction; mixed arithmetic stays exact.  A 0-row or 0-column
+matrix cannot carry its other dimension, so `assemble` takes the shape
+and is the one constructor of placed blocks, and the graded-map layer
+only stores blocks whose shapes are nonzero on both sides.
 
-Storage is dense but the products are not: `mmul` and `place` multiply
-nonzero entries only.  Leaving out products with a zero factor gives an
-equal exact sum, so results compare and hash as the dense formulas would.
+Storage is dense but the products are not: `mmul` and `assemble`
+multiply nonzero entries only.  Leaving out products with a zero factor
+gives an equal exact sum, so results compare and hash as the dense
+formulas would.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def nonzeros(a) -> str:
                     for j, v in enumerate(row) if v)
 
 
-def place(out, a, r0, c0, sign=1, b=((1,),)):
+def _place(out, a, r0, c0, sign=1, b=((1,),)):
     """Add sign * (a (x) b) into the list of lists `out` at (r0, c0).
 
     Only products of two nonzero entries are touched.  Returns `out`.
@@ -92,10 +93,15 @@ def place(out, a, r0, c0, sign=1, b=((1,),)):
     return out
 
 
-def kron(a, b):
-    """Kronecker product; index (i,j) of the product means i*rows(b)+j."""
-    cols = (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
-    out = place([[0] * cols for _ in range(len(a) * len(b))], a, 0, 0, 1, b)
+def assemble(rows, cols, terms):
+    """The rows x cols matrix sum of sign * (a (x) b) placed at (r0, c0)
+    over the terms (a, r0, c0[, sign[, b]]), sign 1 and b = 1 by default.
+
+    Entry (i*rows(b)+p, k*cols(b)+q) of a (x) b is a[i][k] * b[p][q].
+    """
+    out = [[0] * cols for _ in range(rows)]
+    for term in terms:
+        _place(out, *term)
     return tuple(map(tuple, out))
 
 

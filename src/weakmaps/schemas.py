@@ -63,10 +63,15 @@ def _fraction(v, where) -> Fraction:
 
 
 def _degree(k, where) -> int:
+    """An integer key in its one spelling: "01", "+1" or " 1" would
+    alias "1", and a later alias would silently replace an earlier one."""
     try:
-        return int(k)
+        deg = int(k)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: key {k!r} is not an integer") from None
+    if str(deg) != k:
+        raise SchemaError(f"{where}: key {k!r} is not written as {str(deg)!r}")
+    return deg
 
 
 def _matrix(rows, where):

@@ -304,8 +304,12 @@ def enumerate_spans(awfs, a_labels, b_labels, max_apex):
         yield _api_span(awfs, a_labels, b_labels, k, l, sigma, r)
 
 
+# targets whose one-step span maps kappa.invariant checks, at most
+INVARIANCE_TARGETS = 200
+
+
 def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
-                sample=200, seed=0, report=None) -> HomComparison:
+                seed=0, report=None) -> HomComparison:
     """Census of weak maps A -> B in both presentations.
 
     Every span with apex size <= apex_bound is enumerated (integer
@@ -318,7 +322,8 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     * class.count: bounded span classes biject with co-Kleisli arrows
       (needs apex_bound >= |QA| so the canonical spans appear);
     * kappa.invariant: sampled one-step span maps preserve kappa, with
-      sources built from arbitrary relabelings over a sampled target.
+      sources built from arbitrary relabelings over at most
+      INVARIANCE_TARGETS sampled targets.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -357,7 +362,8 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
 
     # invariance: build sources over sampled targets by arbitrary relabeling
     targets = list(_int_spans(a_size, b_size, eps, min(2, apex_bound)))
-    all_targets = targets if len(targets) <= sample else rng.sample(targets, sample)
+    all_targets = (targets if len(targets) <= INVARIANCE_TARGETS
+                   else rng.sample(targets, INVARIANCE_TARGETS))
     inv = rep.family("kappa.invariant")
     for k, l, sigma, r in all_targets:
         t = _api_span(awfs, a_labels, b_labels, k, l, sigma, r)

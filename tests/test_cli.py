@@ -144,6 +144,18 @@ def test_dropped_blocks_rejected_at_load(tmp_path, capsys, flag, payload):
     assert re.search(r"schema error: .*\$\.(matrices|boundary)\.\d", err)
 
 
+@pytest.mark.parametrize("flag,payload", [
+    ("--complex", {"degrees": {"0": 1, "1": 1},
+                   "boundary": {"1": [[1]], "01": [[0]]}}),
+    ("--gradedmap", {"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 1}},
+                     "matrices": {"0": [[5]], "+0": [[0]]}}),
+])
+def test_aliased_degree_keys_rejected_at_load(tmp_path, capsys, flag, payload):
+    code, out, err = run(capsys, "validate", flag, write(tmp_path, "x.json", payload))
+    assert code == 2 and out == ""
+    assert re.search(r"schema error: .*\$\.(matrices|boundary): key '(01|\+0)'", err)
+
+
 def test_validate_without_inputs(capsys):
     code, _, err = run(capsys, "validate")
     assert code == 2

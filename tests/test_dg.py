@@ -34,14 +34,16 @@ from weakmaps.dg import (
     unit_complex,
     zero_gmap,
 )
-from weakmaps.ratmat import eye, kron, rank
+from weakmaps.ratmat import assemble, eye, rank
 
 
 def test_kron_index_convention():
-    assert kron(eye(2), ((5,),)) == ((5, 0), (0, 5))
+    # a (x) b is the one-term assemble (a, 0, 0, 1, b)
+    assert assemble(2, 2, [(eye(2), 0, 0, 1, ((5,),))]) == ((5, 0), (0, 5))
     # (i, j) |-> i * rows(b) + j
-    assert kron(((1,), (2,)), ((1,), (1,))) == ((1,), (1,), (2,), (2,))
-    assert kron(((1, 2),), ((3, 4),)) == ((3, 4, 6, 8),)
+    assert (assemble(4, 1, [(((1,), (2,)), 0, 0, 1, ((1,), (1,)))])
+            == ((1,), (1,), (2,), (2,)))
+    assert assemble(1, 4, [(((1, 2),), 0, 0, 1, ((3, 4),))]) == ((3, 4, 6, 8),)
 
 
 def test_complex_rejects_bad_boundary():

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from weakmaps.dg import _unimodular
-from weakmaps.ratmat import eye, inverse, kron, mmul, place, rank, zeros
+from weakmaps.ratmat import _place, assemble, eye, inverse, mmul, rank, zeros
 
 
 # -- dense reference formulas ------------------------------------------------
@@ -36,6 +36,13 @@ def dense_place(out, a, r0, c0, sign, b):
         for j, v in enumerate(row):
             out[r0 + i][c0 + j] += sign * v
     return out
+
+
+def kron(a, b):
+    """The Kronecker product as one `assemble` term."""
+    rows = len(a) * len(b)
+    cols = (len(a[0]) if a else 0) * (len(b[0]) if b else 0)
+    return assemble(rows, cols, [(a, 0, 0, 1, b)])
 
 
 # -- seeded random operands --------------------------------------------------
@@ -91,15 +98,51 @@ def test_place_matches_dense(seed, density, fractions):
         r0, c0 = rng.randint(0, 3), rng.randint(0, 3)
         sign = rng.choice([1, -1])
         base = rand_mat(rng, rows + r0 + 2, cols + c0 + 2, 0.3, fractions)
-        got = place([list(r) for r in base], a, r0, c0, sign, b)
+        got = _place([list(r) for r in base], a, r0, c0, sign, b)
         want = dense_place([list(r) for r in base], a, r0, c0, sign, b)
         assert got == want
 
 
+@pytest.mark.parametrize("seed,density,fractions", CASES)
+def test_assemble_matches_dense(seed, density, fractions):
+    # overlapping terms of both signs summed into a zero matrix
+    rng = random.Random(500 + seed)
+    for _ in range(5):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            a = rand_mat(rng, rng.randint(1, 3), rng.randint(1, 3), density, fractions)
+            b = rand_mat(rng, rng.randint(1, 2), rng.randint(1, 2), density, fractions)
+            r, c = len(a) * len(b), len(a[0]) * len(b[0])
+            if r > rows or c > cols:
+                continue
+            terms.append((a, rng.randint(0, rows - r), rng.randint(0, cols - c),
+                          rng.choice([1, -1, Fraction(-1, 2)]), b))
+        want = [[0] * cols for _ in range(rows)]
+        for t in terms:
+            dense_place(want, *t)
+        got = assemble(rows, cols, terms)
+        assert got == tuple(map(tuple, want))
+        assert hash(got) == hash(tuple(map(tuple, want)))
+
+
+def test_assemble_overlaps_defaults_and_empty_shapes():
+    m = assemble(2, 3, [(((1, 2),), 0, 0), (((5,),), 0, 1, -1),
+                        (((Fraction(1, 2),),), 1, 2, 1, ((4,),))])
+    assert m == ((1, -3, 0), (0, 0, 2))
+    assert assemble(2, 2, []) == zeros(2, 2) == ((0, 0), (0, 0))
+    assert assemble(0, 3, []) == ()
+    assert assemble(2, 0, []) == ((), ())
+    assert assemble(2, 0, [(((),), 1, 0)]) == ((), ())
+    # terms that cancel leave an exact zero
+    third = Fraction(1, 3)
+    assert assemble(1, 1, [(((third,),), 0, 0), (((1,),), 0, 0, -third)]) == ((0,),)
+
+
 def test_place_defaults_add_the_block_itself():
     out = [[0] * 3 for _ in range(3)]
-    place(out, ((1, 2), (0, 3)), 1, 1)
-    place(out, ((5,),), 0, 0, -1)
+    _place(out, ((1, 2), (0, 3)), 1, 1)
+    _place(out, ((5,),), 0, 0, -1)
     assert out == [[-5, 0, 0], [0, 1, 2], [0, 0, 3]]
 
 
@@ -113,7 +156,7 @@ def test_empty_operands():
     assert kron((), ((1,),)) == dense_kron((), ((1,),)) == ()
     assert kron(((1, 2),), ()) == dense_kron(((1, 2),), ()) == ()
     assert kron(((),), ((1, 2),)) == dense_kron(((),), ((1, 2),)) == ((),)
-    assert place([[7]], (), 0, 0) == [[7]]
+    assert _place([[7]], (), 0, 0) == [[7]]
 
 
 def test_shape_mismatch_raises():

@@ -1,5 +1,6 @@
 """Loaders turn JSON payloads into validated structures or positioned errors."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,28 @@ def test_zero_blocks_of_the_right_shape_are_accepted():
     g = load_gradedmap({"src": {"degrees": {"0": 1}}, "dst": {"degrees": {"0": 2}},
                         "matrices": {"0": [[0], [0]]}})
     assert g.is_zero()
+
+
+@pytest.mark.parametrize("key", ["01", "+0", " 1", "1 ", "-0", "1_0"])
+def test_aliased_degree_keys_are_rejected(key):
+    # int(key) would accept each of these and let it overwrite the
+    # block or dimension stored under its canonical spelling
+    d = int(key)
+    one = {str(d): 1}
+    said = re.escape(f"key {key!r} is not written as '{d}'")
+    with pytest.raises(SchemaError, match=rf"^\$\.degrees: {said}"):
+        load_complex({"degrees": {**one, key: 1}})
+    with pytest.raises(SchemaError, match=rf"^\$\.boundary: {said}"):
+        load_complex({"degrees": {**one, str(d - 1): 1},
+                      "boundary": {str(d): [[1]], key: [[0]]}})
+    with pytest.raises(SchemaError, match=rf"^\$\.matrices: {said}"):
+        load_gradedmap({"src": {"degrees": one}, "dst": {"degrees": one},
+                        "matrices": {str(d): [[5]], key: [[0]]}})
+
+
+def test_canonical_negative_degree_keys_load():
+    cx = load_complex({"degrees": {"-1": 1, "0": 1}, "boundary": {"0": [[2]]}})
+    assert cx.dims == {-1: 1, 0: 1} and cx.boundary(0) == ((2,),)
 
 
 # --- algebras, modules, lalis -----------------------------------------------
