@@ -29,6 +29,7 @@ from .fincat import (
     MonadData,
     empty_sum_strip,
     finset_fragment,
+    fmt_ends,
     fmt_obj,
     identity_comonad,
 )
@@ -167,9 +168,9 @@ class RAlgebraArrow:
         a, b = cat.dom(g), cat.cod(g)
         sub = repr(g)
         pb = aw.comonad.functor.obj(b)
-        ok = cat.dom(self.witness) == pb and cat.cod(self.witness) == a
-        rep.record("ralg.witness.endpoints", sub, ok)
-        if not ok:
+        ends = (cat.dom(self.witness), cat.cod(self.witness))
+        if not rep.record("ralg.witness.endpoints", sub, ends == (pb, a),
+                          fmt_ends(*ends), fmt_ends(pb, a)):
             return rep
         rep.eq("ralg.section", sub, cat.compose(g, self.witness), aw.comonad.counit(b))
         p = self.p
@@ -194,9 +195,10 @@ class LCoalgebraArrow:
         f, s = self.arrow, self.structure
         a, b = cat.dom(f), cat.cod(f)
         sub = repr(f)
-        ok = cat.dom(s) == b and cat.cod(s) == aw.E(f)
-        rep.record("lcoalg.structure.endpoints", sub, ok)
-        if not ok:
+        ends = (cat.dom(s), cat.cod(s))
+        if not rep.record("lcoalg.structure.endpoints", sub,
+                          ends == (b, aw.E(f)), fmt_ends(*ends),
+                          fmt_ends(b, aw.E(f))):
             return rep
         rep.eq("lcoalg.retract", sub, cat.compose(aw.rho(f), s), cat.identity(b))
         rep.eq("lcoalg.square", sub, cat.compose(s, f), aw.lam(f))
@@ -261,39 +263,16 @@ def right_connect(alg: RAlgebraArrow):
     return alg.arrow, cat.identity(b)
 
 
-def cartesian_lift(alg: RAlgebraArrow, f, u, v) -> RAlgebraArrow:
-    """Algebra structure on f pulled back from alg along a pullback square.
-
-    (u,v): f -> g must commute and exhibit dom(f) as the pullback of
-    cod(f) -> cod(g) <- dom(g); the witness at w is the unique point over
-    (eps(w), sigma_g(Pv(w))).
-    """
+def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:
+    """Algebra structure on pb.p1 pulled back from alg along the chosen
+    pullback pb of a cospan (v, alg.arrow): the witness mediates the cone
+    (eps, sigma . Pv), which commutes exactly when sigma is a section."""
     aw = alg.awfs
-    cat = aw.cat
-    g = alg.arrow
-    if not cat.eq(cat.compose(g, u), cat.compose(v, f)):
-        raise CategoryError("square does not commute: g.u != v.f")
-    a, b = f.dom, f.cod
-    fibre = {}
-    for i, x in enumerate(a):
-        key = (f.idx[i], u.idx[i])
-        if key in fibre:
-            raise CategoryError("not a pullback square: pairing map is not injective")
-        fibre[key] = i
-    need = {
-        (j, i)
-        for j in range(len(b))
-        for i in range(len(g.dom))
-        if v.idx[j] == g.idx[i]
-    }
-    if set(fibre) != need:
-        raise CategoryError("not a pullback square: pairing map misses a matched pair")
-    eps_b = aw.comonad.counit(b)
-    pv = aw.comonad.functor.arr(v)
-    over = cat.compose(alg.witness, pv)
-    pb_labels = eps_b.dom
-    idx = tuple(fibre[(eps_b.idx[w], over.idx[w])] for w in range(len(pb_labels)))
-    return RAlgebraArrow(aw, f, FinSetArrow(pb_labels, a, idx))
+    if pb.g != alg.arrow:
+        raise CategoryError("pullback is not taken along the algebra's arrow")
+    b = aw.cat.dom(pb.f)
+    over = aw.cat.compose(alg.witness, aw.comonad.functor.arr(pb.f))
+    return RAlgebraArrow(aw, pb.p1, pb.mediate(aw.comonad.counit(b), over))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ levels <= n of the inputs, so both are exact under truncation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  chain_sides, gmap_add, gmap_compose, gmap_smul, gmap_sub,
@@ -36,11 +37,6 @@ from .report import CheckReport
 
 class BarError(Exception):
     pass
-
-
-def _lunit_inv(x: ChainComplex) -> GradedMap:
-    """X -> I (x) X, inverse of the left unit collapse."""
-    return signed_perm_inverse(lunit_iso(x)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +70,6 @@ class DgAlgebra:
         piv = next((i for i, v in enumerate(uvec) if v), None)
         if piv is None:
             raise BarError("unit vector is zero")
-        self.pivot_index = piv
         n0 = cx.dim(0)
         keep = [j for j in range(n0) if j != piv]
         imats = {k: eye(cx.dim(k)) for k in cx.degrees() if k != 0}
@@ -112,12 +107,8 @@ class DgAlgebra:
         one = id_gmap(a)
         rep.record("alg.unit.chain", self.name, *chain_sides(self.unit))
         rep.record("alg.mult.chain", self.name, *chain_sides(self.mult))
-        lu = gmap_compose(self.mult,
-                          tensor_map(self.unit, one,
-                                     tensor_complex(unit_complex(), a),
-                                     self.sq))
         rep.eq("alg.unit.left", self.name,
-               gmap_compose(lu, _lunit_inv(a)), one)
+               gmap_compose(self.mult, unit_insert(self, a)), one)
         ru = gmap_compose(self.mult,
                           tensor_map(one, self.unit,
                                      tensor_complex(a, unit_complex()),
@@ -146,6 +137,13 @@ class DgAlgebra:
 
     def __repr__(self):
         return f"DgAlgebra({self.name})"
+
+
+def unit_insert(alg: DgAlgebra, x: ChainComplex) -> GradedMap:
+    """X -> A (x) X tensoring with the unit on the left."""
+    collapse, ix = lunit_iso(x)
+    up = tensor_map(alg.unit, id_gmap(x), ix, tensor_complex(alg.cx, x))
+    return gmap_compose(up, signed_perm_inverse(collapse))
 
 
 def builtin_algebra(kind: str) -> DgAlgebra:
@@ -190,11 +188,9 @@ class DgModule:
         rep = report if report is not None else CheckReport()
         a = self.alg.cx
         rep.record("mod.act.chain", self.name, *chain_sides(self.act))
-        up = tensor_map(self.alg.unit, id_gmap(self.cx),
-                        tensor_complex(unit_complex(), self.cx), self.act.src)
-        eta = gmap_compose(up, _lunit_inv(self.cx))
         rep.eq("mod.act.unit", self.name,
-               gmap_compose(self.act, eta), id_gmap(self.cx))
+               gmap_compose(self.act, unit_insert(self.alg, self.cx)),
+               id_gmap(self.cx))
         asso, left, right = assoc_iso(a, a, self.cx)
         lhs = gmap_compose(self.act,
                            gmap_compose(tensor_map(id_gmap(a), self.act,
@@ -284,21 +280,20 @@ class BarCalculus:
                           self.tensor_with_A(f.src),
                           self.tensor_with_A(f.dst))
 
+    def strict_sides(self, u: GradedMap, src_act: GradedMap,
+                     dst_act: GradedMap):
+        """(u . src_act, dst_act . T u), equal iff u is a strict module
+        map between the two actions."""
+        return gmap_compose(u, src_act), gmap_compose(dst_act, self.T(u))
+
     def Tpow(self, j: int, f: GradedMap) -> GradedMap:
         for _ in range(j):
             f = self.T(f)
         return f
 
-    def unit_insert(self, x: ChainComplex) -> GradedMap:
-        """X -> A (x) X tensoring with the unit on the left."""
-        up = tensor_map(self.alg.unit, id_gmap(x),
-                        tensor_complex(unit_complex(), x),
-                        self.tensor_with_A(x))
-        return gmap_compose(up, _lunit_inv(x))
-
     def eta(self, n: int) -> GradedMap:
         if n not in self._eta:
-            self._eta[n] = self.unit_insert(self.pow[n])
+            self._eta[n] = unit_insert(self.alg, self.pow[n])
         return self._eta[n]
 
     def mu_on(self, x: ChainComplex) -> GradedMap:
@@ -483,7 +478,6 @@ class TruncatedCodescent:
                                   -1 if n % 2 else 1))
             d[k] = assemble(rows, dims[k], terms)
         self.total = ChainComplex(dims, d)
-        self.offsets = offs
 
         self.tag_n = []
         self.read_n = []
@@ -500,21 +494,11 @@ class TruncatedCodescent:
             self.read_n.append(GradedMap(self.total, lv, -n, rmats))
         self._iota = {}
 
-        act = calc.mod.act
-        self.p = gmap_compose(act,
-                              gmap_compose(self.incl_n[0], self.read_n[0]))
-        self.q = gmap_compose(self.tag_n[0],
-                              gmap_compose(self.proj_n[0], calc.eta(0)))
-        xi = zero_gmap(self.total, self.total, 1)
-        for n in range(L):
-            step = gmap_compose(
-                self.tag_n[n + 1],
-                gmap_compose(self.proj_n[n + 1],
-                             gmap_compose(calc.degen(n + 1, -1),
-                                          gmap_compose(self.incl_n[n],
-                                                       self.read_n[n]))))
-            xi = gmap_add(xi, step)
-        self.xi = xi
+        self.p = self.glue([calc.mod.act])
+        self.q = gmap_compose(self.iota(0), calc.eta(0))
+        self.xi = self.glue([gmap_compose(self.iota(n + 1),
+                                          calc.degen(n + 1, -1))
+                             for n in range(L)])
 
         self.t_total = calc.tensor_with_A(self.total)
         ab = zero_gmap(self.t_total, self.total, 0)
@@ -532,6 +516,22 @@ class TruncatedCodescent:
         if n not in self._iota:
             self._iota[n] = gmap_compose(self.tag_n[n], self.proj_n[n])
         return self._iota[n]
+
+    def glue(self, ms) -> GradedMap:
+        """The map out of |X| acting on level n by ms[n] . incl_n, for
+        maps ms[n] out of X_n of degree n + i; the sum has degree i."""
+        return reduce(gmap_add, (
+            gmap_compose(m, gmap_compose(self.incl_n[n], self.read_n[n]))
+            for n, m in enumerate(ms)))
+
+    def eq_below_top(self, rep: CheckReport, name: str, sub: str,
+                     lhs: GradedMap, rhs: GradedMap):
+        """lhs = rhs on each level below L, read through tag_n; level L
+        is TRUNCATION-EXEMPT."""
+        for n in range(self.L):
+            rep.eq(name, f"{sub} level={n}", gmap_compose(lhs, self.tag_n[n]),
+                   gmap_compose(rhs, self.tag_n[n]))
+        rep.exempt(name, f"{sub} level={self.L}")
 
     def validate(self, report: CheckReport = None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -566,7 +566,8 @@ class TruncatedCodescent:
         for n in range(self.L + 1):
             got = graded_differential(self.iota(n))
             if n == 0:
-                rep.record("cod.iota.diff", f"{sub} n=0", got.is_zero())
+                rep.record("cod.iota.diff", f"{sub} n=0", got.is_zero(),
+                           got, 0)
             else:
                 want = gmap_compose(self.iota(n - 1), calc.facesum(n + 1))
                 rep.eq("cod.iota.diff", f"{sub} n={n}", got, want)
@@ -577,7 +578,7 @@ class TruncatedCodescent:
             rep.eq("cod.algebra.defining", f"{sub} n={n}", lhs, rhs)
         rep.record("cod.algebra.chain", sub, *chain_sides(self.abar))
         rep.eq("cod.algebra.unit", sub,
-               gmap_compose(self.abar, calc.unit_insert(self.total)),
+               gmap_compose(self.abar, unit_insert(calc.alg, self.total)),
                id_gmap(self.total))
         rep.eq("cod.algebra.assoc", sub,
                gmap_compose(self.abar, calc.T(self.abar)),
@@ -585,8 +586,7 @@ class TruncatedCodescent:
 
         rep.record("cod.p.chain", sub, *chain_sides(self.p))
         rep.eq("cod.p.strict", sub,
-               gmap_compose(self.p, self.abar),
-               gmap_compose(calc.mod.act, calc.T(self.p)))
+               *calc.strict_sides(self.p, self.abar, calc.mod.act))
         rep.record("cod.q.chain", sub, *chain_sides(self.q))
         return rep
 
@@ -623,18 +623,10 @@ def bar_lali(t: TruncatedCodescent,
            zero_gmap(mcx, t.total, 1))
     rep.eq("lali.xixi", sub, gmap_compose(t.xi, t.xi),
            zero_gmap(t.total, t.total, 2))
-    dxi = graded_differential(t.xi)
-    want = gmap_sub(id_gmap(t.total), gmap_compose(t.q, t.p))
-    for n in range(t.L + 1):
-        if n < t.L:
-            rep.eq("lali.homotopy", f"{sub} level={n}",
-                   gmap_compose(dxi, t.tag_n[n]),
-                   gmap_compose(want, t.tag_n[n]))
-        else:
-            rep.exempt("lali.homotopy", f"{sub} level={n}")
+    t.eq_below_top(rep, "lali.homotopy", sub, graded_differential(t.xi),
+                   gmap_sub(id_gmap(t.total), gmap_compose(t.q, t.p)))
     rep.eq("lali.p.strict", sub,
-           gmap_compose(t.p, t.abar),
-           gmap_compose(calc.mod.act, calc.T(t.p)))
+           *calc.strict_sides(t.p, t.abar, calc.mod.act))
     return lali, rep
 
 
@@ -894,9 +886,7 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     calcA = modA.calculus(L)
     calcB = modB.calculus(L)
     HomologicalLali(g, f0, eps0).validate(rep)
-    rep.eq("lift.g.strict", sub,
-           gmap_compose(g, modB.act),
-           gmap_compose(modA.act, calcB.T(g)))
+    rep.eq("lift.g.strict", sub, *calcB.strict_sides(g, modB.act, modA.act))
 
     fulls_f = [f0]
     for n in range(1, L + 1):
@@ -924,9 +914,10 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
            weak_zero(modA, modB, 1, L))
     rep.eq("lift.eps_eps", sub, weak_compose(eps, eps),
            weak_zero(modB, modB, 2, L))
-    side = (all(gmap_compose(eps0, m).is_zero() for m in fulls_f)
-            and all(gmap_compose(eps0, m).is_zero() for m in fulls_e))
-    rep.record("lift.side", sub, side)
+    side = [f"{nm}_{n}" for nm, ms in (("f", fulls_f), ("eps", fulls_e))
+            for n, m in enumerate(ms) if not gmap_compose(eps0, m).is_zero()]
+    rep.record("lift.side", sub, not side, f"eps0 nonzero after {side}",
+               "eps0 zero after every f_n and eps_n")
     return f, eps, rep
 
 
@@ -947,11 +938,8 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
     modM = calc.mod
     L = t.L
     sub = f"{modB.name}->{modM.name}"
-    calcB = modB.calculus(L)
     HomologicalLali(g, f0, eps0).validate(rep)
-    rep.eq("factor.g.strict", sub,
-           gmap_compose(g, modB.act),
-           gmap_compose(modM.act, calcB.T(g)))
+    rep.eq("factor.g.strict", sub, *calc.strict_sides(g, modB.act, modM.act))
 
     hs = [gmap_compose(modB.act, calc.T(f0))]
     for n in range(1, L + 1):
@@ -965,37 +953,23 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
             fam.check(m.is_zero(), f"{sub} n={n} j={j}", m, 0)
     fam.close(sub)
 
-    h = zero_gmap(t.total, modB.cx, 0)
-    for n in range(L + 1):
-        h = gmap_add(h, gmap_compose(
-            hs[n], gmap_compose(t.incl_n[n], t.read_n[n])))
+    h = t.glue(hs)
 
     rep.record("factor.chain", sub, *chain_sides(h))
-    rep.eq("factor.strict", sub,
-           gmap_compose(h, t.abar),
-           gmap_compose(modB.act, calc.T(h)))
+    rep.eq("factor.strict", sub, *calc.strict_sides(h, t.abar, modB.act))
     rep.eq("factor.gh", sub, gmap_compose(g, h), t.p)
     rep.eq("factor.hq", sub, gmap_compose(h, t.q), f0)
-    lhs = gmap_compose(eps0, h)
-    rhs = gmap_compose(h, t.xi)
-    for n in range(L + 1):
-        if n < L:
-            rep.eq("factor.eps_h", f"{sub} level={n}",
-                   gmap_compose(lhs, t.tag_n[n]),
-                   gmap_compose(rhs, t.tag_n[n]))
-        else:
-            rep.exempt("factor.eps_h", f"{sub} level={n}")
+    t.eq_below_top(rep, "factor.eps_h", sub, gmap_compose(eps0, h),
+                   gmap_compose(h, t.xi))
 
     # uniqueness: any strict chain module map with gh = p, hq = f0 and
     # eps0.h = h.xi restricts on stages to maps obeying the forcing
     # equalities below, so agreeing with them pins h down
-    uni = gmap_compose(h, gmap_compose(t.iota(0), calc.eta(0))) == f0
-    for n in range(L):
-        forced = gmap_compose(
-            modB.act,
-            calc.T(gmap_compose(eps0, gmap_compose(h, t.iota(n)))))
-        uni = uni and gmap_compose(h, t.iota(n + 1)) == forced
-    rep.record("factor.unique", sub, uni)
+    stages = [gmap_compose(h, t.iota(n)) for n in range(L + 1)]
+    forced = [gmap_compose(modB.act, calc.T(gmap_compose(eps0, m)))
+              for m in stages[:-1]]
+    rep.eq("factor.unique", sub,
+           [gmap_compose(stages[0], calc.eta(0))] + stages[1:], [f0] + forced)
     return h, rep
 
 
@@ -1027,13 +1001,8 @@ def weak_to_strict(t: TruncatedCodescent,
         raise BarError("coherent map does not start at the resolved module")
     if not weak_differential(f).is_zero():
         raise BarError("coherent map is not chain-closed")
-    calc = t.calc
-    out = zero_gmap(t.total, f.dst.cx, 0)
-    for n in range(t.L + 1):
-        blk = gmap_compose(f.dst.act,
-                           gmap_compose(calc.T(f.full(n)), t.incl_n[n]))
-        out = gmap_add(out, gmap_compose(blk, t.read_n[n]))
-    return out
+    return t.glue([gmap_compose(f.dst.act, t.calc.T(f.full(n)))
+                   for n in range(t.L + 1)])
 
 
 def codescent_map(ts: TruncatedCodescent, tt: TruncatedCodescent,

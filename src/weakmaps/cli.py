@@ -253,8 +253,8 @@ def _run_dg_check(ns):
         f = random_weak(rng, mod, mod, rng.randrange(-1, 2), L)
         g = random_weak(rng, mod, mod, rng.randrange(-1, 2), L)
         h = random_weak(rng, mod, mod, rng.randrange(-1, 2), L)
-        rep.record("dg.ddzero", sub,
-                   weak_differential(weak_differential(f)).is_zero())
+        dd = weak_differential(weak_differential(f))
+        rep.record("dg.ddzero", sub, dd.is_zero(), dd, 0)
         lhs = weak_differential(weak_compose(g, f))
         rhs = weak_add(weak_compose(weak_differential(g), f),
                        weak_smul((-1) ** (g.deg % 2),
@@ -263,8 +263,8 @@ def _run_dg_check(ns):
         rep.eq("dg.assoc", sub,
                weak_compose(h, weak_compose(g, f)),
                weak_compose(weak_compose(h, g), f))
-        rep.record("dg.unit", sub,
-                   weak_compose(one, f) == f and weak_compose(f, one) == f)
+        rep.eq("dg.unit", sub, (weak_compose(one, f), weak_compose(f, one)),
+               (f, f))
     return cfg, rep, []
 
 

@@ -348,10 +348,9 @@ class HomologicalLali:
         rep = report if report is not None else CheckReport()
         g, q, xi = self.g, self.q, self.xi
         sub = f"{g.src!r}->{g.dst!r}"
-        ok_shape = (q.src == g.dst and q.dst == g.src and q.deg == 0 == g.deg
-                    and xi.src == g.src and xi.dst == g.src and xi.deg == 1)
-        rep.record("lali.shape", sub, ok_shape)
-        if not ok_shape:
+        if not rep.eq("lali.shape", sub,
+                      (g.deg, q.src, q.dst, q.deg, xi.src, xi.dst, xi.deg),
+                      (0, g.dst, g.src, 0, g.src, g.src, 1)):
             return rep
         rep.record("lali.g.chain", sub, *chain_sides(g))
         rep.record("lali.q.chain", sub, *chain_sides(q))
@@ -423,6 +422,16 @@ def _unimodular(rng: random.Random, n):
     return m
 
 
+def _conjugate(rng: random.Random, x: ChainComplex):
+    """x transported along a seeded unimodular change of basis u, one
+    per degree: returns (y, u: x -> y, u^-1: y -> x)."""
+    u = {k: _unimodular(rng, n) for k, n in x.dims.items()}
+    uinv = {k: inverse(m) for k, m in u.items()}
+    y = ChainComplex(x.dims, {k: mmul(u[k - 1], mmul(m, uinv[k]))
+                              for k, m in x.d.items()})
+    return y, GradedMap(x, y, 0, u), GradedMap(y, x, 0, uinv)
+
+
 def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
     """Direct sum of spheres and disks in degrees <= max_deg, conjugated
     by unimodular changes of basis so the matrices look arbitrary while
@@ -451,14 +460,7 @@ def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
     for k, pairs in spots.items():
         d[k] = assemble(dims.get(k - 1, 0), dims.get(k, 0),
                         [(((rng.choice([1, -1, 2]),),), j, i) for j, i in pairs])
-    base = ChainComplex(dims, d)
-    u = {k: _unimodular(rng, n) for k, n in base.dims.items()}
-    uinv = {k: inverse(m) for k, m in u.items()}
-    nd = {}
-    for k in list(base.d):
-        nd[k] = mmul(u.get(k - 1, eye(base.dim(k - 1))),
-                     mmul(base.boundary(k), uinv.get(k, eye(base.dim(k)))))
-    return ChainComplex(base.dims, nd)
+    return _conjugate(rng, ChainComplex(dims, d))[0]
 
 
 def random_gmap(rng: random.Random, src: ChainComplex, dst: ChainComplex,
@@ -507,18 +509,6 @@ def random_lali(rng: random.Random, max_deg=3,
         k - 1: assemble(a.dim(k), a.dim(k - 1),
                         [(unit, i, j) for kk, i, j in cells if kk == k])
         for k in dict.fromkeys(k for k, _, _ in cells)})
-    u = {k: _unimodular(rng, n) for k, n in a.dims.items()}
-    uinv = {k: inverse(m) for k, m in u.items()}
-    a2 = ChainComplex(a.dims, {
-        k: mmul(u.get(k - 1, eye(a.dim(k - 1))),
-                mmul(a.boundary(k), uinv.get(k, eye(a.dim(k)))))
-        for k in a.d})
-    ident = lambda k: eye(a.dim(k))
-    g2 = GradedMap(a2, b, 0, {k: mmul(g.block(k), uinv.get(k, ident(k)))
-                              for k in a.dims if b.dim(k)})
-    q2 = GradedMap(b, a2, 0, {k: mmul(u.get(k, ident(k)), q.block(k))
-                              for k in b.dims if a.dim(k)})
-    xi2 = GradedMap(a2, a2, 1, {
-        k: mmul(u.get(k + 1, ident(k + 1)), mmul(xi.block(k), uinv.get(k, ident(k))))
-        for k in a.dims if a.dim(k + 1)})
-    return HomologicalLali(g2, q2, xi2)
+    _, u, uinv = _conjugate(rng, a)
+    return HomologicalLali(gmap_compose(g, uinv), gmap_compose(u, q),
+                           gmap_compose(u, gmap_compose(xi, uinv)))

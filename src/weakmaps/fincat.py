@@ -31,6 +31,10 @@ def fmt_obj(x) -> str:
     return str(x)
 
 
+def fmt_ends(dom, cod) -> str:
+    return f"{fmt_obj(dom)} -> {fmt_obj(cod)}"
+
+
 # ---------------------------------------------------------------------------
 # FinSet backend
 
@@ -228,7 +232,12 @@ class TableCategory:
                 raise SchemaError(
                     f"{where}: composite {gf!r} has endpoints {arrows[gf]}, expected {want}"
                 )
+            if (g, f) in comp:
+                raise SchemaError(f"{where}: second row for {g!r} after {f!r}")
             comp[(g, f)] = gf
+        for g, f in itertools.product(arrows, repeat=2):
+            if arrows[f][1] == arrows[g][0] and (g, f) not in comp:
+                raise SchemaError(f"$.compose: no row for {g!r} after {f!r}")
         return cls(objs, arrows, idents, comp)
 
     def identity(self, x):
@@ -372,7 +381,9 @@ def validate_category(cat, objects, report=None) -> CheckReport:
     objects = list(objects)
     for a in objects:
         i = cat.identity(a)
-        rep.record("id.endpoints", fmt_obj(a), cat.dom(i) == a and cat.cod(i) == a)
+        ends = (cat.dom(i), cat.cod(i))
+        rep.record("id.endpoints", fmt_obj(a), ends == (a, a), fmt_ends(*ends),
+                   fmt_ends(a, a))
     for a in objects:
         for b in objects:
             ia, ib = cat.identity(a), cat.identity(b)
@@ -388,8 +399,8 @@ def validate_category(cat, objects, report=None) -> CheckReport:
                         gf = cat.compose(g, f)
                         if (cat.dom(gf), cat.cod(gf)) != (a, c):
                             rep.record("compose.endpoints", f"{g!r} . {f!r}", False,
-                                       f"{fmt_obj(cat.dom(gf))} -> {fmt_obj(cat.cod(gf))}",
-                                       f"{fmt_obj(a)} -> {fmt_obj(c)}")
+                                       fmt_ends(cat.dom(gf), cat.cod(gf)),
+                                       fmt_ends(a, c))
     assoc = rep.family("assoc")
     for a in objects:
         for b in objects:

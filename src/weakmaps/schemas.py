@@ -202,6 +202,9 @@ def _table_fn(table, domain, where):
 
 
 def _load_functor(data, cat: TableCategory, where) -> FunctorData:
+    if not isinstance(cat, TableCategory):
+        raise SchemaError(f"{where}: a table functor needs a table category"
+                          " (--category)")
     data = _dict(data, where)
     omap = _table_fn(data.get("obj_map"), cat.objects, f"{where}.obj_map")
     for o, v in omap.items():

@@ -33,6 +33,7 @@ from .fincat import (
     KleisliArrow,
     canonical_set,
     co_kleisli,
+    fmt_obj,
 )
 from .report import CheckReport
 
@@ -100,8 +101,9 @@ class ASpan:
     def validate(self, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
         cat = self.left.awfs.cat
-        rep.record("span.apex", fmt_span(self),
-                   cat.dom(self.right) == cat.dom(self.left.arrow))
+        apex = cat.dom(self.right)
+        rep.record("span.apex", fmt_span(self), apex == self.apex,
+                   fmt_obj(apex), fmt_obj(self.apex))
         self.left.validate(rep)
         return rep
 
@@ -133,8 +135,7 @@ def span_compose(s: ASpan, t: ASpan) -> ASpan:
     if s.dst != t.src:
         raise CategoryError("spans are not composable")
     pb = cat.pullback(s.right, t.left.arrow)
-    lift = cartesian_lift(t.left, pb.p1, pb.p2, s.right)
-    left = r_algebra_compose(s.left, lift)
+    left = r_algebra_compose(s.left, cartesian_lift(t.left, pb))
     return ASpan(left, cat.compose(t.right, pb.p2))
 
 
@@ -265,23 +266,19 @@ class HomComparison:
     report: CheckReport
 
 
+def _sections(l, eps):
+    """Every sigma with l[sigma[w]] = eps[w] for all w, in lex order."""
+    return itertools.product(*([x for x in range(len(l)) if l[x] == e]
+                               for e in eps))
+
+
 def _int_spans(a, b, eps, max_apex):
     """All spans (k, l, sigma, r) over carriers of sizes a, b with witness
-    base indexed by eps: positions of the counit.  Integer encoded."""
-    pa = len(eps)
-    for k in range(1, max_apex + 1):
+    base indexed by eps: positions of the counit.  Integer encoded; the
+    empty apex k = 0 carries a span only when a = 0."""
+    for k in range(max_apex + 1):
         for l in itertools.product(range(a), repeat=k):
-            fibres = []
-            dead = False
-            for w in range(pa):
-                fb = [x for x in range(k) if l[x] == eps[w]]
-                if not fb:
-                    dead = True
-                    break
-                fibres.append(fb)
-            if dead:
-                continue
-            for sigma in itertools.product(*fibres):
+            for sigma in _sections(l, eps):
                 for r in itertools.product(range(b), repeat=k):
                     yield k, l, sigma, r
 
@@ -370,11 +367,7 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
         kt = span_to_kleisli(wm, t).under.idx
         for ksrc in range(1, min(3, apex_bound) + 1):
             for rmap in itertools.product(range(k), repeat=ksrc):
-                fibres = [[x for x in range(ksrc) if rmap[x] == sigma[w]]
-                          for w in range(pa)]
-                if any(not fb for fb in fibres):
-                    continue
-                for s_sigma in itertools.product(*fibres):
+                for s_sigma in _sections(rmap, sigma):
                     sl = tuple(l[rmap[x]] for x in range(ksrc))
                     sr = tuple(r[rmap[x]] for x in range(ksrc))
                     s = _api_span(awfs, a_labels, b_labels, ksrc, sl, s_sigma, sr)

@@ -162,6 +162,16 @@ def test_cofree_and_free_structures_validate_on_fragment():
         assert free_algebra(PSPLIT, f).validate().ok
 
 
+def test_endpoint_failures_have_both_sides():
+    g = fsarrow(("c0",), ("d0",), {"c0": "d0"})
+    bad = RAlgebraArrow(SPLIT, g, C.identity(("c0",))).validate()
+    assert bad.lines() == ["EQ ralg.witness.endpoints @ {c0}->{d0}[d0] :"
+                           " FAIL(lhs={c0} -> {c0}, rhs={d0} -> {c0})"]
+    bad = LCoalgebraArrow(SPLIT, g, g).validate()
+    assert bad.lines() == ["EQ lcoalg.structure.endpoints @ {c0}->{d0}[d0] :"
+                           " FAIL(lhs={c0} -> {d0}, rhs={d0} -> {L:c0,R:d0})"]
+
+
 def test_identity_algebra_witness_is_unique():
     b = ("y0", "y1")
     assert identity_algebra(SPLIT, b).validate().ok
@@ -229,7 +239,7 @@ def test_cartesian_lift_detection_and_uniqueness():
     assert alg.validate().ok
     v = fsarrow("b", "d0 d1".split(), {"b": "d0"})
     pb = C.pullback(v, g)
-    lift = cartesian_lift(alg, pb.p1, pb.p2, v)
+    lift = cartesian_lift(alg, pb)
     assert lift.validate().ok
     assert lift.witness("b") == "(b,c1)"
     # uniqueness among witnesses compatible with the square
@@ -243,14 +253,18 @@ def test_cartesian_lift_detection_and_uniqueness():
     assert compatible == [lift.witness]
 
 
-def test_cartesian_lift_rejects_non_pullback():
-    g = fsarrow("c0 c1".split(), ("d0",), {"c0": "d0", "c1": "d0"})
-    alg = RAlgebraArrow(SPLIT, g, fsarrow(("d0",), "c0 c1".split(), {"d0": "c0"}))
-    f = fsarrow("a", ("d0",), {"a": "d0"})
-    u = fsarrow("a", "c0 c1".split(), {"a": "c0"})
-    v = C.identity(("d0",))
-    with pytest.raises(CategoryError, match="not a pullback"):
-        cartesian_lift(alg, f, u, v)
+def test_cartesian_lift_rejects_non_section_witness():
+    # sigma sends d1 into the fibre over d0, so g.sigma != eps and the cone
+    # (eps, sigma . Pv) has no mediating map into the pullback
+    g = fsarrow("c0 c1".split(), "d0 d1".split(), {"c0": "d0", "c1": "d1"})
+    alg = RAlgebraArrow(SPLIT, g, fsarrow("d0 d1".split(), "c0 c1".split(),
+                                          {"d0": "c0", "d1": "c0"}))
+    assert not alg.validate().ok
+    v = fsarrow("b", "d0 d1".split(), {"b": "d1"})
+    with pytest.raises(CategoryError, match="cone does not commute"):
+        cartesian_lift(alg, C.pullback(v, g))
+    with pytest.raises(CategoryError, match="algebra's arrow"):
+        cartesian_lift(alg, C.pullback(v, C.identity(("d0", "d1"))))
 
 
 def test_cartesian_lift_for_coreader():
@@ -261,7 +275,7 @@ def test_cartesian_lift_for_coreader():
     assert alg.validate().ok
     v = fsarrow("b", d, {"b": "d0"})
     pb = C.pullback(v, g)
-    lift = cartesian_lift(alg, pb.p1, pb.p2, v)
+    lift = cartesian_lift(alg, pb)
     assert lift.validate().ok
     assert lift.witness("(b,s)") == "(b,c0)"
     assert lift.witness("(b,t)") == "(b,c1)"

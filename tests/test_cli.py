@@ -45,6 +45,15 @@ def test_compare_census_frozen(capsys):
     assert "EQ canonical.reach @ 3450 spans within apex<=6 : PASS" in out
 
 
+def test_compare_from_the_empty_set(capsys):
+    # the one span from A = {} is the empty span {} <- {} -> B, apex 0
+    code, out, _ = run(capsys, "weakmaps", "compare", "--A", "0", "--B", "1",
+                       "--bound", "2")
+    assert code == 0
+    assert "  bounded spans = 1\n" in out
+    assert "EQ class.count @ apex<=2 : PASS" in out
+
+
 def test_bar_resolve_default_summary(capsys):
     code, out, _ = run(capsys, "bar", "resolve")
     assert code == 0
@@ -174,6 +183,38 @@ def test_unknown_comonad_spec(capsys):
                        "--comonad", "writer:S=2")
     assert code == 2
     assert "unknown spec" in err
+
+
+@pytest.mark.parametrize("flag,payload", [
+    ("--comonad", {"functor": {"obj_map": {}, "arr_map": {}},
+                   "counit": {}, "comult": {}}),
+    ("--monad", {"functor": {"obj_map": {}, "arr_map": {}},
+                 "unit": {}, "mult": {}}),
+])
+def test_table_effect_without_category(tmp_path, capsys, flag, payload):
+    code, out, err = run(capsys, "validate", flag, write(tmp_path, "e.json", payload))
+    assert code == 2 and out == ""
+    assert re.search(r"schema error: \$\.functor: .*--category", err)
+
+
+@pytest.mark.parametrize("rows,where", [
+    # e.e listed twice: the second row would silently win
+    ([["i", "i", "i"], ["e", "i", "e"], ["i", "e", "e"], ["e", "e", "e"],
+      ["e", "e", "i"]], r"\$\.compose\[4\]: second row for 'e' after 'e'"),
+    ([["i", "i", "i"], ["e", "i", "e"], ["i", "e", "e"]],
+     r"\$\.compose: no row for 'e' after 'e'"),
+])
+def test_category_compose_table_rejected_at_load(tmp_path, capsys, rows, where):
+    cat = write(tmp_path, "cat.json", {
+        "objects": ["x"],
+        "arrows": [{"id": "i", "dom": "x", "cod": "x"},
+                   {"id": "e", "dom": "x", "cod": "x"}],
+        "identities": {"x": "i"},
+        "compose": rows,
+    })
+    code, out, err = run(capsys, "validate", "--category", cat)
+    assert code == 2 and out == ""
+    assert re.search(r"schema error: " + where, err)
 
 
 def test_missing_file(capsys):

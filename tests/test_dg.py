@@ -121,6 +121,15 @@ def test_lali_chain_check_fails_with_both_sides():
                                   "deg=0 D=0")
 
 
+def test_lali_shape_failure_has_both_sides():
+    c = ChainComplex({0: 1}, {})
+    one = id_gmap(c)
+    rep = HomologicalLali(one, one, zero_gmap(c, c, 0)).validate()
+    bad, = rep.failures()
+    assert bad.name == "lali.shape" and bad.lhs != bad.rhs
+    assert bad.lhs.endswith(", 0)") and bad.rhs.endswith(", 1)")
+
+
 def _seeded_complexes(seed, n=2, max_deg=2, max_cells=3):
     rng = random.Random(seed)
     return rng, [random_complex(rng, max_deg, max_cells) for _ in range(n)]

@@ -45,3 +45,25 @@ def test_every_definition_has_a_reference():
             if refs[node.name] - _references(node)[node.name] == 0:
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unused, "no reference to: " + ", ".join(unused)
+
+
+def test_every_instance_attribute_is_read():
+    """An attribute that `src/` assigns on `self` is read somewhere by name.
+
+    Reads are attribute loads anywhere in `src/` or `tests/`; as above,
+    matching by name alone is generous."""
+    trees = {p: ast.parse(p.read_text(), str(p))
+             for d in (ROOT / "src", ROOT / "tests") for p in sorted(d.rglob("*.py"))}
+    reads = Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    unread = []
+    for path, tree in trees.items():
+        if PACKAGE not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and not reads[node.attr]):
+                unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+    assert not unread, "never read: " + ", ".join(unread)

@@ -1,6 +1,11 @@
 """The check-family primitive of CheckReport."""
 
+import ast
+from pathlib import Path
+
 from weakmaps.report import CheckReport
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "weakmaps"
 
 
 def test_family_counts_items_and_failures():
@@ -70,3 +75,23 @@ def test_family_json_keeps_both_sides():
          "lhs": "1 failing", "rhs": "0"},
     ]
     assert rep.to_json()["ok"] is False
+
+
+def _gives_both_sides(call: ast.Call) -> bool:
+    if any(isinstance(a, ast.Starred) and isinstance(a.value, ast.Call)
+           and getattr(a.value.func, "id", None) == "chain_sides"
+           for a in call.args):
+        return True
+    keywords = {k.arg for k in call.keywords} & {"lhs", "rhs"}
+    return max(len(call.args) - 3, 0) + len(keywords) == 2
+
+
+def test_every_record_call_gives_both_sides():
+    """A FAIL line reads FAIL(lhs=.., rhs=..); a record() call without
+    sides would fail as FAIL(lhs=, rhs=), which shows nothing."""
+    bare = [f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "report.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record" and not _gives_both_sides(node)]
+    assert not bare, "record() without lhs and rhs at " + ", ".join(bare)

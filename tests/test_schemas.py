@@ -205,6 +205,9 @@ def test_category_loads_and_validates():
     (lambda d: d["arrows"].append({"id": "h", "dom": "z", "cod": "x"}),
      "unknown object"),
     (lambda d: d["compose"].append(["f", "iy", "f"]), "not composable"),
+    (lambda d: d["compose"].append(["f", "ix", "f"]),
+     r"\$\.compose\[4\]: second row for 'f' after 'ix'"),
+    (lambda d: d["compose"].pop(), r"\$\.compose: no row for 'iy' after 'f'"),
     (lambda d: d["identities"].pop("y"), "missing identity"),
 ])
 def test_category_schema_errors(mutate, fragment):
