@@ -132,14 +132,6 @@ class PSplitEpiAwfs:
         return self.cop(rf).copair(self.cat.identity(self.E(f)), self.cop(f).inr)
 
 
-def split_epi_awfs(cat) -> SplitEpiAwfs:
-    return SplitEpiAwfs(cat)
-
-
-def p_split_epi_awfs(cat, comonad: ComonadData) -> PSplitEpiAwfs:
-    return PSplitEpiAwfs(cat, comonad)
-
-
 # ---------------------------------------------------------------------------
 # Algebras and coalgebras
 
@@ -227,12 +219,12 @@ def canonical_filler(coalg: LCoalgebraArrow, alg: RAlgebraArrow, h, k):
     aw = coalg.awfs
     cat = aw.cat
     f, g = coalg.arrow, alg.arrow
-    if not cat.eq(cat.compose(g, h), cat.compose(k, f)):
+    if cat.compose(g, h) != cat.compose(k, f):
         raise CategoryError("square does not commute: g.h != k.f")
     j = cat.compose(alg.p, cat.compose(aw.earr(f, g, h, k), coalg.structure))
-    if not cat.eq(cat.compose(j, f), h):
+    if cat.compose(j, f) != h:
         raise CategoryError("filler fails the upper triangle")
-    if not cat.eq(cat.compose(g, j), k):
+    if cat.compose(g, j) != k:
         raise CategoryError("filler fails the lower triangle")
     return j
 
@@ -329,7 +321,7 @@ def validate_awfs(awfs, max_size=3, report=None, squares=True) -> CheckReport:
         except CategoryError as e:
             rep.record(name, sub, False, "<ill-typed>", str(e))
             return
-        rep.record(name, sub, cat.eq(lhs, rhs), lhs, rhs)
+        rep.eq(name, sub, lhs, rhs)
 
     for f in arrows:
         sub = repr(f)
@@ -387,15 +379,15 @@ def validate_awfs(awfs, max_size=3, report=None, squares=True) -> CheckReport:
                 e_hk = awfs.earr(f, g, h, k)
                 sub = lambda: f"({h!r},{k!r}): {f!r} -> {g!r}"
                 l1, r1 = cat.compose(e_hk, lf), cat.compose(lg, h)
-                nat_lam.check(cat.eq(l1, r1), sub, l1, r1)
+                nat_lam.check(l1 == r1, sub, l1, r1)
                 l2, r2 = cat.compose(rg, e_hk), cat.compose(k, rf)
-                nat_rho.check(cat.eq(l2, r2), sub, l2, r2)
+                nat_rho.check(l2 == r2, sub, l2, r2)
                 l3 = cat.compose(awfs.earr(lf, lg, h, e_hk), dl_f)
                 r3 = cat.compose(dl_g, e_hk)
-                nat_comult.check(cat.eq(l3, r3), sub, l3, r3)
+                nat_comult.check(l3 == r3, sub, l3, r3)
                 l4 = cat.compose(e_hk, mu_f)
                 r4 = cat.compose(mu_g, awfs.earr(rf, rg, e_hk, k))
-                nat_mult.check(cat.eq(l4, r4), sub, l4, r4)
+                nat_mult.check(l4 == r4, sub, l4, r4)
     for fam in nat:
         fam.close(f"{fam.n} squares")
     return rep
@@ -418,7 +410,7 @@ def validate_e_functoriality(awfs, max_size=2, report=None) -> CheckReport:
                     for h1, k1 in sq_fg:
                         lhs = awfs.earr(f, e, cat.compose(h2, h1), cat.compose(k2, k1))
                         rhs = cat.compose(e2, awfs.earr(f, g, h1, k1))
-                        fam.check(cat.eq(lhs, rhs),
+                        fam.check(lhs == rhs,
                                   lambda: f"({h1!r},{k1!r}) then ({h2!r},{k2!r}):"
                                           f" {f!r} -> {g!r} -> {e!r}",
                                   lhs, rhs)
@@ -442,7 +434,7 @@ def awfs_equal_on(a, b, max_size=2, report=None) -> CheckReport:
         for g in arrows:
             for h, k in squares_between(cat, f, g):
                 lhs, rhs = a.earr(f, g, h, k), b.earr(f, g, h, k)
-                fam.check(cat.eq(lhs, rhs), lambda: f"({h!r},{k!r})", lhs, rhs)
+                fam.check(lhs == rhs, lambda: f"({h!r},{k!r})", lhs, rhs)
     fam.close("all squares")
     return rep
 
@@ -502,7 +494,7 @@ def validate_comonad_iso(cat, q: ComonadData, p: ComonadData, tau, tau_inv,
             for h in cat.hom(a, b):
                 lhs = cat.compose(tau(b), q.functor.arr(h))
                 rhs = cat.compose(p.functor.arr(h), tau(a))
-                fam.check(cat.eq(lhs, rhs), lambda: repr(h), lhs, rhs)
+                fam.check(lhs == rhs, lambda: repr(h), lhs, rhs)
     fam.close(f"fragment of {len(objects)} objects")
     return rep
 
@@ -551,10 +543,10 @@ def sketch_canonical_lift(cat, mono: TSplitMono, alg: TAlgebra, h):
     t = mono.monad
     if cat.dom(h) != cat.dom(mono.j) or cat.cod(h) != alg.obj:
         raise CategoryError("lift input must run from dom(j) into the algebra carrier")
-    if not cat.eq(cat.compose(mono.k, mono.j), t.unit(cat.dom(mono.j))):
+    if cat.compose(mono.k, mono.j) != t.unit(cat.dom(mono.j)):
         raise CategoryError("(j,k) is not a split mono for the monad")
     hbar = cat.compose(alg.act, cat.compose(t.functor.arr(h), mono.k))
-    if not cat.eq(cat.compose(hbar, mono.j), h):
+    if cat.compose(hbar, mono.j) != h:
         raise CategoryError("canonical lift fails to extend h along j")
     return hbar
 
@@ -580,7 +572,7 @@ def sketch_is_model_square(cat, sk: Sketch, alg: TAlgebra, f) -> bool:
         left = cat.compose(f, tri.phi)
         inner = cat.compose(left, tri.mono.j)
         right = cat.compose(alg.act, cat.compose(t.functor.arr(inner), tri.mono.k))
-        if not cat.eq(left, right):
+        if left != right:
             return False
     return True
 
@@ -591,6 +583,6 @@ def sketch_is_model_lift(cat, sk: Sketch, alg: TAlgebra, f) -> bool:
     for tri in sk.triangles:
         left = cat.compose(f, tri.phi)
         h = cat.compose(left, tri.mono.j)
-        if not cat.eq(left, sketch_canonical_lift(cat, tri.mono, alg, h)):
+        if left != sketch_canonical_lift(cat, tri.mono, alg, h):
             return False
     return True

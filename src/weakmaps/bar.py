@@ -58,8 +58,7 @@ class DgAlgebra:
                  name: str = "A"):
         if unit.src != unit_complex() or unit.dst != cx or unit.deg != 0:
             raise BarError("unit must be a degree-0 map I -> A")
-        self.sq = tensor_complex(cx, cx)
-        if mult.src != self.sq or mult.dst != cx or mult.deg != 0:
+        if (mult.src, mult.dst, mult.deg) != (tensor_complex(cx, cx), cx, 0):
             raise BarError("mult must be a degree-0 map A(x)A -> A")
         self.cx = cx
         self.unit = unit
@@ -109,18 +108,12 @@ class DgAlgebra:
         rep.record("alg.mult.chain", self.name, *chain_sides(self.mult))
         rep.eq("alg.unit.left", self.name,
                gmap_compose(self.mult, unit_insert(self, a)), one)
-        ru = gmap_compose(self.mult,
-                          tensor_map(one, self.unit,
-                                     tensor_complex(a, unit_complex()),
-                                     self.sq))
+        ru = gmap_compose(self.mult, tensor_map(one, self.unit))
         rep.eq("alg.unit.right", self.name,
-               gmap_compose(ru, signed_perm_inverse(runit_iso(a)[0])), one)
-        asso, left, right = assoc_iso(a, a, a)
-        lhs = gmap_compose(self.mult, tensor_map(self.mult, one, left, self.sq))
-        rhs = gmap_compose(self.mult,
-                           gmap_compose(tensor_map(one, self.mult, right,
-                                                   self.sq),
-                                        asso))
+               gmap_compose(ru, signed_perm_inverse(runit_iso(a))), one)
+        lhs = gmap_compose(self.mult, tensor_map(self.mult, one))
+        rhs = gmap_compose(self.mult, gmap_compose(tensor_map(one, self.mult),
+                                                   assoc_iso(a, a, a)))
         rep.eq("alg.assoc", self.name, lhs, rhs)
         rep.eq("alg.split.section", self.name,
                gmap_compose(self.proj_bar, self.incl_bar), id_gmap(self.abar))
@@ -141,9 +134,8 @@ class DgAlgebra:
 
 def unit_insert(alg: DgAlgebra, x: ChainComplex) -> GradedMap:
     """X -> A (x) X tensoring with the unit on the left."""
-    collapse, ix = lunit_iso(x)
-    up = tensor_map(alg.unit, id_gmap(x), ix, tensor_complex(alg.cx, x))
-    return gmap_compose(up, signed_perm_inverse(collapse))
+    up = tensor_map(alg.unit, id_gmap(x))
+    return gmap_compose(up, signed_perm_inverse(lunit_iso(x)))
 
 
 def builtin_algebra(kind: str) -> DgAlgebra:
@@ -175,8 +167,7 @@ class DgModule:
 
     def __init__(self, alg: DgAlgebra, cx: ChainComplex, act: GradedMap,
                  name: str = "M"):
-        t = tensor_complex(alg.cx, cx)
-        if act.src != t or act.dst != cx or act.deg != 0:
+        if (act.src, act.dst, act.deg) != (tensor_complex(alg.cx, cx), cx, 0):
             raise BarError("action must be a degree-0 map A(x)M -> M")
         self.alg = alg
         self.cx = cx
@@ -191,14 +182,11 @@ class DgModule:
         rep.eq("mod.act.unit", self.name,
                gmap_compose(self.act, unit_insert(self.alg, self.cx)),
                id_gmap(self.cx))
-        asso, left, right = assoc_iso(a, a, self.cx)
         lhs = gmap_compose(self.act,
-                           gmap_compose(tensor_map(id_gmap(a), self.act,
-                                                   right, self.act.src),
-                                        asso))
+                           gmap_compose(tensor_map(id_gmap(a), self.act),
+                                        assoc_iso(a, a, self.cx)))
         rhs = gmap_compose(self.act,
-                           tensor_map(self.alg.mult, id_gmap(self.cx),
-                                      left, self.act.src))
+                           tensor_map(self.alg.mult, id_gmap(self.cx)))
         rep.eq("mod.act.assoc", self.name, lhs, rhs)
         return rep
 
@@ -248,7 +236,6 @@ class BarCalculus:
         self.mod = mod
         self.alg = mod.alg
         self.L = L
-        self._tens = {}
         self._mu = {}
         self._eta = {}
         self._face = {}
@@ -256,29 +243,17 @@ class BarCalculus:
         self._facesum = {}
         self.pow = [mod.cx]
         for n in range(L + 2):
-            self.pow.append(self.tensor_with_A(self.pow[-1]))
-        abar = self.alg.abar
-        self.barpow = [mod.cx]
+            self.pow.append(tensor_complex(self.alg.cx, self.pow[-1]))
         self.incl_w = [id_gmap(mod.cx)]
         self.proj_w = [id_gmap(mod.cx)]
         for n in range(1, L + 2):
-            bp = tensor_complex(abar, self.barpow[-1])
-            self.barpow.append(bp)
-            self.incl_w.append(tensor_map(self.alg.incl_bar, self.incl_w[-1],
-                                          bp, self.pow[n]))
-            self.proj_w.append(tensor_map(self.alg.proj_bar, self.proj_w[-1],
-                                          self.pow[n], bp))
-
-    def tensor_with_A(self, x: ChainComplex):
-        if x not in self._tens:
-            self._tens[x] = tensor_complex(self.alg.cx, x)
-        return self._tens[x]
+            self.incl_w.append(tensor_map(self.alg.incl_bar, self.incl_w[-1]))
+            self.proj_w.append(tensor_map(self.alg.proj_bar, self.proj_w[-1]))
+        self.barpow = [m.src for m in self.incl_w]
 
     def T(self, f: GradedMap) -> GradedMap:
         """A (x) f with the Koszul sign on the A-degree."""
-        return tensor_map(id_gmap(self.alg.cx), f,
-                          self.tensor_with_A(f.src),
-                          self.tensor_with_A(f.dst))
+        return tensor_map(id_gmap(self.alg.cx), f)
 
     def strict_sides(self, u: GradedMap, src_act: GradedMap,
                      dst_act: GradedMap):
@@ -300,10 +275,8 @@ class BarCalculus:
         """A (x) (A (x) X) -> A (x) X multiplying the two outer slots."""
         if x not in self._mu:
             a = self.alg.cx
-            tx = self.tensor_with_A(x)
-            asso, left, right = assoc_iso(a, a, x)
-            mult_side = tensor_map(self.alg.mult, id_gmap(x), left, tx)
-            self._mu[x] = gmap_compose(mult_side, signed_perm_inverse(asso))
+            self._mu[x] = gmap_compose(tensor_map(self.alg.mult, id_gmap(x)),
+                                       signed_perm_inverse(assoc_iso(a, a, x)))
         return self._mu[x]
 
     def mu(self, n: int) -> GradedMap:
@@ -441,10 +414,9 @@ class TruncatedCodescent:
     def __init__(self, calc: BarCalculus):
         self.calc = calc
         self.L = L = calc.L
-        self.levels = [calc.tensor_with_A(calc.barpow[n])
-                       for n in range(L + 1)]
         self.incl_n = [calc.T(calc.incl_w[n]) for n in range(L + 1)]
         self.proj_n = [calc.T(calc.proj_w[n]) for n in range(L + 1)]
+        self.levels = [m.src for m in self.incl_n]
 
         drop = [None]
         for n in range(1, L + 1):
@@ -500,8 +472,7 @@ class TruncatedCodescent:
                                           calc.degen(n + 1, -1))
                              for n in range(L)])
 
-        self.t_total = calc.tensor_with_A(self.total)
-        ab = zero_gmap(self.t_total, self.total, 0)
+        ab = zero_gmap(tensor_complex(calc.alg.cx, self.total), self.total, 0)
         for n in range(L + 1):
             s = gmap_compose(
                 self.tag_n[n],
@@ -596,10 +567,6 @@ class TruncatedCodescent:
         return DgModule(self.calc.alg, self.total, self.abar, name=nm)
 
 
-def codescent(calc: BarCalculus) -> TruncatedCodescent:
-    return TruncatedCodescent(calc)
-
-
 def bar_lali(t: TruncatedCodescent,
              report: CheckReport = None):
     """The contraction (p, q, xi) of |X| onto M as a homological lali.
@@ -684,20 +651,18 @@ def thickened_lali(mod: DgModule, twist: GradedMap = None, name: str = "thick"):
     qd = GradedMap(uc, disk, 0, {0: ((1,), (0,))})
     xid = GradedMap(disk, disk, 1, {0: ((0, 1),)})
     e1 = GradedMap(uc, disk, 0, {0: ((0,), (1,))})
-    bcx = tensor_complex(mod.cx, disk)
-    asso, left, _ = assoc_iso(alg.cx, mod.cx, disk)
-    act = gmap_compose(tensor_map(mod.act, id_gmap(disk), left, bcx),
-                       signed_perm_inverse(asso))
-    modB = DgModule(alg, bcx, act, name=name)
-    runi, mi = runit_iso(mod.cx)
+    act = gmap_compose(tensor_map(mod.act, id_gmap(disk)),
+                       signed_perm_inverse(assoc_iso(alg.cx, mod.cx, disk)))
+    modB = DgModule(alg, act.dst, act, name=name)
+    runi = runit_iso(mod.cx)
     rinv = signed_perm_inverse(runi)
-    g = gmap_compose(runi, tensor_map(id_gmap(mod.cx), gd, bcx, mi))
-    f0 = gmap_compose(tensor_map(id_gmap(mod.cx), qd, mi, bcx), rinv)
-    eps0 = tensor_map(id_gmap(mod.cx), xid, bcx, bcx)
+    g = gmap_compose(runi, tensor_map(id_gmap(mod.cx), gd))
+    f0 = gmap_compose(tensor_map(id_gmap(mod.cx), qd), rinv)
+    eps0 = tensor_map(id_gmap(mod.cx), xid)
     if twist is not None:
         if twist.src != mod.cx or twist.dst != mod.cx or twist.deg != 0:
             raise BarError("twist must be a degree-0 endomap of the module")
-        n = gmap_compose(tensor_map(twist, e1, mi, bcx), rinv)
+        n = gmap_compose(tensor_map(twist, e1), rinv)
         f0 = gmap_add(f0, n)
         eps0 = gmap_sub(eps0, gmap_compose(eps0, gmap_compose(n, g)))
     return modB, g, f0, eps0
@@ -1017,8 +982,7 @@ def codescent_map(ts: TruncatedCodescent, tt: TruncatedCodescent,
         raise BarError("map endpoints do not match the resolved modules")
     ubar = [u]
     for n in range(1, ts.L + 1):
-        ubar.append(tensor_map(id_gmap(cs.alg.abar), ubar[-1],
-                               cs.barpow[n], ct.barpow[n]))
+        ubar.append(tensor_map(id_gmap(cs.alg.abar), ubar[-1]))
     out = zero_gmap(ts.total, tt.total, 0)
     for n in range(ts.L + 1):
         out = gmap_add(out, gmap_compose(

@@ -18,10 +18,10 @@ import re
 import sys
 
 from . import schemas
-from .awfs import p_split_epi_awfs, split_epi_awfs, validate_awfs
+from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
 from .bar import (
+    TruncatedCodescent,
     bar_lali,
-    codescent,
     lift_ulali,
     free_ulali_factor,
     nonequivariant_twist,
@@ -51,11 +51,11 @@ from .fincat import (
 )
 from .report import FAIL, CheckReport
 from .spans import (
+    WeakMapCategory,
     canonical_span,
     compare_hom,
     enumerate_spans,
     span_equiv,
-    weak_maps_kleisli,
 )
 
 
@@ -175,10 +175,10 @@ def _run_awfs_check(ns):
     cat = FinSetCategory()
     cfg = {"builtin": ns.builtin, "finset-max": str(ns.finset_max)}
     if ns.builtin == "splitepi":
-        aw = split_epi_awfs(cat)
+        aw = SplitEpiAwfs(cat)
     else:
         cfg["comonad"] = ns.comonad
-        aw = p_split_epi_awfs(cat, _comonad_spec(cat, ns.comonad))
+        aw = PSplitEpiAwfs(cat, _comonad_spec(cat, ns.comonad))
     validate_awfs(aw, ns.finset_max, rep)
     return cfg, rep, []
 
@@ -188,7 +188,7 @@ def _run_weakmaps_compare(ns):
     cat = FinSetCategory()
     cfg = {"comonad": ns.comonad, "A": str(ns.a_size), "B": str(ns.b_size),
            "bound": str(ns.bound), "zigzag": str(ns.zigzag)}
-    aw = p_split_epi_awfs(cat, _comonad_spec(cat, ns.comonad))
+    aw = PSplitEpiAwfs(cat, _comonad_spec(cat, ns.comonad))
     res = compare_hom(aw, ns.a_size, ns.b_size, ns.bound, report=rep)
     tables = [("counts", [
         ("co-Kleisli arrows", str(res.kleisli_count)),
@@ -198,7 +198,7 @@ def _run_weakmaps_compare(ns):
     tables.append(("classes", [(f"kappa={c.kappa}", f"count={c.count}")
                                for c in res.classes]))
     if ns.zigzag:
-        wm = weak_maps_kleisli(aw)
+        wm = WeakMapCategory(aw)
         a = canonical_set(ns.a_size, "a")
         b = canonical_set(ns.b_size, "b")
         reach = rep.family("canonical.reach")
@@ -221,7 +221,7 @@ def _run_bar_resolve(ns):
         return cfg, rep, []
     calc = mod.calculus(ns.trunc)
     validate_bar(calc, rep)
-    t = codescent(calc)
+    t = TruncatedCodescent(calc)
     t.validate(rep)
     bar_lali(t, rep)
     table, _ = normalized_level_dims(t, rep)
@@ -314,7 +314,7 @@ def _run_factor_ulali(ns):
     cfg["trunc"] = str(ns.trunc)
     (modB, g, f0, eps0), extra = _load_lali(ns, alg, mod)
     cfg.update(extra)
-    t = codescent(mod.calculus(ns.trunc))
+    t = TruncatedCodescent(mod.calculus(ns.trunc))
     h, _ = free_ulali_factor(t, modB, g, f0, eps0, rep)
     tables = [("comparison", [
         ("chain map", str(is_chain_map(h))),

@@ -21,6 +21,7 @@ g.xi = xi.q = xi.xi = 0.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .ratmat import (assemble, eye, inverse, is_zero, madd, mmul, nonzeros,
@@ -223,17 +224,19 @@ class TensorComplex(ChainComplex):
         return assemble(rows, cols, terms)
 
 
+@functools.cache
 def tensor_complex(x: ChainComplex, y: ChainComplex) -> TensorComplex:
+    """X (x) Y, built once per pair of factors and kept for the life of
+    the process.  Complexes hash and compare structurally, so equal
+    factors give the same object; tensor maps and coherence isos read
+    their endpoints here."""
     return TensorComplex(x, y)
 
 
-def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
-               dst: TensorComplex = None) -> GradedMap:
+def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     """f (x) g with the Koszul sign (-1)^{deg g * left degree}."""
-    src = src if src is not None else tensor_complex(f.src, g.src)
-    dst = dst if dst is not None else tensor_complex(f.dst, g.dst)
-    if src.factors != (f.src, g.src) or dst.factors != (f.dst, g.dst):
-        raise DgError("tensor endpoints do not match the factor maps")
+    src = tensor_complex(f.src, g.src)
+    dst = tensor_complex(f.dst, g.dst)
     deg = f.deg + g.deg
     mats = {}
     for n in src.degrees():
@@ -256,7 +259,7 @@ def tensor_map(f: GradedMap, g: GradedMap, src: TensorComplex = None,
     return GradedMap(src, dst, deg, mats)
 
 
-def assoc_iso(x, y, z):
+def assoc_iso(x, y, z) -> GradedMap:
     """(X (x) Y) (x) Z -> X (x) (Y (x) Z), a signless basis bijection.
 
     For fixed i in X_p, the basis elements (j, k) of Y_q (x) Z_r are
@@ -278,24 +281,20 @@ def assoc_iso(x, y, z):
                 terms += [(one, row0 + i * yz.dim(q + r), col0 + i * yd * zd)
                           for i in range(xd)]
         mats[n] = assemble(dst.dim(n), src.dim(n), terms)
-    return GradedMap(src, dst, 0, mats), src, dst
+    return GradedMap(src, dst, 0, mats)
 
 
-def lunit_iso(x: ChainComplex):
+def lunit_iso(x: ChainComplex) -> GradedMap:
     """I (x) X -> X."""
-    src = tensor_complex(unit_complex(), x)
-    mats = {n: eye(x.dim(n)) for n in x.degrees()}
-    return GradedMap(src, x, 0, mats), src
+    return GradedMap(tensor_complex(unit_complex(), x), x, 0, id_gmap(x).mats)
 
 
-def runit_iso(x: ChainComplex):
+def runit_iso(x: ChainComplex) -> GradedMap:
     """X (x) I -> X."""
-    src = tensor_complex(x, unit_complex())
-    mats = {n: eye(x.dim(n)) for n in x.degrees()}
-    return GradedMap(src, x, 0, mats), src
+    return GradedMap(tensor_complex(x, unit_complex()), x, 0, id_gmap(x).mats)
 
 
-def symmetry_iso(x: ChainComplex, y: ChainComplex):
+def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
     """X (x) Y -> Y (x) X with sign (-1)^{pq} on the (p,q) block.
 
     x_i (x) y_j sits at column off + i*|Y_q| and row base + j*|X_p| + i,
@@ -313,7 +312,7 @@ def symmetry_iso(x: ChainComplex, y: ChainComplex):
             terms += [(one, base, off + i * yd, sign, transpose((e_i,)))
                       for i, e_i in enumerate(eye(xd))]
         mats[n] = assemble(dst.dim(n), src.dim(n), terms)
-    return GradedMap(src, dst, 0, mats), src, dst
+    return GradedMap(src, dst, 0, mats)
 
 
 def signed_perm_inverse(f: GradedMap) -> GradedMap:

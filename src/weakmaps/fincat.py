@@ -123,9 +123,6 @@ class FinSetCategory:
     def cod(self, f):
         return f.cod
 
-    def eq(self, f, g) -> bool:
-        return f == g
-
     def compose(self, g: FinSetArrow, f: FinSetArrow) -> FinSetArrow:
         if f.cod != g.dom:
             raise CategoryError(f"not composable: cod {f!r} != dom {g!r}")
@@ -176,6 +173,22 @@ class SchemaError(Exception):
     """Malformed input data; message carries a JSON-path style position."""
 
 
+def json_string(v, where) -> str:
+    if not isinstance(v, str):
+        raise SchemaError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
+def json_names(v, where) -> tuple:
+    """A JSON list of distinct strings, as a tuple."""
+    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+        raise SchemaError(f"{where}: expected a list of strings")
+    twice = [s for s in v if v.count(s) > 1]
+    if twice:
+        raise SchemaError(f"{where}: {twice[0]!r} is listed twice")
+    return tuple(v)
+
+
 class TableCategory:
     def __init__(self, objects, arrows, identities, compose):
         self.objects = list(objects)
@@ -190,9 +203,12 @@ class TableCategory:
         for key in data:
             if key not in ("objects", "arrows", "identities", "compose"):
                 raise SchemaError(f"$.{key}: unknown key")
-        objs = data.get("objects")
-        if not isinstance(objs, list) or not all(isinstance(o, str) for o in objs):
-            raise SchemaError("$.objects: expected a list of strings")
+        objs = json_names(data.get("objects"), "$.objects")
+        for key, kind, what in (("arrows", list, "a list"),
+                                ("identities", dict, "an object"),
+                                ("compose", list, "a list")):
+            if not isinstance(data.get(key, kind()), kind):
+                raise SchemaError(f"$.{key}: expected {what}")
         arrows = {}
         for i, a in enumerate(data.get("arrows", [])):
             where = f"$.arrows[{i}]"
@@ -202,14 +218,14 @@ class TableCategory:
                 raise SchemaError(f"{where}.dom: unknown object {a['dom']!r}")
             if a["cod"] not in objs:
                 raise SchemaError(f"{where}.cod: unknown object {a['cod']!r}")
-            if a["id"] in arrows:
+            if json_string(a["id"], f"{where}.id") in arrows:
                 raise SchemaError(f"{where}.id: duplicate arrow id {a['id']!r}")
             arrows[a["id"]] = (a["dom"], a["cod"])
         idents = data.get("identities", {})
         for o, i in idents.items():
             if o not in objs:
                 raise SchemaError(f"$.identities.{o}: unknown object")
-            if i not in arrows:
+            if json_string(i, f"$.identities.{o}") not in arrows:
                 raise SchemaError(f"$.identities.{o}: unknown arrow {i!r}")
             if arrows[i] != (o, o):
                 raise SchemaError(f"$.identities.{o}: {i!r} is not an endomorphism of {o!r}")
@@ -222,8 +238,8 @@ class TableCategory:
             if not (isinstance(row, list) and len(row) == 3):
                 raise SchemaError(f"{where}: expected [g, f, gf]")
             g, f, gf = row
-            for name in (g, f, gf):
-                if name not in arrows:
+            for j, name in enumerate(row):
+                if json_string(name, f"{where}[{j}]") not in arrows:
                     raise SchemaError(f"{where}: unknown arrow {name!r}")
             if arrows[f][1] != arrows[g][0]:
                 raise SchemaError(f"{where}: {g!r} after {f!r} is not composable")
@@ -250,9 +266,6 @@ class TableCategory:
 
     def cod(self, f):
         return self.arrows[f][1]
-
-    def eq(self, f, g):
-        return f == g
 
     def compose(self, g, f):
         if self.arrows[f][1] != self.arrows[g][0]:
@@ -389,7 +402,7 @@ def validate_category(cat, objects, report=None) -> CheckReport:
             ia, ib = cat.identity(a), cat.identity(b)
             for f in cat.hom(a, b):
                 lhs, rhs = cat.compose(ib, f), cat.compose(f, ia)
-                ok = cat.eq(lhs, f) and cat.eq(rhs, f)
+                ok = lhs == f and rhs == f
                 rep.record("id.unit", repr(f), ok, lhs, f)
     for a in objects:
         for b in objects:
@@ -416,7 +429,7 @@ def validate_category(cat, objects, report=None) -> CheckReport:
                             for f in homs_ab:
                                 lhs = cat.compose(hg, f)
                                 rhs = cat.compose(h, cat.compose(g, f))
-                                assoc.check(cat.eq(lhs, rhs),
+                                assoc.check(lhs == rhs,
                                             lambda: f"h={h!r} g={g!r} f={f!r}",
                                             lhs, rhs)
     assoc.close(f"{assoc.n} triples")
@@ -436,7 +449,7 @@ def validate_functor(cat, fun: FunctorData, objects, report=None) -> CheckReport
                     for g in cat.hom(b, c):
                         lhs = fun.arr(cat.compose(g, f))
                         rhs = cat.compose(fun.arr(g), fun.arr(f))
-                        fam.check(cat.eq(lhs, rhs), lambda: f"{g!r} . {f!r}", lhs, rhs)
+                        fam.check(lhs == rhs, lambda: f"{g!r} . {f!r}", lhs, rhs)
     fam.close(f"fragment of {len(objects)} objects")
     return rep
 
@@ -459,11 +472,11 @@ def validate_comonad(cat, p: ComonadData, objects, report=None) -> CheckReport:
         for b in objects:
             for f in cat.hom(a, b):
                 lhs, rhs = cat.compose(f, eps(a)), cat.compose(eps(b), P.arr(f))
-                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs,
+                fam.check(lhs == rhs, lambda: repr(f), lhs, rhs,
                           "comonad.counit.natural")
                 lhs = cat.compose(dup(b), P.arr(f))
                 rhs = cat.compose(P.arr(P.arr(f)), dup(a))
-                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs,
+                fam.check(lhs == rhs, lambda: repr(f), lhs, rhs,
                           "comonad.comult.natural")
     fam.close(f"fragment of {len(objects)} objects")
     return rep
@@ -486,10 +499,10 @@ def validate_monad(cat, t: MonadData, objects, report=None) -> CheckReport:
         for b in objects:
             for f in cat.hom(a, b):
                 lhs, rhs = cat.compose(T.arr(f), eta(a)), cat.compose(eta(b), f)
-                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs, "monad.unit.natural")
+                fam.check(lhs == rhs, lambda: repr(f), lhs, rhs, "monad.unit.natural")
                 lhs = cat.compose(mu(b), T.arr(T.arr(f)))
                 rhs = cat.compose(T.arr(f), mu(a))
-                fam.check(cat.eq(lhs, rhs), lambda: repr(f), lhs, rhs, "monad.mult.natural")
+                fam.check(lhs == rhs, lambda: repr(f), lhs, rhs, "monad.mult.natural")
     fam.close(f"fragment of {len(objects)} objects")
     return rep
 
@@ -526,9 +539,6 @@ class CoKleisliCategory:
     def cod(self, f):
         return f.cod
 
-    def eq(self, f, g):
-        return f.dom == g.dom and f.cod == g.cod and self.base.eq(f.under, g.under)
-
     def compose(self, g: KleisliArrow, f: KleisliArrow) -> KleisliArrow:
         if f.cod != g.dom:
             raise CategoryError("not composable in the co-Kleisli category")
@@ -547,10 +557,6 @@ class CoKleisliCategory:
         a = self.base.dom(h)
         return KleisliArrow(a, self.base.cod(h),
                             self.base.compose(h, self.comonad.counit(a)))
-
-
-def co_kleisli(cat, comonad: ComonadData) -> CoKleisliCategory:
-    return CoKleisliCategory(cat, comonad)
 
 
 def empty_sum_strip(cat: FinSetCategory, x):

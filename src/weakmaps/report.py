@@ -40,7 +40,7 @@ class Check:
 class CheckReport:
     checks: list[Check] = field(default_factory=list)
 
-    def record(self, name, subject, ok, lhs="", rhs=""):
+    def record(self, name, subject, ok, lhs, rhs):
         status = PASS if ok else FAIL
         # values are only kept for failures; passing lines stay short
         self.checks.append(

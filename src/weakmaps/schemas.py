@@ -29,6 +29,8 @@ from .fincat import (
     exception_monad,
     identity_comonad,
     identity_monad,
+    json_names,
+    json_string,
 )
 
 
@@ -198,6 +200,8 @@ def _table_fn(table, domain, where):
     missing = [x for x in domain if x not in table]
     if missing:
         raise SchemaError(f"{where}: missing entry for {missing[0]!r}")
+    for k, v in table.items():
+        json_string(v, f"{where}.{k}")
     return table
 
 
@@ -265,11 +269,9 @@ def load_monad(data, cat, where="$") -> MonadData:
 
 
 def _labels(data, key, where):
-    v = data.get(key)
-    if (not isinstance(v, list) or not v
-            or not all(isinstance(s, str) for s in v)):
+    if not data.get(key):
         raise SchemaError(f"{where}.{key}: expected a nonempty string list")
-    return tuple(v)
+    return json_names(data[key], f"{where}.{key}")
 
 
 def _builtin_effect(data, cat, where, comonad):

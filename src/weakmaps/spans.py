@@ -29,10 +29,10 @@ from .awfs import (
 )
 from .fincat import (
     CategoryError,
+    CoKleisliCategory,
     FinSetArrow,
     KleisliArrow,
     canonical_set,
-    co_kleisli,
     fmt_obj,
 )
 from .report import CheckReport
@@ -45,7 +45,7 @@ class WeakMapCategory:
         self.awfs = awfs
         self.cat = awfs.cat
         self.q = cofibrant_replacement(awfs)
-        self.kleisli = co_kleisli(awfs.cat, self.q)
+        self.kleisli = CoKleisliCategory(awfs.cat, self.q)
 
     def phi(self, alg: RAlgebraArrow) -> KleisliArrow:
         """The weak section cod(f) -> dom(f) of an algebra (f, sigma).
@@ -69,10 +69,6 @@ class WeakMapCategory:
         e = aw.earr(aw.lam(bang), f, cat.from_initial(a), aw.rho(bang))
         under = cat.compose(alg.p, cat.compose(e, aw.comult(bang)))
         return KleisliArrow(b, a, under)
-
-
-def weak_maps_kleisli(awfs) -> WeakMapCategory:
-    return WeakMapCategory(awfs)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +139,9 @@ def span_is_map(r, s: ASpan, t: ASpan) -> bool:
     """r: apex(s) -> apex(t) commuting with both legs and the witnesses."""
     cat = s.left.awfs.cat
     return (
-        cat.eq(cat.compose(t.left.arrow, r), s.left.arrow)
-        and cat.eq(cat.compose(t.right, r), s.right)
-        and cat.eq(cat.compose(r, s.left.witness), t.left.witness)
+        cat.compose(t.left.arrow, r) == s.left.arrow
+        and cat.compose(t.right, r) == s.right
+        and cat.compose(r, s.left.witness) == t.left.witness
     )
 
 
@@ -230,7 +226,7 @@ def span_equiv(wm: WeakMapCategory, s: ASpan, t: ASpan,
         for r in span_maps(t, s):
             return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("bwd",)))
     ku, kv = span_to_kleisli(wm, s), span_to_kleisli(wm, t)
-    if wm.kleisli.eq(ku, kv) and zigzag_bound >= 2:
+    if ku == kv and zigzag_bound >= 2:
         c = kleisli_to_span(wm, ku)
         if apex_bound is None or len(c.apex) <= apex_bound:
             rs = wm.phi(s.left).under
@@ -326,7 +322,7 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     cat = awfs.cat
     a_labels = canonical_set(a_size, "a")
     b_labels = canonical_set(b_size, "b")
-    wm = weak_maps_kleisli(awfs)
+    wm = WeakMapCategory(awfs)
     eps = awfs.comonad.counit(a_labels).idx
     pa = len(eps)
     rng = random.Random(seed)
@@ -351,7 +347,7 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
         u = KleisliArrow(a_labels, b_labels,
                         FinSetArrow(qa, b_labels, under_idx))
         back = span_to_kleisli(wm, kleisli_to_span(wm, u))
-        rt.check(wm.kleisli.eq(back, u), lambda: repr(u), back, u)
+        rt.check(back == u, lambda: repr(u), back, u)
     rt.close(f"{kleisli_count} co-Kleisli arrows")
 
     rep.record("class.count", f"apex<={apex_bound}",

@@ -13,30 +13,30 @@ from contextlib import redirect_stdout
 
 from weakmaps.awfs import (
     LCoalgebraArrow,
+    PSplitEpiAwfs,
     RAlgebraArrow,
     Sketch,
     SketchTriangle,
+    SplitEpiAwfs,
     TAlgebra,
     TSplitMono,
     canonical_filler,
     cofibrant_replacement,
     fragment_arrows,
-    p_split_epi_awfs,
     replacement_comparison,
     sketch_canonical_lift,
     sketch_is_model_lift,
     sketch_is_model_square,
-    split_epi_awfs,
     squares_between,
     validate_awfs,
     validate_comonad_iso,
 )
 from weakmaps.bar import (
+    TruncatedCodescent,
     bar_complex,
     bar_lali,
     builtin_algebra,
     builtin_module,
-    codescent,
     free_ulali_factor,
     lift_ulali,
     nonequivariant_twist,
@@ -64,13 +64,13 @@ from weakmaps.fincat import (
 )
 from weakmaps.report import CheckReport
 from weakmaps.spans import (
+    WeakMapCategory,
     compare_hom,
     enumerate_spans,
     kleisli_to_span,
     span_equiv,
     span_is_map,
     span_to_kleisli,
-    weak_maps_kleisli,
 )
 
 C = FinSetCategory()
@@ -82,7 +82,7 @@ def _gate(num, label, ok, detail=""):
 
 
 def _psplit(s_size=2):
-    return p_split_epi_awfs(C, coreader_comonad(C, canonical_set(s_size, "s")))
+    return PSplitEpiAwfs(C, coreader_comonad(C, canonical_set(s_size, "s")))
 
 
 def _failures(rep):
@@ -95,7 +95,7 @@ def _failures(rep):
 
 def test_1_awfs_laws_exhaustive():
     rep = CheckReport()
-    validate_awfs(split_epi_awfs(C), max_size=3, report=rep)
+    validate_awfs(SplitEpiAwfs(C), max_size=3, report=rep)
     validate_awfs(_psplit(), max_size=2, report=rep)
     with redirect_stdout(io.StringIO()):
         cli_ok = (
@@ -145,7 +145,7 @@ def test_3_hom_presentations_agree():
     spans_seen = maps_seen = equiv_sampled = 0
     for s_size in (1, 2):
         aw = _psplit(s_size)
-        wm = weak_maps_kleisli(aw)
+        wm = WeakMapCategory(aw)
         for a_size in (1, 2):
             a_labels = canonical_set(a_size, "a")
             pa = len(aw.comonad.counit(a_labels).idx)
@@ -272,7 +272,7 @@ def test_4_coherent_map_sign_algebra():
 def test_5_dual_numbers_ground_resolution():
     alg = builtin_algebra("dual_numbers")
     mod = builtin_module(alg, "ground")
-    t = codescent(bar_complex(alg, mod, 5))
+    t = TruncatedCodescent(bar_complex(alg, mod, 5))
     rep = t.validate()
     _, lrep = bar_lali(t)
     ranks = homology_ranks(t.total, range(5))
@@ -310,7 +310,7 @@ def test_6_lift_and_factor_through_resolution():
         f, eps, lrep = lift_ulali(modB, mod, g, f0, eps0, 4)
         # the twist forces the recursion through a genuinely nonzero stage
         live = not f.comps[1].is_zero()
-        t = codescent(bar_complex(alg, mod, 4))
+        t = TruncatedCodescent(bar_complex(alg, mod, 4))
         h, frep = free_ulali_factor(t, modB, g, f0, eps0)
         names = {c.name for c in frep.checks}
         here = (lrep.ok and live and frep.ok
@@ -335,7 +335,7 @@ def test_7_weak_strict_round_trips():
         alg = builtin_algebra(kind)
         src = builtin_module(alg, "ground")
         dst = builtin_module(alg, "free")
-        t = codescent(bar_complex(alg, src, 4))
+        t = TruncatedCodescent(bar_complex(alg, src, 4))
         for i in range(25):
             rng = random.Random(70_000 + i)
             gw = weak_differential(random_weak(rng, src, dst, 1, 4))
@@ -393,7 +393,7 @@ def _split_monos(t):
             d = canonical_set(nd, "d")
             for j in C.hom(c, d):
                 for k in C.hom(d, tc):
-                    if C.eq(C.compose(k, j), t.unit(c)):
+                    if C.compose(k, j) == t.unit(c):
                         yield TSplitMono(t, j, k)
 
 
@@ -403,7 +403,7 @@ def test_8_fillers_and_sketches():
 
     fillers = 0
     arrows = fragment_arrows(C, 2)
-    for aw in (split_epi_awfs(C), _psplit()):
+    for aw in (SplitEpiAwfs(C), _psplit()):
         coalgs = list(_coalgebras(aw, arrows))
         algs = list(_algebras(aw, arrows))
         for coalg in coalgs:
@@ -415,8 +415,8 @@ def test_8_fillers_and_sketches():
                         ok = False
                         detail.append(f"filler: {err}")
                         continue
-                    if not (C.eq(C.compose(j, coalg.arrow), h)
-                            and C.eq(C.compose(alg.arrow, j), k)):
+                    if not (C.compose(j, coalg.arrow) == h
+                            and C.compose(alg.arrow, j) == k):
                         ok = False
                         detail.append("filler triangles")
                     fillers += 1
@@ -437,7 +437,7 @@ def test_8_fillers_and_sketches():
                         ok = False
                         detail.append(f"lift: {err}")
                         continue
-                    if not C.eq(C.compose(hbar, mono.j), h):
+                    if C.compose(hbar, mono.j) != h:
                         ok = False
                         detail.append("lift triangle")
                     lifts += 1

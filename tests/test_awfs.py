@@ -15,6 +15,7 @@ from weakmaps.fincat import (
 )
 from weakmaps.awfs import (
     LCoalgebraArrow,
+    PSplitEpiAwfs,
     RAlgebraArrow,
     Sketch,
     SketchTriangle,
@@ -29,14 +30,12 @@ from weakmaps.awfs import (
     fragment_arrows,
     free_algebra,
     identity_algebra,
-    p_split_epi_awfs,
     r_algebra_compose,
     replacement_comparison,
     right_connect,
     sketch_canonical_lift,
     sketch_is_model_lift,
     sketch_is_model_square,
-    split_epi_awfs,
     squares_between,
     validate_awfs,
     validate_comonad_iso,
@@ -44,9 +43,9 @@ from weakmaps.awfs import (
 )
 
 C = FinSetCategory()
-SPLIT = split_epi_awfs(C)
+SPLIT = SplitEpiAwfs(C)
 CO2 = coreader_comonad(C, "st")
-PSPLIT = p_split_epi_awfs(C, CO2)
+PSPLIT = PSplitEpiAwfs(C, CO2)
 
 
 def test_factorisation_shape():
@@ -70,7 +69,7 @@ def test_e_functoriality_small():
 
 
 def test_p_split_at_identity_comonad_agrees_with_split_epi():
-    rep = awfs_equal_on(SPLIT, p_split_epi_awfs(C, identity_comonad(C)), max_size=2)
+    rep = awfs_equal_on(SPLIT, PSplitEpiAwfs(C, identity_comonad(C)), max_size=2)
     assert rep.ok, rep.failures()[:4]
 
 

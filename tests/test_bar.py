@@ -9,12 +9,12 @@ from weakmaps.bar import (
     BarError,
     DgAlgebra,
     DgModule,
+    TruncatedCodescent,
     WeakHomElement,
     bar_complex,
     bar_lali,
     builtin_algebra,
     builtin_module,
-    codescent,
     codescent_map,
     free_ulali_factor,
     lift_ulali,
@@ -67,7 +67,7 @@ _CODS = {}
 def cod(mod, L):
     key = (id(mod), L)
     if key not in _CODS:
-        _CODS[key] = codescent(bar_complex(mod.alg, mod, L))
+        _CODS[key] = TruncatedCodescent(bar_complex(mod.alg, mod, L))
     return _CODS[key]
 
 
@@ -197,7 +197,7 @@ def test_codescent_dual_ground_laws():
 
 
 def test_codescent_boundary_square_is_checked(family_fails):
-    t = codescent(bar_complex(DUAL, DG, 3))  # not the shared cached one
+    t = TruncatedCodescent(bar_complex(DUAL, DG, 3))  # not the shared cached one
     d = t.total.d
     # adding 1 at (i, j) of d_k adds column i of d_{k-1} to column j of
     # d_{k-1}.d_k, so pick a row i whose column in d_{k-1} is nonzero
@@ -250,9 +250,8 @@ def test_codescent_over_rationals_collapses():
 def test_rational_resolution_preserves_any_complex(seed):
     rng = random.Random(seed)
     x = random_complex(rng)
-    lu, _ = lunit_iso(x)
-    mod = DgModule(RAT, x, lu, name="X")
-    t = codescent(bar_complex(RAT, mod, 2))
+    mod = DgModule(RAT, x, lunit_iso(x), name="X")
+    t = TruncatedCodescent(bar_complex(RAT, mod, 2))
     assert t.total.dims == x.dims
     assert homology_ranks(t.total) == homology_ranks(x)
 
@@ -560,12 +559,12 @@ def test_corrupted_degeneracy_and_degree_fail_their_families(family_fails):
 def test_corrupted_codescent_fails_its_families(family_fails):
     # a degeneracy replaced by the extra one, s_{-1}, which iota does not kill
     calc = BarCalculus(DF, 2)
-    t = codescent(calc)
+    t = TruncatedCodescent(calc)
     calc._degen[(1, 0)] = calc.degen(1, -1)
     items = family_fails(t.validate(), "cod.iota.degen")
     assert [c.subject for c in items] == ["dual_numbers/free n=1 j=0"]
     # a level complex whose boundary is not the one its stage induces
-    t = codescent(BarCalculus(EG, 2))
+    t = TruncatedCodescent(BarCalculus(EG, 2))
     t.levels[0] = ChainComplex({0: 1, 1: 1}, {1: ((1,),)})
     items = family_fails(t.validate(), "cod.reduced.boundary")
     assert [c.subject for c in items] == ["exterior/ground n=0"]
@@ -573,7 +572,7 @@ def test_corrupted_codescent_fails_its_families(family_fails):
 
 def test_corrupted_degeneracy_fails_factor_reduced(family_fails):
     calc = BarCalculus(DF, 3)
-    t = codescent(calc)
+    t = TruncatedCodescent(calc)
     modB, g, f0, eps0 = thickened_lali(DF, twist=nonequivariant_twist(DUAL))
     calc._degen[(1, 0)] = calc.degen(1, -1)
     _, rep = free_ulali_factor(t, modB, g, f0, eps0)

@@ -217,6 +217,44 @@ def test_category_compose_table_rejected_at_load(tmp_path, capsys, rows, where):
     assert re.search(r"schema error: " + where, err)
 
 
+ONE_ARROW = {"objects": ["x"], "arrows": [{"id": "i", "dom": "x", "cod": "x"}],
+             "identities": {"x": "i"}, "compose": [["i", "i", "i"]]}
+
+
+def _one_arrow(**changes):
+    return {**json.loads(json.dumps(ONE_ARROW)), **changes}
+
+
+@pytest.mark.parametrize("flag,payload,where", [
+    ("--category", _one_arrow(arrows=[{"id": ["i"], "dom": "x", "cod": "x"}]),
+     r"\$\.arrows\[0\]\.id: expected a string"),
+    ("--category", _one_arrow(compose=[[["i"], "i", "i"]]),
+     r"\$\.compose\[0\]\[0\]: expected a string"),
+    ("--category", _one_arrow(identities=["x"]),
+     r"\$\.identities: expected an object"),
+    ("--category", _one_arrow(objects=["x", "x"]),
+     r"\$\.objects: 'x' is listed twice"),
+    ("--comonad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": "i"}},
+                   "counit": {"x": ["i"]}, "comult": {"x": "i"}},
+     r"\$\.counit\.x: expected a string"),
+    ("--monad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": ["i"]}},
+                 "unit": {"x": "i"}, "mult": {"x": "i"}},
+     r"\$\.functor\.arr_map\.i: expected a string"),
+    ("--monad", {"kind": "exception", "E": ["e", "e"]},
+     r"\$\.E: 'e' is listed twice"),
+    ("--comonad", {"kind": "coreader", "S": ["s", "s"]},
+     r"\$\.S: 's' is listed twice"),
+], ids=["arrow-id", "compose-entry", "identities-list", "objects-twice",
+        "counit-value", "arr-map-value", "exception-twice", "coreader-twice"])
+def test_malformed_table_rejected_at_load(tmp_path, capsys, flag, payload, where):
+    args = ["validate", flag, write(tmp_path, "x.json", payload)]
+    if flag != "--category" and "kind" not in payload:
+        args += ["--category", write(tmp_path, "cat.json", ONE_ARROW)]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert re.search(r"schema error: " + where, err)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "validate", "--complex", "/nonexistent.json")
     assert code == 2

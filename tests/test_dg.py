@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -178,8 +180,8 @@ def test_tensor_kunneth_frozen():
 
 def test_tensor_boundary_decomposition():
     t = tensor_complex(X, Y)
-    left = tensor_map(boundary_gmap(X), id_gmap(Y), t, t)
-    right = tensor_map(id_gmap(X), boundary_gmap(Y), t, t)
+    left = tensor_map(boundary_gmap(X), id_gmap(Y))
+    right = tensor_map(id_gmap(X), boundary_gmap(Y))
     assert gmap_add(left, right) == boundary_gmap(t)
 
 
@@ -213,28 +215,26 @@ def test_tensor_interchange_sign(seed, degs):
     inner = tensor_map(f, g)
     lhs = gmap_compose(outer, inner)
     rhs = gmap_smul((-1) ** ((da * dd) % 2),
-                    tensor_map(gmap_compose(f2, f), gmap_compose(g2, g),
-                               inner.src, outer.dst))
+                    tensor_map(gmap_compose(f2, f), gmap_compose(g2, g)))
     assert lhs == rhs
 
 
 def test_unit_isos():
     for c in (X, Y, unit_complex()):
-        lam, src = lunit_iso(c)
-        rho, src2 = runit_iso(c)
+        lam, rho = lunit_iso(c), runit_iso(c)
         assert is_chain_map(lam) and is_chain_map(rho)
         for n in c.degrees():
-            assert src.dim(n) == c.dim(n) == src2.dim(n)
+            assert lam.src.dim(n) == c.dim(n) == rho.src.dim(n)
             assert rank(lam.block(n)) == c.dim(n)
 
 
 def test_assoc_iso_is_permutation_chain_map():
     z = ChainComplex({0: 1, 2: 1}, {})
-    a, src, dst = assoc_iso(X, Y, z)
+    a = assoc_iso(X, Y, z)
     assert is_chain_map(a)
-    for n in src.degrees():
+    for n in a.src.degrees():
         m = a.block(n)
-        assert rank(m) == src.dim(n) == dst.dim(n)
+        assert rank(m) == a.src.dim(n) == a.dst.dim(n)
         assert all(v in (0, 1) for row in m for v in row)
         assert all(sum(row) == 1 for row in m)
 
@@ -247,21 +247,20 @@ def test_assoc_iso_is_natural(seed):
     xs = [random_complex(rng, max_deg=2, max_cells=2) for _ in range(3)]
     ys = [random_complex(rng, max_deg=2, max_cells=2) for _ in range(3)]
     f, g, h = (random_gmap(rng, x, y) for x, y in zip(xs, ys))
-    a_x, _, _ = assoc_iso(*xs)
-    a_y, _, _ = assoc_iso(*ys)
+    a_x, a_y = assoc_iso(*xs), assoc_iso(*ys)
     lhs = gmap_compose(a_y, tensor_map(tensor_map(f, g), h))
     rhs = gmap_compose(tensor_map(f, tensor_map(g, h)), a_x)
     assert lhs == rhs
 
 
 def test_symmetry_frozen():
-    s, src, dst = symmetry_iso(X, Y)
+    s = symmetry_iso(X, Y)
     assert is_chain_map(s)
     # only the (1,1) block lives in degree 2 and it picks up a sign
     assert s.block(2) == ((-1, 0), (0, -1))
-    back, _, _ = symmetry_iso(Y, X)
-    assert gmap_compose(back, s) == id_gmap(src)
-    assert gmap_compose(s, back) == id_gmap(dst)
+    back = symmetry_iso(Y, X)
+    assert gmap_compose(back, s) == id_gmap(s.src)
+    assert gmap_compose(s, back) == id_gmap(s.dst)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -269,10 +268,53 @@ def test_symmetry_random(seed):
     rng = random.Random(seed)
     x = random_complex(rng, 3, 4)
     y = random_complex(rng, 3, 4)
-    s, src, dst = symmetry_iso(x, y)
+    s = symmetry_iso(x, y)
     assert is_chain_map(s)
-    back, _, _ = symmetry_iso(y, x)
-    assert gmap_compose(back, s) == id_gmap(src)
+    back = symmetry_iso(y, x)
+    assert gmap_compose(back, s) == id_gmap(s.src)
+
+
+def test_tensor_complex_is_built_once_per_pair():
+    x2 = ChainComplex(dict(X.dims), dict(X.d))
+    assert x2 is not X and x2 == X
+    assert tensor_complex(x2, Y) is tensor_complex(X, Y)
+    assert tensor_complex(unit_complex(), X) is tensor_complex(unit_complex(), X)
+
+
+def test_tensor_map_reads_its_endpoints_from_tensor_complex():
+    f, g = boundary_gmap(X), random_gmap(random.Random(3), Y, X, 1)
+    m = tensor_map(f, g)
+    assert m.src is tensor_complex(f.src, g.src)
+    assert m.dst is tensor_complex(f.dst, g.dst)
+
+
+def test_isos_read_their_endpoints_from_tensor_complex():
+    z = ChainComplex({0: 1, 2: 1}, {})
+    a = assoc_iso(X, Y, z)
+    assert a.src is tensor_complex(tensor_complex(X, Y), z)
+    assert a.dst is tensor_complex(X, tensor_complex(Y, z))
+    s = symmetry_iso(X, Y)
+    assert s.src is tensor_complex(X, Y) and s.dst is tensor_complex(Y, X)
+    lam, rho = lunit_iso(X), runit_iso(X)
+    assert lam.src is tensor_complex(unit_complex(), X) and lam.dst is X
+    assert rho.src is tensor_complex(X, unit_complex()) and rho.dst is X
+
+
+def test_tensor_complex_is_the_one_constructor():
+    """TensorComplex(...) is called only inside dg.tensor_complex, so no
+    caller builds (and d.d-checks) a tensor complex a second time."""
+    root = Path(__file__).resolve().parents[1]
+    calls = []
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name == "dg.py" and isinstance(top, ast.FunctionDef)
+                    and top.name == "tensor_complex"):
+                continue
+            calls += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and "TensorComplex" in (getattr(node.func, "id", None),
+                                              getattr(node.func, "attr", None))]
+    assert not calls, "TensorComplex built outside tensor_complex at " + ", ".join(calls)
 
 
 def test_lali_frozen_small():
