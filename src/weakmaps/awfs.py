@@ -44,13 +44,9 @@ class SplitEpiAwfs:
     def __init__(self, cat):
         self.cat = cat
         self.comonad = identity_comonad(cat)
-        self._cop = {}
 
     def cop(self, f):
-        d = self._cop.get(f)
-        if d is None:
-            d = self._cop[f] = self.cat.coproduct(self.cat.dom(f), self.cat.cod(f))
-        return d
+        return self.cat.coproduct(self.cat.dom(f), self.cat.cod(f))
 
     def E(self, f):
         return self.cop(f).obj
@@ -89,14 +85,10 @@ class PSplitEpiAwfs:
         self.cat = cat
         self.comonad = comonad
         self.name = f"{comonad.name}-split-epi"
-        self._cop = {}
 
     def cop(self, f):
-        d = self._cop.get(f)
-        if d is None:
-            pb = self.comonad.functor.obj(self.cat.cod(f))
-            d = self._cop[f] = self.cat.coproduct(self.cat.dom(f), pb)
-        return d
+        pb = self.comonad.functor.obj(self.cat.cod(f))
+        return self.cat.coproduct(self.cat.dom(f), pb)
 
     def E(self, f):
         return self.cop(f).obj

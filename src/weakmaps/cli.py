@@ -21,6 +21,7 @@ from . import schemas
 from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
 from .bar import (
     TruncatedCodescent,
+    bar_complex,
     bar_lali,
     lift_ulali,
     free_ulali_factor,
@@ -40,7 +41,6 @@ from .dg import DgError, chain_sides, homology_ranks, is_chain_map
 from .fincat import (
     CategoryError,
     FinSetCategory,
-    SchemaError,
     canonical_set,
     coreader_comonad,
     finset_fragment,
@@ -50,6 +50,7 @@ from .fincat import (
     validate_monad,
 )
 from .report import FAIL, CheckReport
+from .schemas import SchemaError
 from .spans import (
     WeakMapCategory,
     canonical_span,
@@ -279,24 +280,25 @@ def _demo_lali(ns, alg, mod):
                                               else "twisted")
 
 
-def _load_lali(ns, alg, mod):
-    cfg_extra = {}
+def _load_lali(ns):
+    """(config, M, (B, g, f0, eps0)) for a lali B -> M; bar_complex rejects
+    an algebra, M or B that breaks the algebra or module laws."""
+    alg, mod = _load_dg_pair(ns)
+    cfg = _dg_config(ns)
+    cfg["trunc"] = str(ns.trunc)
+    bar_complex(alg, mod, ns.trunc)
     if ns.lali:
-        cfg_extra["lali"] = ns.lali
+        cfg["lali"] = ns.lali
         parts = schemas.load_lali(schemas.load_file(ns.lali), alg, mod)
     else:
-        parts, shape = _demo_lali(ns, alg, mod)
-        cfg_extra["demo"] = shape
-    return parts, cfg_extra
+        parts, cfg["demo"] = _demo_lali(ns, alg, mod)
+    bar_complex(alg, parts[0], 1)  # B is checked, not resolved: level 1 does
+    return cfg, mod, parts
 
 
 def _run_lift_lali(ns):
     rep = CheckReport()
-    alg, mod = _load_dg_pair(ns)
-    cfg = _dg_config(ns)
-    cfg["trunc"] = str(ns.trunc)
-    (modB, g, f0, eps0), extra = _load_lali(ns, alg, mod)
-    cfg.update(extra)
+    cfg, mod, (modB, g, f0, eps0) = _load_lali(ns)
     f, eps, _ = lift_ulali(modB, mod, g, f0, eps0, ns.trunc, rep)
     tables = [("components", [
         ("f nonzero levels",
@@ -309,11 +311,7 @@ def _run_lift_lali(ns):
 
 def _run_factor_ulali(ns):
     rep = CheckReport()
-    alg, mod = _load_dg_pair(ns)
-    cfg = _dg_config(ns)
-    cfg["trunc"] = str(ns.trunc)
-    (modB, g, f0, eps0), extra = _load_lali(ns, alg, mod)
-    cfg.update(extra)
+    cfg, mod, (modB, g, f0, eps0) = _load_lali(ns)
     t = TruncatedCodescent(mod.calculus(ns.trunc))
     h, _ = free_ulali_factor(t, modB, g, f0, eps0, rep)
     tables = [("comparison", [

@@ -6,8 +6,9 @@
   pullbacks are lexicographically ordered subsets of the product with a
   mediating-map solver.  It is the only backend that computes anything.
 * TableCategory: objects, arrows, identities and a composition table
-  supplied explicitly (typically from JSON).  It serves the validators
-  only (`validate --category/--comonad/--monad`) and has no limits.
+  supplied explicitly, loaded by `schemas.load_category`.  It serves the
+  validators only (`validate --category/--comonad/--monad`) and has no
+  limits.
 
 On top of either backend: functor / comonad / monad data, their law
 validators, and the co-Kleisli category of a comonad.
@@ -15,6 +16,7 @@ validators, and the co-Kleisli category of a comonad.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -144,7 +146,13 @@ class FinSetCategory:
         return FinSetArrow((), tuple(x), ())
 
     def coproduct(self, a, b) -> CoproductData:
-        a, b = tuple(a), tuple(b)
+        """Built once per pair of objects; a plain method over a cached
+        builder, so a tracer that wraps methods still counts every call."""
+        return self._coproduct(tuple(a), tuple(b))
+
+    @staticmethod
+    @functools.cache
+    def _coproduct(a, b) -> CoproductData:
         obj = tuple(f"L:{x}" for x in a) + tuple(f"R:{y}" for y in b)
         inl = FinSetArrow(a, obj, tuple(range(len(a))))
         inr = FinSetArrow(b, obj, tuple(range(len(a), len(obj))))
@@ -169,92 +177,12 @@ class FinSetCategory:
 # Table backend
 
 
-class SchemaError(Exception):
-    """Malformed input data; message carries a JSON-path style position."""
-
-
-def json_string(v, where) -> str:
-    if not isinstance(v, str):
-        raise SchemaError(f"{where}: expected a string, got {v!r}")
-    return v
-
-
-def json_names(v, where) -> tuple:
-    """A JSON list of distinct strings, as a tuple."""
-    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
-        raise SchemaError(f"{where}: expected a list of strings")
-    twice = [s for s in v if v.count(s) > 1]
-    if twice:
-        raise SchemaError(f"{where}: {twice[0]!r} is listed twice")
-    return tuple(v)
-
-
 class TableCategory:
     def __init__(self, objects, arrows, identities, compose):
         self.objects = list(objects)
         self.arrows = dict(arrows)  # id -> (dom, cod)
         self.identities = dict(identities)  # obj -> id
         self.table = dict(compose)  # (g, f) -> g.f
-
-    @classmethod
-    def from_dict(cls, data) -> "TableCategory":
-        if not isinstance(data, dict):
-            raise SchemaError("$: expected an object")
-        for key in data:
-            if key not in ("objects", "arrows", "identities", "compose"):
-                raise SchemaError(f"$.{key}: unknown key")
-        objs = json_names(data.get("objects"), "$.objects")
-        for key, kind, what in (("arrows", list, "a list"),
-                                ("identities", dict, "an object"),
-                                ("compose", list, "a list")):
-            if not isinstance(data.get(key, kind()), kind):
-                raise SchemaError(f"$.{key}: expected {what}")
-        arrows = {}
-        for i, a in enumerate(data.get("arrows", [])):
-            where = f"$.arrows[{i}]"
-            if not isinstance(a, dict) or not {"id", "dom", "cod"} <= a.keys():
-                raise SchemaError(f"{where}: expected {{id, dom, cod}}")
-            if a["dom"] not in objs:
-                raise SchemaError(f"{where}.dom: unknown object {a['dom']!r}")
-            if a["cod"] not in objs:
-                raise SchemaError(f"{where}.cod: unknown object {a['cod']!r}")
-            if json_string(a["id"], f"{where}.id") in arrows:
-                raise SchemaError(f"{where}.id: duplicate arrow id {a['id']!r}")
-            arrows[a["id"]] = (a["dom"], a["cod"])
-        idents = data.get("identities", {})
-        for o, i in idents.items():
-            if o not in objs:
-                raise SchemaError(f"$.identities.{o}: unknown object")
-            if json_string(i, f"$.identities.{o}") not in arrows:
-                raise SchemaError(f"$.identities.{o}: unknown arrow {i!r}")
-            if arrows[i] != (o, o):
-                raise SchemaError(f"$.identities.{o}: {i!r} is not an endomorphism of {o!r}")
-        missing = [o for o in objs if o not in idents]
-        if missing:
-            raise SchemaError(f"$.identities: missing identity for {missing[0]!r}")
-        comp = {}
-        for i, row in enumerate(data.get("compose", [])):
-            where = f"$.compose[{i}]"
-            if not (isinstance(row, list) and len(row) == 3):
-                raise SchemaError(f"{where}: expected [g, f, gf]")
-            g, f, gf = row
-            for j, name in enumerate(row):
-                if json_string(name, f"{where}[{j}]") not in arrows:
-                    raise SchemaError(f"{where}: unknown arrow {name!r}")
-            if arrows[f][1] != arrows[g][0]:
-                raise SchemaError(f"{where}: {g!r} after {f!r} is not composable")
-            want = (arrows[f][0], arrows[g][1])
-            if arrows[gf] != want:
-                raise SchemaError(
-                    f"{where}: composite {gf!r} has endpoints {arrows[gf]}, expected {want}"
-                )
-            if (g, f) in comp:
-                raise SchemaError(f"{where}: second row for {g!r} after {f!r}")
-            comp[(g, f)] = gf
-        for g, f in itertools.product(arrows, repeat=2):
-            if arrows[f][1] == arrows[g][0] and (g, f) not in comp:
-                raise SchemaError(f"$.compose: no row for {g!r} after {f!r}")
-        return cls(objs, arrows, idents, comp)
 
     def identity(self, x):
         if x not in self.identities:
@@ -325,6 +253,7 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
     if not s:
         raise CategoryError("coreader comonad needs a nonempty label set")
 
+    @functools.cache
     def pobj(x):
         return tuple(f"({e},{t})" for e in x for t in s)
 

@@ -13,6 +13,7 @@ to keep the arithmetic exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -23,15 +24,16 @@ from .fincat import (
     FinSetCategory,
     FunctorData,
     MonadData,
-    SchemaError,
     TableCategory,
     coreader_comonad,
     exception_monad,
     identity_comonad,
     identity_monad,
-    json_names,
-    json_string,
 )
+
+
+class SchemaError(Exception):
+    """Malformed input data; message carries a JSON-path style position."""
 
 
 def load_file(path: str):
@@ -49,6 +51,22 @@ def _dict(data, where):
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected an object")
     return data
+
+
+def _string(v, where) -> str:
+    if not isinstance(v, str):
+        raise SchemaError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
+def _names(v, where) -> tuple:
+    """A JSON list of distinct strings, as a tuple."""
+    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
+        raise SchemaError(f"{where}: expected a list of strings")
+    twice = [s for s in v if v.count(s) > 1]
+    if twice:
+        raise SchemaError(f"{where}: {twice[0]!r} is listed twice")
+    return tuple(v)
 
 
 def _fraction(v, where) -> Fraction:
@@ -188,20 +206,76 @@ def load_lali(data, alg: DgAlgebra, mod: DgModule, where="$"):
     return modB, g, f0, eps0
 
 
+def _object(objects, v, where) -> str:
+    """`v`, which must name one of `objects`."""
+    if _string(v, where) not in objects:
+        raise SchemaError(f"{where}: unknown object {v!r}")
+    return v
+
+
+def _arrow(arrows, v, where, ends=None) -> str:
+    """`v`, which must name one of `arrows`, with endpoints `ends` if given."""
+    if _string(v, where) not in arrows:
+        raise SchemaError(f"{where}: unknown arrow {v!r}")
+    if ends is not None and arrows[v] != ends:
+        raise SchemaError(
+            f"{where}: {v!r} has endpoints {arrows[v]}, expected {ends}")
+    return v
+
+
 def load_category(data, where="$") -> TableCategory:
-    if where != "$":
-        # from_dict reports positions relative to its own root
-        data = _dict(data, where)
-    return TableCategory.from_dict(data)
+    data = _dict(data, where)
+    for key in data:
+        if key not in ("objects", "arrows", "identities", "compose"):
+            raise SchemaError(f"{where}.{key}: unknown key")
+    objs = _names(data.get("objects"), f"{where}.objects")
+    for key in ("arrows", "compose"):
+        if not isinstance(data.get(key, []), list):
+            raise SchemaError(f"{where}.{key}: expected a list")
+    arrows = {}  # id -> (dom, cod)
+    for i, a in enumerate(data.get("arrows", [])):
+        at = f"{where}.arrows[{i}]"
+        if not isinstance(a, dict) or not {"id", "dom", "cod"} <= a.keys():
+            raise SchemaError(f"{at}: expected {{id, dom, cod}}")
+        if _string(a["id"], f"{at}.id") in arrows:
+            raise SchemaError(f"{at}.id: duplicate arrow id {a['id']!r}")
+        arrows[a["id"]] = (_object(objs, a["dom"], f"{at}.dom"),
+                           _object(objs, a["cod"], f"{at}.cod"))
+    idents = _dict(data.get("identities", {}), f"{where}.identities")
+    for o, i in idents.items():
+        _object(objs, o, f"{where}.identities.{o}")
+        _arrow(arrows, i, f"{where}.identities.{o}", (o, o))
+    missing = [o for o in objs if o not in idents]
+    if missing:
+        raise SchemaError(f"{where}.identities: missing identity for {missing[0]!r}")
+    comp = {}
+    for i, row in enumerate(data.get("compose", [])):
+        at = f"{where}.compose[{i}]"
+        if not (isinstance(row, list) and len(row) == 3):
+            raise SchemaError(f"{at}: expected [g, f, gf]")
+        g = _arrow(arrows, row[0], f"{at}[0]")
+        f = _arrow(arrows, row[1], f"{at}[1]")
+        if arrows[f][1] != arrows[g][0]:
+            raise SchemaError(f"{at}: {g!r} after {f!r} is not composable")
+        if (g, f) in comp:
+            raise SchemaError(f"{at}: second row for {g!r} after {f!r}")
+        comp[g, f] = _arrow(arrows, row[2], f"{at}[2]",
+                            (arrows[f][0], arrows[g][1]))
+    for g, f in itertools.product(arrows, repeat=2):
+        if arrows[f][1] == arrows[g][0] and (g, f) not in comp:
+            raise SchemaError(f"{where}.compose: no row for {g!r} after {f!r}")
+    return TableCategory(objs, arrows, idents, comp)
 
 
 def _table_fn(table, domain, where):
+    """A JSON object with one entry per name in `domain` and no other."""
     table = _dict(table, where)
     missing = [x for x in domain if x not in table]
     if missing:
         raise SchemaError(f"{where}: missing entry for {missing[0]!r}")
-    for k, v in table.items():
-        json_string(v, f"{where}.{k}")
+    for k in table:
+        if k not in domain:
+            raise SchemaError(f"{where}.{k}: unknown key")
     return table
 
 
@@ -212,34 +286,22 @@ def _load_functor(data, cat: TableCategory, where) -> FunctorData:
     data = _dict(data, where)
     omap = _table_fn(data.get("obj_map"), cat.objects, f"{where}.obj_map")
     for o, v in omap.items():
-        if v not in cat.objects:
-            raise SchemaError(f"{where}.obj_map.{o}: unknown object {v!r}")
+        _object(cat.objects, v, f"{where}.obj_map.{o}")
     amap = _table_fn(data.get("arr_map"), cat.arrows, f"{where}.arr_map")
     for a, v in amap.items():
-        if v not in cat.arrows:
-            raise SchemaError(f"{where}.arr_map.{a}: unknown arrow {v!r}")
         dom, cod = cat.arrows[a]
-        want = (omap[dom], omap[cod])
-        if cat.arrows[v] != want:
-            raise SchemaError(
-                f"{where}.arr_map.{a}: image has endpoints "
-                f"{cat.arrows[v]}, expected {want}")
+        _arrow(cat.arrows, v, f"{where}.arr_map.{a}", (omap[dom], omap[cod]))
     return FunctorData(omap.__getitem__, amap.__getitem__,
                        data.get("name", "F"))
 
 
 def _obj_arrows(data, cat, where, ends):
-    """Per-object arrow table with endpoint shapes given by `ends`."""
+    """Per-object arrow table with endpoint shapes given by `ends`, as a
+    function of the object."""
     table = _table_fn(data, cat.objects, where)
     for o, a in table.items():
-        if a not in cat.arrows:
-            raise SchemaError(f"{where}.{o}: unknown arrow {a!r}")
-        want = ends(o)
-        if cat.arrows[a] != want:
-            raise SchemaError(
-                f"{where}.{o}: {a!r} has endpoints {cat.arrows[a]}, "
-                f"expected {want}")
-    return table
+        _arrow(cat.arrows, a, f"{where}.{o}", ends(o))
+    return table.__getitem__
 
 
 def load_comonad(data, cat, where="$") -> ComonadData:
@@ -251,8 +313,7 @@ def load_comonad(data, cat, where="$") -> ComonadData:
                          lambda o: (fun.obj(o), o))
     comult = _obj_arrows(data.get("comult"), cat, f"{where}.comult",
                          lambda o: (fun.obj(o), fun.obj(fun.obj(o))))
-    return ComonadData(fun, counit.__getitem__, comult.__getitem__,
-                       data.get("name", "P"))
+    return ComonadData(fun, counit, comult, data.get("name", "P"))
 
 
 def load_monad(data, cat, where="$") -> MonadData:
@@ -264,14 +325,13 @@ def load_monad(data, cat, where="$") -> MonadData:
                        lambda o: (o, fun.obj(o)))
     mult = _obj_arrows(data.get("mult"), cat, f"{where}.mult",
                        lambda o: (fun.obj(fun.obj(o)), fun.obj(o)))
-    return MonadData(fun, unit.__getitem__, mult.__getitem__,
-                     data.get("name", "T"))
+    return MonadData(fun, unit, mult, data.get("name", "T"))
 
 
 def _labels(data, key, where):
     if not data.get(key):
         raise SchemaError(f"{where}.{key}: expected a nonempty string list")
-    return json_names(data[key], f"{where}.{key}")
+    return _names(data[key], f"{where}.{key}")
 
 
 def _builtin_effect(data, cat, where, comonad):

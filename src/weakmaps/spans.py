@@ -33,7 +33,6 @@ from .fincat import (
     FinSetArrow,
     KleisliArrow,
     canonical_set,
-    fmt_obj,
 )
 from .report import CheckReport
 
@@ -93,19 +92,6 @@ class ASpan:
     @property
     def dst(self):
         return self.left.awfs.cat.cod(self.right)
-
-    def validate(self, report=None) -> CheckReport:
-        rep = report if report is not None else CheckReport()
-        cat = self.left.awfs.cat
-        apex = cat.dom(self.right)
-        rep.record("span.apex", fmt_span(self), apex == self.apex,
-                   fmt_obj(apex), fmt_obj(self.apex))
-        self.left.validate(rep)
-        return rep
-
-
-def fmt_span(s: ASpan) -> str:
-    return f"{s.src}<-{s.apex}->{s.dst}"
 
 
 def identity_span(awfs, a) -> ASpan:

@@ -82,6 +82,81 @@ def test_lift_and_factor_demo(capsys):
     assert "  chain map = True" in out
 
 
+# one object x, arrows 1x and e; every composite is e except 1x.1x = 1x
+IDEMPOTENT = {
+    "objects": ["x"],
+    "arrows": [{"id": "1x", "dom": "x", "cod": "x"},
+               {"id": "e", "dom": "x", "cod": "x"}],
+    "identities": {"x": "1x"},
+    "compose": [["1x", "1x", "1x"], ["1x", "e", "e"], ["e", "1x", "e"],
+                ["e", "e", "e"]],
+}
+IDENTITY_FUNCTOR = {"obj_map": {"x": "x"}, "arr_map": {"1x": "1x", "e": "e"}}
+
+
+def test_table_comonad_and_monad_pass(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "validate",
+        "--category", write(tmp_path, "cat.json", IDEMPOTENT),
+        "--comonad", write(tmp_path, "com.json", {
+            "functor": IDENTITY_FUNCTOR, "counit": {"x": "1x"},
+            "comult": {"x": "1x"}}),
+        "--monad", write(tmp_path, "mon.json", {
+            "functor": IDENTITY_FUNCTOR, "unit": {"x": "1x"},
+            "mult": {"x": "1x"}}))
+    assert code == 0 and err == ""
+    assert "EQ comonad.coassoc @ x : PASS" in out
+    assert "EQ monad.assoc @ x : PASS" in out
+    assert out.rstrip().endswith("SUMMARY: checks=16 pass=16 fail=0 exempt=0")
+
+
+# Q.1 + Q.v in degree 0, Q.u in degree 1, d u = v, all products of u and v
+# zero; mult columns follow the tensor basis (1u, vu | u1, uv) in degree 1
+CONE = {
+    "complex": {"degrees": {"0": 2, "1": 1}, "boundary": {"1": [[0], [1]]}},
+    "unit": {"0": [[1], [0]]},
+    "mult": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]], "1": [[1, 0, 1, 0]]},
+    "name": "cone",
+}
+
+
+def test_dgalgebra_with_differential_has_reduced_differential():
+    assert load_algebra(CONE).abar.d == {1: ((1,),)}
+
+
+@pytest.mark.parametrize("args", [
+    ("bar", "resolve", "--module", "ground", "--trunc", "3"),
+    ("bar", "resolve", "--module", "free", "--trunc", "2"),
+    ("dg", "check", "--trunc", "2", "--trials", "3"),
+    ("lift", "lali", "--trunc", "2"),
+    ("factor", "ulali", "--trunc", "2"),
+], ids=["resolve-ground", "resolve-free", "dg-check", "lift-lali",
+        "factor-ulali"])
+def test_dgalgebra_file_with_differential(tmp_path, capsys, args):
+    alg = write(tmp_path, "cone.json", CONE)
+    code, out, err = run(capsys, *args, "--dgalgebra", alg)
+    assert code == 0 and err == ""
+    assert f"dgalgebra={alg}" in out.splitlines()[1]
+    if "ground" in args:
+        # A -> Q is a quasi-isomorphism, so the resolution has H = Q
+        assert "  H_0 = 1\n  H_1 = 0\n  H_2 = 0\n" in out
+
+
+# v.1 = 0 and v.v = v: neither unital nor associative
+LAWLESS = {"complex": {"degrees": {"0": 2}}, "unit": {"0": [[1], [0]]},
+           "mult": {"0": [[1, 0, 0, 0], [0, 1, 0, 1]]}}
+
+
+@pytest.mark.parametrize("group,action", [("lift", "lali"),
+                                          ("factor", "ulali")])
+def test_lawless_algebra_rejected(tmp_path, capsys, group, action):
+    code, out, err = run(capsys, group, action,
+                         "--dgalgebra", write(tmp_path, "a.json", LAWLESS))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: algebra/module laws fail: ")
+    assert "EQ alg.unit.right @ A : FAIL" in err
+
+
 # --- determinism and format parity ------------------------------------------
 
 
@@ -240,12 +315,20 @@ def _one_arrow(**changes):
     ("--monad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": ["i"]}},
                  "unit": {"x": "i"}, "mult": {"x": "i"}},
      r"\$\.functor\.arr_map\.i: expected a string"),
+    ("--comonad", {"functor": {"obj_map": {"x": "x"},
+                               "arr_map": {"i": "i", "j": "i"}},
+                   "counit": {"x": "i"}, "comult": {"x": "i"}},
+     r"\$\.functor\.arr_map\.j: unknown key"),
+    ("--monad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": "i"}},
+                 "unit": {"x": "i", "y": "i"}, "mult": {"x": "i"}},
+     r"\$\.unit\.y: unknown key"),
     ("--monad", {"kind": "exception", "E": ["e", "e"]},
      r"\$\.E: 'e' is listed twice"),
     ("--comonad", {"kind": "coreader", "S": ["s", "s"]},
      r"\$\.S: 's' is listed twice"),
 ], ids=["arrow-id", "compose-entry", "identities-list", "objects-twice",
-        "counit-value", "arr-map-value", "exception-twice", "coreader-twice"])
+        "counit-value", "arr-map-value", "arr-map-key", "unit-key",
+        "exception-twice", "coreader-twice"])
 def test_malformed_table_rejected_at_load(tmp_path, capsys, flag, payload, where):
     args = ["validate", flag, write(tmp_path, "x.json", payload)]
     if flag != "--category" and "kind" not in payload:

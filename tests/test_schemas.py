@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from weakmaps.dg import is_chain_map
-from weakmaps.fincat import FinSetCategory, SchemaError, validate_category
+from weakmaps.fincat import FinSetCategory, validate_category
 from weakmaps.schemas import (
+    SchemaError,
     load_algebra,
     load_category,
     load_comonad,

@@ -8,9 +8,12 @@ from weakmaps.fincat import (
     FinSetCategory,
     canonical_set,
     coreader_comonad,
+    finset_fragment,
     fsarrow,
+    validate_category,
 )
 from weakmaps.awfs import PSplitEpiAwfs, RAlgebraArrow, SplitEpiAwfs, identity_algebra
+from weakmaps.report import PASS
 from weakmaps.spans import (
     WeakMapCategory,
     _api_span,
@@ -36,6 +39,15 @@ B2 = canonical_set(2, "b")
 
 def all_spans(awfs, a_labels, b_labels, max_apex):
     yield from enumerate_spans(awfs, a_labels, b_labels, max_apex)
+
+
+@pytest.mark.parametrize("aw, passes", [(SPLIT, 15), (PSPLIT, 29)],
+                         ids=["splitepi", "coreader"])
+def test_weak_map_category_laws(aw, passes):
+    # weak maps are the co-Kleisli category of the replacement comonad Q
+    rep = validate_category(WeakMapCategory(aw).kleisli, finset_fragment(2))
+    assert rep.ok, rep.failures()
+    assert rep.counts()[PASS] == passes
 
 
 def test_phi_routes_agree_on_all_small_algebras():
