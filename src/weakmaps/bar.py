@@ -315,15 +315,6 @@ class BarCalculus:
         return self._facesum[n]
 
 
-def bar_complex(alg: DgAlgebra, mod: DgModule, L: int) -> BarCalculus:
-    rep = alg.validate()
-    mod.validate(rep)
-    if not rep.ok:
-        bad = "; ".join(c.line() for c in rep.failures())
-        raise BarError(f"algebra/module laws fail: {bad}")
-    return mod.calculus(L)
-
-
 def validate_bar(c: BarCalculus, report: CheckReport = None) -> CheckReport:
     """Check the simplicial and contraction identities on the powers of c
     up to the power L+2; the identity counts are aggregated per family to
@@ -980,11 +971,5 @@ def codescent_map(ts: TruncatedCodescent, tt: TruncatedCodescent,
     cs, ct = ts.calc, tt.calc
     if u.src != cs.mod.cx or u.dst != ct.mod.cx or u.deg != 0:
         raise BarError("map endpoints do not match the resolved modules")
-    ubar = [u]
-    for n in range(1, ts.L + 1):
-        ubar.append(tensor_map(id_gmap(cs.alg.abar), ubar[-1]))
-    out = zero_gmap(ts.total, tt.total, 0)
-    for n in range(ts.L + 1):
-        out = gmap_add(out, gmap_compose(
-            tt.tag_n[n], gmap_compose(cs.T(ubar[n]), ts.read_n[n])))
-    return out
+    return ts.glue([gmap_compose(tt.iota(n), cs.Tpow(n + 1, u))
+                    for n in range(ts.L + 1)])

@@ -4,8 +4,8 @@ Output is deterministic: a header naming the subcommand, the effective
 configuration and the seed, then one line per checked equation, optional
 tables, and a summary.  Exit status is a pure function of the report:
 0 with no FAIL lines (TRUNCATION-EXEMPT does not fail), 1 otherwise,
-and 2 for schema or usage errors, printed to stderr with no partial
-report.
+and 2 for usage errors, schema errors and input errors (input that loads
+but cannot be used), printed to stderr with no partial report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import schemas
 from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
 from .bar import (
     TruncatedCodescent,
-    bar_complex,
     bar_lali,
     lift_ulali,
     free_ulali_factor,
@@ -93,30 +92,27 @@ def _comonad_spec(cat, spec):
         f"--comonad: unknown spec {spec!r} (expected identity or coreader:S=N)")
 
 
-def _load_dg_pair(ns):
-    """Algebra and module from --dgalgebra/--builtin and --dgmodule/--module."""
-    if ns.dgalgebra:
-        alg = schemas.load_algebra(schemas.load_file(ns.dgalgebra))
-    else:
-        alg = schemas.load_algebra({"kind": ns.builtin}, "--builtin")
-    if ns.dgmodule:
-        mod = schemas.load_module(schemas.load_file(ns.dgmodule), alg)
-    else:
-        mod = schemas.load_module({"kind": ns.module}, alg, "--module")
-    return alg, mod
-
-
-def _dg_config(ns):
-    cfg = {}
+def _dg_inputs(ns):
+    """(config, algebra, module, laws) from --dgalgebra/--builtin,
+    --dgmodule/--module and --trunc; `laws` holds the algebra and module
+    law checks.  A run over input that breaks them stops there:
+    `bar resolve` and `dg check` report the FAIL lines and exit 1, while
+    `lift lali` and `factor ulali` refuse it with status 2."""
+    cfg = {"trunc": str(ns.trunc)}
     if ns.dgalgebra:
         cfg["dgalgebra"] = ns.dgalgebra
+        alg = schemas.load_algebra(schemas.load_file(ns.dgalgebra))
     else:
         cfg["builtin"] = ns.builtin
+        alg = schemas.load_algebra({"kind": ns.builtin}, "--builtin")
     if ns.dgmodule:
         cfg["dgmodule"] = ns.dgmodule
+        mod = schemas.load_module(schemas.load_file(ns.dgmodule), alg)
     else:
         cfg["module"] = ns.module
-    return cfg
+        mod = schemas.load_module({"kind": ns.module}, alg, "--module")
+    laws = mod.validate(alg.validate())
+    return cfg, alg, mod, laws
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +208,7 @@ def _run_weakmaps_compare(ns):
 
 
 def _run_bar_resolve(ns):
-    rep = CheckReport()
-    alg, mod = _load_dg_pair(ns)
-    cfg = _dg_config(ns)
-    cfg["trunc"] = str(ns.trunc)
-    alg.validate(rep)
-    mod.validate(rep)
+    cfg, _, mod, rep = _dg_inputs(ns)
     if not rep.ok:
         return cfg, rep, []
     calc = mod.calculus(ns.trunc)
@@ -236,13 +227,8 @@ def _run_bar_resolve(ns):
 
 
 def _run_dg_check(ns):
-    rep = CheckReport()
-    alg, mod = _load_dg_pair(ns)
-    cfg = _dg_config(ns)
-    cfg["trunc"] = str(ns.trunc)
+    cfg, alg, mod, rep = _dg_inputs(ns)
     cfg["trials"] = str(ns.trials)
-    alg.validate(rep)
-    mod.validate(rep)
     if not rep.ok:
         return cfg, rep, []
     L = ns.trunc
@@ -281,18 +267,17 @@ def _demo_lali(ns, alg, mod):
 
 
 def _load_lali(ns):
-    """(config, M, (B, g, f0, eps0)) for a lali B -> M; bar_complex rejects
-    an algebra, M or B that breaks the algebra or module laws."""
-    alg, mod = _load_dg_pair(ns)
-    cfg = _dg_config(ns)
-    cfg["trunc"] = str(ns.trunc)
-    bar_complex(alg, mod, ns.trunc)
+    """(config, M, (B, g, f0, eps0)) for a lali B -> M; raises BarError
+    when the algebra, M or B breaks the algebra or module laws."""
+    cfg, alg, mod, laws = _dg_inputs(ns)
     if ns.lali:
         cfg["lali"] = ns.lali
         parts = schemas.load_lali(schemas.load_file(ns.lali), alg, mod)
     else:
         parts, cfg["demo"] = _demo_lali(ns, alg, mod)
-    bar_complex(alg, parts[0], 1)  # B is checked, not resolved: level 1 does
+    if not parts[0].validate(laws).ok:
+        bad = "; ".join(c.line() for c in laws.failures())
+        raise BarError(f"algebra/module laws fail: {bad}")
     return cfg, mod, parts
 
 

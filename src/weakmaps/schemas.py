@@ -47,9 +47,15 @@ def load_file(path: str):
             f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
 
 
-def _dict(data, where):
+def _dict(data, where, keys=None):
+    """`data`, which must be a JSON object with no key outside `keys`
+    (if given): a misspelt key would silently drop its data."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected an object")
+    if keys is not None:
+        for key in data:
+            if key not in keys:
+                raise SchemaError(f"{where}.{key}: unknown key")
     return data
 
 
@@ -124,7 +130,7 @@ def _mats(data, where, shape):
 
 
 def load_complex(data, where="$") -> ChainComplex:
-    data = _dict(data, where)
+    data = _dict(data, where, ("degrees", "boundary"))
     degs = _dict(data.get("degrees"), f"{where}.degrees")
     dims = {}
     for k, v in degs.items():
@@ -146,7 +152,7 @@ def _gmap(data, src, dst, where, deg=0) -> GradedMap:
 
 def load_gradedmap(data, where="$") -> GradedMap:
     """Self-contained map file: {src, dst, degree, matrices}."""
-    data = _dict(data, where)
+    data = _dict(data, where, ("src", "dst", "degree", "matrices"))
     src = load_complex(data.get("src"), f"{where}.src")
     dst = load_complex(data.get("dst"), f"{where}.dst")
     deg = data.get("degree", 0)
@@ -158,7 +164,7 @@ def load_gradedmap(data, where="$") -> GradedMap:
 def load_algebra(data, where="$") -> DgAlgebra:
     data = _dict(data, where)
     if "kind" in data:
-        kind = data["kind"]
+        kind = _dict(data, where, ("kind", "gen_degree"))["kind"]
         if kind == "exterior" and data.get("gen_degree", 1) != 1:
             raise SchemaError(
                 f"{where}.gen_degree: only a degree-1 generator is supported")
@@ -166,6 +172,7 @@ def load_algebra(data, where="$") -> DgAlgebra:
             return builtin_algebra(kind)
         except BarError as e:
             raise SchemaError(f"{where}.kind: {e}") from e
+    _dict(data, where, ("complex", "unit", "mult", "name"))
     cx = load_complex(data.get("complex"), f"{where}.complex")
     unit = _gmap(data.get("unit", {}), unit_complex(), cx, f"{where}.unit")
     # mult columns follow the tensor basis order (i, j) -> i*dim + j
@@ -181,9 +188,10 @@ def load_module(data, alg: DgAlgebra, where="$") -> DgModule:
     data = _dict(data, where)
     if "kind" in data:
         try:
-            return builtin_module(alg, data["kind"])
+            return builtin_module(alg, _dict(data, where, ("kind",))["kind"])
         except BarError as e:
             raise SchemaError(f"{where}.kind: {e}") from e
+    _dict(data, where, ("complex", "action", "name"))
     cx = load_complex(data.get("complex"), f"{where}.complex")
     act = _gmap(data.get("action", {}), tensor_complex(alg.cx, cx), cx,
                 f"{where}.action")
@@ -198,7 +206,7 @@ def load_lali(data, alg: DgAlgebra, mod: DgModule, where="$"):
     entry describes the source B, g: B -> M and f0: M -> B are degree 0,
     eps0: B -> B is degree 1.  Returns (modB, g, f0, eps0); the lali
     equations themselves are left to the validators."""
-    data = _dict(data, where)
+    data = _dict(data, where, ("module", "g", "f0", "eps0"))
     modB = load_module(data.get("module"), alg, f"{where}.module")
     g = _gmap(data.get("g", {}), modB.cx, mod.cx, f"{where}.g")
     f0 = _gmap(data.get("f0", {}), mod.cx, modB.cx, f"{where}.f0")
@@ -224,10 +232,7 @@ def _arrow(arrows, v, where, ends=None) -> str:
 
 
 def load_category(data, where="$") -> TableCategory:
-    data = _dict(data, where)
-    for key in data:
-        if key not in ("objects", "arrows", "identities", "compose"):
-            raise SchemaError(f"{where}.{key}: unknown key")
+    data = _dict(data, where, ("objects", "arrows", "identities", "compose"))
     objs = _names(data.get("objects"), f"{where}.objects")
     for key in ("arrows", "compose"):
         if not isinstance(data.get(key, []), list):
@@ -269,13 +274,10 @@ def load_category(data, where="$") -> TableCategory:
 
 def _table_fn(table, domain, where):
     """A JSON object with one entry per name in `domain` and no other."""
-    table = _dict(table, where)
+    table = _dict(table, where, domain)
     missing = [x for x in domain if x not in table]
     if missing:
         raise SchemaError(f"{where}: missing entry for {missing[0]!r}")
-    for k in table:
-        if k not in domain:
-            raise SchemaError(f"{where}.{k}: unknown key")
     return table
 
 
@@ -283,7 +285,7 @@ def _load_functor(data, cat: TableCategory, where) -> FunctorData:
     if not isinstance(cat, TableCategory):
         raise SchemaError(f"{where}: a table functor needs a table category"
                           " (--category)")
-    data = _dict(data, where)
+    data = _dict(data, where, ("obj_map", "arr_map", "name"))
     omap = _table_fn(data.get("obj_map"), cat.objects, f"{where}.obj_map")
     for o, v in omap.items():
         _object(cat.objects, v, f"{where}.obj_map.{o}")
@@ -308,6 +310,7 @@ def load_comonad(data, cat, where="$") -> ComonadData:
     data = _dict(data, where)
     if "kind" in data:
         return _builtin_effect(data, cat, where, comonad=True)
+    _dict(data, where, ("functor", "counit", "comult", "name"))
     fun = _load_functor(data.get("functor"), cat, f"{where}.functor")
     counit = _obj_arrows(data.get("counit"), cat, f"{where}.counit",
                          lambda o: (fun.obj(o), o))
@@ -320,6 +323,7 @@ def load_monad(data, cat, where="$") -> MonadData:
     data = _dict(data, where)
     if "kind" in data:
         return _builtin_effect(data, cat, where, comonad=False)
+    _dict(data, where, ("functor", "unit", "mult", "name"))
     fun = _load_functor(data.get("functor"), cat, f"{where}.functor")
     unit = _obj_arrows(data.get("unit"), cat, f"{where}.unit",
                        lambda o: (o, fun.obj(o)))
@@ -329,7 +333,8 @@ def load_monad(data, cat, where="$") -> MonadData:
 
 
 def _labels(data, key, where):
-    if not data.get(key):
+    """The label list `key` of a builtin, its only key besides `kind`."""
+    if not _dict(data, where, ("kind", key)).get(key):
         raise SchemaError(f"{where}.{key}: expected a nonempty string list")
     return _names(data[key], f"{where}.{key}")
 
@@ -337,6 +342,7 @@ def _labels(data, key, where):
 def _builtin_effect(data, cat, where, comonad):
     kind = data["kind"]
     if kind == "identity":
+        _dict(data, where, ("kind",))
         return identity_comonad(cat) if comonad else identity_monad(cat)
     if comonad and kind == "coreader":
         _sets_only(cat, where)

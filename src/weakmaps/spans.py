@@ -240,7 +240,6 @@ class SpanClass:
 class HomComparison:
     src: tuple
     dst: tuple
-    apex_bound: int
     kleisli_count: int
     span_count: int
     span_class_count: int
@@ -362,5 +361,5 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     inv.close(f"{inv.n} one-step maps")
 
     ordered = tuple(SpanClass(kappa, classes[kappa]) for kappa in sorted(classes))
-    return HomComparison(a_labels, b_labels, apex_bound, kleisli_count,
-                         span_count, len(classes), ordered, rep)
+    return HomComparison(a_labels, b_labels, kleisli_count, span_count,
+                         len(classes), ordered, rep)

@@ -33,7 +33,6 @@ from weakmaps.awfs import (
 )
 from weakmaps.bar import (
     TruncatedCodescent,
-    bar_complex,
     bar_lali,
     builtin_algebra,
     builtin_module,
@@ -272,7 +271,7 @@ def test_4_coherent_map_sign_algebra():
 def test_5_dual_numbers_ground_resolution():
     alg = builtin_algebra("dual_numbers")
     mod = builtin_module(alg, "ground")
-    t = TruncatedCodescent(bar_complex(alg, mod, 5))
+    t = TruncatedCodescent(mod.calculus(5))
     rep = t.validate()
     _, lrep = bar_lali(t)
     ranks = homology_ranks(t.total, range(5))
@@ -310,7 +309,7 @@ def test_6_lift_and_factor_through_resolution():
         f, eps, lrep = lift_ulali(modB, mod, g, f0, eps0, 4)
         # the twist forces the recursion through a genuinely nonzero stage
         live = not f.comps[1].is_zero()
-        t = TruncatedCodescent(bar_complex(alg, mod, 4))
+        t = TruncatedCodescent(mod.calculus(4))
         h, frep = free_ulali_factor(t, modB, g, f0, eps0)
         names = {c.name for c in frep.checks}
         here = (lrep.ok and live and frep.ok
@@ -335,7 +334,7 @@ def test_7_weak_strict_round_trips():
         alg = builtin_algebra(kind)
         src = builtin_module(alg, "ground")
         dst = builtin_module(alg, "free")
-        t = TruncatedCodescent(bar_complex(alg, src, 4))
+        t = TruncatedCodescent(src.calculus(4))
         for i in range(25):
             rng = random.Random(70_000 + i)
             gw = weak_differential(random_weak(rng, src, dst, 1, 4))

@@ -80,14 +80,44 @@ class BrokenComult(SplitEpiAwfs):
         return self.cop(f).copair(c2.inl, c2.inr)
 
 
-def test_broken_comult_is_reported_not_raised():
-    rep = validate_awfs(BrokenComult(C), max_size=1, squares=False)
+NAT = ("nat.lambda", "nat.rho", "nat.comult", "nat.mult")
+FRAG1 = fragment_arrows(C, 1)  # {} -> {}, {} -> {x0}, {x0} -> {x0}
+
+
+def test_broken_comult_is_reported_not_raised(family_fails):
+    rep = validate_awfs(BrokenComult(C), max_size=1)
     assert not rep.ok
     failing = {c.name for c in rep.failures()}
     assert failing & {"comonad.counit1", "comonad.counit2", "comonad.coassoc",
                       "comult.square"}
     # untouched structure still passes
     assert not any(c.name in ("factor", "monad.unit1") for c in rep.failures())
+    # the two arrows with a codomain have no comult: each is one failing
+    # item of every naturality family, and their squares are skipped
+    for name in NAT:
+        items = family_fails(rep, name, subject="3 squares")
+        assert [c.subject for c in items] == [repr(f) for f in FRAG1[1:]]
+        assert all(c.lhs == "<ill-typed>" for c in items)
+
+
+class MisplacedEarr(SplitEpiAwfs):
+    # E(h, k) between two distinct arrows of FRAG1 lands in E(f), not E(g)
+    def earr(self, f, g, h, k):
+        if f != g and f in FRAG1 and g in FRAG1:
+            return C.identity(self.E(f))
+        return super().earr(f, g, h, k)
+
+
+def test_ill_typed_square_is_reported_not_raised(family_fails):
+    rep = validate_awfs(MisplacedEarr(C), max_size=1)
+    # of the 6 squares, the 3 between distinct arrows have an E(h, k)
+    # that rho(g) cannot follow; the per-arrow laws never use such a square
+    for name in NAT:
+        items = family_fails(rep, name, subject="6 squares")
+        assert len(items) == 3
+        assert all(c.lhs == "<ill-typed>" and "not composable" in c.rhs
+                   for c in items)
+    assert all(c.name in NAT for c in rep.failures())
 
 
 ONE = fragment_arrows(C, 1)[-1]  # the arrow {x0} -> {x0}

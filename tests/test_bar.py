@@ -11,7 +11,6 @@ from weakmaps.bar import (
     DgModule,
     TruncatedCodescent,
     WeakHomElement,
-    bar_complex,
     bar_lali,
     builtin_algebra,
     builtin_module,
@@ -67,7 +66,7 @@ _CODS = {}
 def cod(mod, L):
     key = (id(mod), L)
     if key not in _CODS:
-        _CODS[key] = TruncatedCodescent(bar_complex(mod.alg, mod, L))
+        _CODS[key] = TruncatedCodescent(mod.calculus(L))
     return _CODS[key]
 
 
@@ -155,7 +154,7 @@ def test_truncation_level_must_be_positive():
 
 def test_simplicial_identities():
     for mod, L in ((DG, 3), (EG, 3), (DF, 2)):
-        rep = validate_bar(bar_complex(mod.alg, mod, L))
+        rep = validate_bar(mod.calculus(L))
         assert rep.ok, [c.line() for c in rep.failures()]
         assert rep.counts() == {"PASS": 6, "FAIL": 0,
                                  "TRUNCATION-EXEMPT": 0}
@@ -197,7 +196,7 @@ def test_codescent_dual_ground_laws():
 
 
 def test_codescent_boundary_square_is_checked(family_fails):
-    t = TruncatedCodescent(bar_complex(DUAL, DG, 3))  # not the shared cached one
+    t = TruncatedCodescent(DG.calculus(3))  # not the shared cached one
     d = t.total.d
     # adding 1 at (i, j) of d_k adds column i of d_{k-1} to column j of
     # d_{k-1}.d_k, so pick a row i whose column in d_{k-1} is nonzero
@@ -251,7 +250,7 @@ def test_rational_resolution_preserves_any_complex(seed):
     rng = random.Random(seed)
     x = random_complex(rng)
     mod = DgModule(RAT, x, lunit_iso(x), name="X")
-    t = TruncatedCodescent(bar_complex(RAT, mod, 2))
+    t = TruncatedCodescent(mod.calculus(2))
     assert t.total.dims == x.dims
     assert homology_ranks(t.total) == homology_ranks(x)
 

@@ -157,6 +157,66 @@ def test_lawless_algebra_rejected(tmp_path, capsys, group, action):
     assert "EQ alg.unit.right @ A : FAIL" in err
 
 
+@pytest.mark.parametrize("group,action", [("bar", "resolve"), ("dg", "check")])
+def test_lawless_algebra_reported(tmp_path, capsys, group, action):
+    code, out, err = run(capsys, group, action, "--trunc", "2",
+                         "--dgalgebra", write(tmp_path, "a.json", LAWLESS))
+    assert code == 1 and err == ""
+    assert "EQ alg.unit.right @ A : FAIL" in out
+    assert not re.search(r"^(EQ (bar|dg)\.|TABLE)", out, re.M)
+
+
+# the dual numbers acting on themselves, written out
+DUAL_ON_ITSELF = {"complex": {"degrees": {"0": 2}},
+                  "action": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]]}}
+
+
+def test_bar_resolve_module_file(tmp_path, capsys):
+    mod = write(tmp_path, "m.json", DUAL_ON_ITSELF)
+    code, out, err = run(capsys, "bar", "resolve", "--dgmodule", mod,
+                         "--trunc", "3")
+    assert code == 0 and err == ""
+    assert f"dgmodule={mod}" in out.splitlines()[1]
+
+
+def test_validate_algebra_and_module_files(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "validate",
+        "--dgalgebra", write(tmp_path, "a.json", DUAL),
+        "--dgmodule", write(tmp_path, "m.json", DUAL_ON_ITSELF))
+    assert code == 0 and err == ""
+    assert out.rstrip().endswith("SUMMARY: checks=11 pass=11 fail=0 exempt=0")
+
+
+def test_validate_builtin_comonad_on_finite_sets(tmp_path, capsys):
+    com = write(tmp_path, "c.json", {"kind": "coreader", "S": ["s0", "s1"]})
+    code, out, err = run(capsys, "validate", "--comonad", com)
+    assert code == 0 and err == ""
+    assert "finset-max=2" in out.splitlines()[1]
+    assert out.rstrip().endswith("SUMMARY: checks=14 pass=14 fail=0 exempt=0")
+
+
+def test_awfs_check_identity_comonad(capsys):
+    code, out, err = run(capsys, "awfs", "check", "--builtin", "psplitepi",
+                         "--comonad", "identity", "--finset-max", "1")
+    assert code == 0 and err == ""
+    assert "comonad=identity" in out.splitlines()[1]
+
+
+@pytest.mark.parametrize("group,action", [("lift", "lali"),
+                                          ("factor", "ulali")])
+def test_lawless_lali_module_rejected(tmp_path, capsys, group, action):
+    # B = Q with the zero action: 1.b = 0 breaks the unit law
+    lali = write(tmp_path, "lali.json", {
+        "module": {"complex": {"degrees": {"0": 1}}, "action": {}, "name": "B"},
+        "g": {"0": [[1]]}, "f0": {"0": [[1]]}, "eps0": {}})
+    code, out, err = run(capsys, group, action, "--module", "ground",
+                         "--lali", lali)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: algebra/module laws fail: ")
+    assert "EQ mod.act.unit @ B : FAIL" in err
+
+
 # --- determinism and format parity ------------------------------------------
 
 
@@ -336,6 +396,57 @@ def test_malformed_table_rejected_at_load(tmp_path, capsys, flag, payload, where
     code, out, err = run(capsys, *args)
     assert code == 2 and out == ""
     assert re.search(r"schema error: " + where, err)
+
+
+CX = {"degrees": {"0": 1}}
+DUAL = {"kind": "dual_numbers"}
+
+
+@pytest.mark.parametrize("flag,payload,where", [
+    ("--complex", {"degrees": {"0": 1, "1": 1}, "boundry": {"1": [[1]]}},
+     "$.boundry"),
+    ("--gradedmap", {"src": CX, "dst": CX, "matrix": {"0": [[1]]}},
+     "$.matrix"),
+    ("--gradedmap", {"src": {**CX, "boundry": {}}, "dst": CX}, "$.src.boundry"),
+    ("--dgalgebra", {**DUAL, "name": "D"}, "$.name"),
+    ("--dgalgebra", {**LAWLESS, "mul": {}}, "$.mul"),
+    ("--dgmodule", {"kind": "ground", "name": "k"}, "$.name"),
+    ("--dgmodule", {**DUAL_ON_ITSELF, "actoin": {}}, "$.actoin"),
+    ("--comonad", {"kind": "coreader", "S": ["s"], "E": ["e"]}, "$.E"),
+    ("--comonad", {"kind": "identity", "S": ["s"]}, "$.S"),
+    ("--monad", {"kind": "exception", "E": ["e"], "S": ["s"]}, "$.S"),
+    ("--comonad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": "i"},
+                               "ob_map": {}},
+                   "counit": {"x": "i"}, "comult": {"x": "i"}},
+     "$.functor.ob_map"),
+    ("--comonad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": "i"}},
+                   "counit": {"x": "i"}, "comult": {"x": "i"}, "unit": {}},
+     "$.unit"),
+    ("--monad", {"functor": {"obj_map": {"x": "x"}, "arr_map": {"i": "i"}},
+                 "unit": {"x": "i"}, "mult": {"x": "i"}, "counit": {}},
+     "$.counit"),
+], ids=["complex", "gradedmap", "gradedmap-src", "builtin-algebra", "algebra",
+        "builtin-module", "module", "coreader", "identity", "exception",
+        "functor", "table-comonad", "table-monad"])
+def test_unknown_key_rejected_at_load(tmp_path, capsys, flag, payload, where):
+    args = ["validate", flag, write(tmp_path, "x.json", payload)]
+    if flag == "--dgmodule":
+        args += ["--dgalgebra", write(tmp_path, "a.json", DUAL)]
+    if flag in ("--comonad", "--monad") and "kind" not in payload:
+        args += ["--category", write(tmp_path, "cat.json", ONE_ARROW)]
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"schema error: {where}: unknown key\n"
+
+
+def test_unknown_lali_key_rejected_at_load(tmp_path, capsys):
+    lali = write(tmp_path, "lali.json", {
+        "module": {"kind": "ground"}, "g": {"0": [[1]]}, "f0": {"0": [[1]]},
+        "eps": {}})
+    code, out, err = run(capsys, "lift", "lali", "--module", "ground",
+                         "--lali", lali)
+    assert code == 2 and out == ""
+    assert err == "schema error: $.eps: unknown key\n"
 
 
 def test_missing_file(capsys):

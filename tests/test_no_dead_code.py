@@ -48,7 +48,8 @@ def test_every_definition_has_a_reference():
 
 
 def test_every_instance_attribute_is_read():
-    """An attribute that `src/` assigns on `self` is read somewhere by name.
+    """An attribute that `src/` assigns on `self`, or declares as an
+    annotated class field (a dataclass field), is read somewhere by name.
 
     Reads are attribute loads anywhere in `src/` or `tests/`; as above,
     matching by name alone is generous."""
@@ -66,4 +67,9 @@ def test_every_instance_attribute_is_read():
                     and isinstance(node.value, ast.Name) and node.value.id == "self"
                     and not reads[node.attr]):
                 unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
+            if isinstance(node, ast.ClassDef):
+                unread += [f"{path.relative_to(ROOT)}:{f.lineno} {f.target.id}"
+                           for f in node.body if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)
+                           and not reads[f.target.id]]
     assert not unread, "never read: " + ", ".join(unread)

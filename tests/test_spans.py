@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -25,6 +26,7 @@ from weakmaps.spans import (
     normalize_span,
     span_compose,
     span_equiv,
+    span_is_map,
     span_maps,
     span_to_kleisli,
 )
@@ -248,6 +250,16 @@ def test_span_equiv_canonical_domination_two_step():
     assert res.kind == "connected"
     assert res.zigzag.verify()
     assert res.zigzag.dirs == ("bwd", "fwd")  # s2 <- canonical -> t2
+
+
+def test_zigzag_with_a_non_map_does_not_verify():
+    wm = WeakMapCategory(SPLIT)
+    s2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 0), (0, 1), (0, 0, 1))
+    t2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 1), (0, 1), (0, 0, 1))
+    zz = span_equiv(wm, s2, t2).zigzag
+    c = zz.spans[1]
+    bad = next(r for r in C.hom(c.apex, t2.apex) if not span_is_map(r, c, t2))
+    assert not dataclasses.replace(zz, maps=(zz.maps[0], bad)).verify()
 
 
 def test_span_equiv_respects_tight_bounds():
