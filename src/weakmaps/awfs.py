@@ -27,7 +27,6 @@ from .fincat import (
     FinSetArrow,
     FunctorData,
     MonadData,
-    empty_sum_strip,
     finset_fragment,
     fmt_ends,
     fmt_obj,
@@ -303,7 +302,8 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
     Equations whose sides fail to compose (endpoint corruption) record a
     failure rather than raising; an arrow whose structure maps, or a
     square whose sides, fail to compose is a failing item of each nat.*
-    family with lhs `<ill-typed>`.
+    family with lhs `<ill-typed>`; the family's subject counts the squares
+    and the refused arrows apart.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -391,8 +391,10 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
                 nat_rho.check(l2 == r2, sub, l2, r2)
                 nat_comult.check(l3 == r3, sub, l3, r3)
                 nat_mult.check(l4 == r4, sub, l4, r4)
+    refused = len(arrows) - len(typed)
     for fam in nat:
-        fam.close(f"{fam.n} squares")
+        fam.close(f"{fam.n - refused} squares"
+                  + (f", {refused} ill-typed arrows" if refused else ""))
     return rep
 
 
@@ -474,7 +476,9 @@ def cofibrant_replacement(awfs):
 
 def replacement_comparison(awfs, b):
     """The iso QB -> PB (strip the empty summand) and its inverse."""
-    return empty_sum_strip(awfs.cat, awfs.comonad.functor.obj(b))
+    cat, pb = awfs.cat, awfs.comonad.functor.obj(b)
+    cop = cat.coproduct(cat.initial(), pb)
+    return cop.copair(cat.from_initial(pb), cat.identity(pb)), cop.inr
 
 
 def validate_comonad_iso(cat, q: ComonadData, p: ComonadData, tau, tau_inv,

@@ -41,9 +41,7 @@ from .fincat import (
     CategoryError,
     FinSetCategory,
     canonical_set,
-    coreader_comonad,
     finset_fragment,
-    identity_comonad,
     validate_category,
     validate_comonad,
     validate_monad,
@@ -80,16 +78,13 @@ def _fmt_dims(d) -> str:
 
 
 def _comonad_spec(cat, spec):
-    if spec == "identity":
-        return identity_comonad(cat)
-    m = re.fullmatch(r"coreader:S=(\d+)", spec)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise SchemaError("--comonad: coreader needs |S| >= 1")
-        return coreader_comonad(cat, canonical_set(n, "s"))
-    raise SchemaError(
-        f"--comonad: unknown spec {spec!r} (expected identity or coreader:S=N)")
+    m = re.fullmatch(r"identity|coreader:S=(\d+)", spec)
+    if not m:
+        raise SchemaError(
+            f"--comonad: unknown spec {spec!r} (expected identity or coreader:S=N)")
+    data = ({"kind": "identity"} if spec == "identity" else
+            {"kind": "coreader", "S": list(canonical_set(int(m.group(1)), "s"))})
+    return schemas.load_comonad(data, cat, "--comonad")
 
 
 def _dg_inputs(ns):

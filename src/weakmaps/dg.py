@@ -316,11 +316,31 @@ def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
 
 
 def signed_perm_inverse(f: GradedMap) -> GradedMap:
-    """Inverse of a degree-0 signed permutation map, blockwise transpose."""
+    """The blockwise transpose of a degree-0 map: the inverse of a signed
+    permutation, and the projection onto a summand of `direct_sum` from
+    its inclusion."""
     if f.deg != 0:
         raise DgError("only degree-0 isos are inverted blockwise")
     return GradedMap(f.dst, f.src, 0,
                      {k: transpose(m) for k, m in f.mats.items()})
+
+
+def direct_sum(xs):
+    """(X_1 + ... + X_n, [inclusion of each X_i]): the summands stacked
+    in order in each degree, the boundary block-diagonal."""
+    dims, offs = {}, []
+    for x in xs:
+        offs.append({k: dims.get(k, 0) for k in x.dims})
+        for k, n in x.dims.items():
+            dims[k] = dims.get(k, 0) + n
+    total = ChainComplex(dims, {
+        k: assemble(dims.get(k - 1, 0), n, [(x.d[k], off[k - 1], off[k])
+                                            for x, off in zip(xs, offs) if k in x.d])
+        for k, n in dims.items()})
+    incs = [GradedMap(x, total, 0, {k: assemble(dims[k], n, [(eye(n), off[k], 0)])
+                                   for k, n in x.dims.items()})
+            for x, off in zip(xs, offs)]
+    return total, incs
 
 
 # ---------------------------------------------------------------------------
@@ -435,31 +455,16 @@ def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
     """Direct sum of spheres and disks in degrees <= max_deg, conjugated
     by unimodular changes of basis so the matrices look arbitrary while
     d.d = 0 holds by construction."""
-    dims = {}
-    cells = []
+    cells = []  # (degree, is a disk)
     for _ in range(rng.randrange(1, max_cells + 1)):
         k = rng.randrange(0, max_deg + 1)
-        if rng.random() < 0.5:
-            cells.append(("sphere", k))
-            dims[k] = dims.get(k, 0) + 1
-        else:
-            cells.append(("disk", k))
-            dims[k] = dims.get(k, 0) + 1
-            dims[k - 1] = dims.get(k - 1, 0) + 1
-    d = {}
-    pos = {k: 0 for k in dims}
-    spots = {}
-    for kind, k in cells:
-        i = pos[k]
-        pos[k] += 1
-        if kind == "disk":
-            j = pos.get(k - 1, 0)
-            pos[k - 1] = j + 1
-            spots.setdefault(k, []).append((j, i))
-    for k, pairs in spots.items():
-        d[k] = assemble(dims.get(k - 1, 0), dims.get(k, 0),
-                        [(((rng.choice([1, -1, 2]),),), j, i) for j, i in pairs])
-    return _conjugate(rng, ChainComplex(dims, d))[0]
+        cells.append((k, rng.random() >= 0.5))
+    # disk boundaries are drawn degree by degree, in order of first use
+    draws = {k: iter([rng.choice([1, -1, 2]) for j, disk in cells if disk and j == k])
+             for k in dict.fromkeys(k for k, disk in cells if disk)}
+    parts = [ChainComplex({k: 1, k - 1: 1}, {k: ((next(draws[k]),),)}) if disk
+             else ChainComplex({k: 1}, {}) for k, disk in cells]
+    return _conjugate(rng, direct_sum(parts)[0])[0]
 
 
 def random_gmap(rng: random.Random, src: ChainComplex, dst: ChainComplex,
@@ -478,36 +483,14 @@ def random_lali(rng: random.Random, max_deg=3,
     """B plus contractible disk summands, then a change of basis on the
     total space; the structure maps are transported along it."""
     b = base if base is not None else random_complex(rng, max_deg)
-    disks = []
-    for _ in range(rng.randrange(1, 3)):
-        disks.append(rng.randrange(0, max_deg + 1))
-    dims = dict(b.dims)
-    for k in disks:
-        dims[k] = dims.get(k, 0) + 1
-        dims[k - 1] = dims.get(k - 1, 0) + 1
-    # disk k spans basis vector i of degree k and j of degree k-1
-    taken = {k: b.dim(k) for k in dims}
-    cells = []
-    for k in disks:
-        i = taken[k]
-        taken[k] = i + 1
-        j = taken[k - 1]
-        taken[k - 1] = j + 1
-        cells.append((k, i, j))
-    unit = ((1,),)
-    a = ChainComplex(dims, {
-        k: assemble(dims.get(k - 1, 0), dims[k],
-                    [(b.boundary(k), 0, 0)]
-                    + [(unit, j, i) for kk, i, j in cells if kk == k])
-        for k in dims})
-    g = GradedMap(a, b, 0, {k: assemble(b.dim(k), a.dim(k), [(eye(b.dim(k)), 0, 0)])
-                            for k in a.dims})
-    q = GradedMap(b, a, 0, {k: assemble(a.dim(k), b.dim(k), [(eye(b.dim(k)), 0, 0)])
-                            for k in b.dims})
-    xi = GradedMap(a, a, 1, {
-        k - 1: assemble(a.dim(k), a.dim(k - 1),
-                        [(unit, i, j) for kk, i, j in cells if kk == k])
-        for k in dict.fromkeys(k for k, _, _ in cells)})
+    disks = [rng.randrange(0, max_deg + 1) for _ in range(rng.randrange(1, 3))]
+    cells = [ChainComplex({k: 1, k - 1: 1}, {k: ((1,),)}) for k in disks]
+    a, (q, *incs) = direct_sum([b, *cells])
+    g = signed_perm_inverse(q)
+    xi = functools.reduce(gmap_add, (
+        gmap_compose(i, gmap_compose(GradedMap(c, c, 1, {k - 1: ((1,),)}),
+                                     signed_perm_inverse(i)))
+        for i, c, k in zip(incs, cells, disks)))
     _, u, uinv = _conjugate(rng, a)
     return HomologicalLali(gmap_compose(g, uinv), gmap_compose(u, q),
                            gmap_compose(u, gmap_compose(xi, uinv)))

@@ -11,7 +11,9 @@
   limits.
 
 On top of either backend: functor / comonad / monad data, their law
-validators, and the co-Kleisli category of a comonad.
+validators, and the co-Kleisli category of a comonad.  The builtin
+coreader comonad X x S and exception monad X + E live on FinSet; the
+latter is built through `FinSetCategory.coproduct`, the one sum.
 """
 
 from __future__ import annotations
@@ -279,36 +281,24 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
 
 
 def exception_monad(cat: FinSetCategory, e) -> MonadData:
-    """T(X) = X + E as a label union.  Objects already ending in the full
-    exception block are fixed by T (making T idempotent on its image);
-    any other overlap with E is a genuine collision and rejected."""
+    """T(X) = X + E through the chosen coproduct, labels "L:x" and "R:e",
+    so E may reuse carrier names: eta = inl, mu = [id, inr] out of
+    (X + E) + E, and T f = [inl f, inr]."""
     e = tuple(e)
 
     def tobj(x):
-        x = tuple(x)
-        if x[len(x) - len(e):] == e:
-            return x
-        clash = set(x) & set(e)
-        if clash:
-            raise CategoryError(f"exception labels collide with carrier: {sorted(clash)}")
-        return x + e
+        return cat.coproduct(x, e).obj
 
     def tarr(f: FinSetArrow) -> FinSetArrow:
-        dom, cod = tobj(f.dom), tobj(f.cod)
-        pos = {lbl: i for i, lbl in enumerate(cod)}
-        fmap = {x: f.cod[f.idx[i]] for i, x in enumerate(f.dom)}
-        idx = tuple(pos[fmap.get(lbl, lbl)] for lbl in dom)
-        return FinSetArrow(dom, cod, idx)
+        cod = cat.coproduct(f.cod, e)
+        return cat.coproduct(f.dom, e).copair(cat.compose(cod.inl, f), cod.inr)
 
     def unit(x):
-        x = tuple(x)
-        t = tobj(x)
-        pos = {lbl: i for i, lbl in enumerate(t)}
-        return FinSetArrow(x, t, tuple(pos[lbl] for lbl in x))
+        return cat.coproduct(x, e).inl
 
     def mult(x):
-        t = tobj(x)
-        return FinSetArrow(tobj(t), t, tuple(range(len(t))))  # tobj(t) == t
+        tx = cat.coproduct(x, e)
+        return cat.coproduct(tx.obj, e).copair(cat.identity(tx.obj), tx.inr)
 
     return MonadData(FunctorData(tobj, tarr, "(-)+E"), unit, mult, f"(-)+{fmt_obj(e)}")
 
@@ -486,13 +476,6 @@ class CoKleisliCategory:
         a = self.base.dom(h)
         return KleisliArrow(a, self.base.cod(h),
                             self.base.compose(h, self.comonad.counit(a)))
-
-
-def empty_sum_strip(cat: FinSetCategory, x):
-    """The recorded isomorphism (initial + X) -> X and its inverse."""
-    cop = cat.coproduct(cat.initial(), x)
-    strip = cop.copair(cat.from_initial(x), cat.identity(x))
-    return strip, cop.inr
 
 
 def canonical_set(n: int, prefix="x"):

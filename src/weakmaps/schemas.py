@@ -164,8 +164,10 @@ def load_gradedmap(data, where="$") -> GradedMap:
 def load_algebra(data, where="$") -> DgAlgebra:
     data = _dict(data, where)
     if "kind" in data:
-        kind = _dict(data, where, ("kind", "gen_degree"))["kind"]
-        if kind == "exterior" and data.get("gen_degree", 1) != 1:
+        kind = data["kind"]
+        _dict(data, where, ("kind", "gen_degree") if kind == "exterior" else ("kind",))
+        gen = data.get("gen_degree", 1)
+        if type(gen) is not int or gen != 1:
             raise SchemaError(
                 f"{where}.gen_degree: only a degree-1 generator is supported")
         try:

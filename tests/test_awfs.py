@@ -95,7 +95,7 @@ def test_broken_comult_is_reported_not_raised(family_fails):
     # the two arrows with a codomain have no comult: each is one failing
     # item of every naturality family, and their squares are skipped
     for name in NAT:
-        items = family_fails(rep, name, subject="3 squares")
+        items = family_fails(rep, name, subject="1 squares, 2 ill-typed arrows")
         assert [c.subject for c in items] == [repr(f) for f in FRAG1[1:]]
         assert all(c.lhs == "<ill-typed>" for c in items)
 
@@ -344,7 +344,7 @@ def test_replacement_labels_are_tagged_carrier():
 def exception_setting():
     t = exception_monad(C, ("err",))
     carrier = ("p", "q")
-    act = fsarrow(t.functor.obj(carrier), carrier, {"p": "p", "q": "q", "err": "p"})
+    act = fsarrow(t.functor.obj(carrier), carrier, {"L:p": "p", "L:q": "q", "R:err": "p"})
     return t, TAlgebra(t, carrier, act)
 
 
@@ -352,7 +352,7 @@ def test_sketch_canonical_lift_frozen():
     t, alg = exception_setting()
     c, d = ("c0",), ("e0", "e1")
     j = fsarrow(c, d, {"c0": "e0"})
-    k = fsarrow(d, t.functor.obj(c), {"e0": "c0", "e1": "err"})
+    k = fsarrow(d, t.functor.obj(c), {"e0": "L:c0", "e1": "R:err"})
     mono = TSplitMono(t, j, k)
     assert mono.validate(C).ok
     h = fsarrow(c, alg.obj, {"c0": "q"})
@@ -365,7 +365,7 @@ def test_sketch_lift_rejects_fake_split_mono():
     t, alg = exception_setting()
     c, d = ("c0",), ("e0",)
     j = fsarrow(c, d, {"c0": "e0"})
-    k = fsarrow(d, t.functor.obj(c), {"e0": "err"})  # k.j != unit
+    k = fsarrow(d, t.functor.obj(c), {"e0": "R:err"})  # k.j != unit
     h = fsarrow(c, alg.obj, {"c0": "q"})
     with pytest.raises(CategoryError, match="split mono"):
         sketch_canonical_lift(C, TSplitMono(t, j, k), alg, h)

@@ -1,5 +1,6 @@
 """Exit codes, determinism, and report formats of the command line."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -196,6 +197,23 @@ def test_validate_builtin_comonad_on_finite_sets(tmp_path, capsys):
     assert out.rstrip().endswith("SUMMARY: checks=14 pass=14 fail=0 exempt=0")
 
 
+def test_validate_exception_monad_report_frozen(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "m.json", {"kind": "exception", "E": ["e"]})
+    code, out, err = run(capsys, "validate", "--monad", "m.json",
+                         "--finset-max", "2")
+    assert code == 0 and err == ""
+    assert out.count(" : PASS\n") == 14
+    assert hashlib.md5(out.encode()).hexdigest() == "b68b24161df593ce12b190477dcec745"
+
+
+def test_validate_exception_monad_reusing_a_carrier_label(tmp_path, capsys):
+    mon = write(tmp_path, "m.json", {"kind": "exception", "E": ["x1"]})
+    code, out, err = run(capsys, "validate", "--monad", mon, "--finset-max", "2")
+    assert code == 0 and err == ""
+    assert out.rstrip().endswith("SUMMARY: checks=14 pass=14 fail=0 exempt=0")
+
+
 def test_awfs_check_identity_comonad(capsys):
     code, out, err = run(capsys, "awfs", "check", "--builtin", "psplitepi",
                          "--comonad", "identity", "--finset-max", "1")
@@ -318,6 +336,13 @@ def test_unknown_comonad_spec(capsys):
                        "--comonad", "writer:S=2")
     assert code == 2
     assert "unknown spec" in err
+
+
+def test_empty_coreader_spec(capsys):
+    code, _, err = run(capsys, "awfs", "check", "--builtin", "psplitepi",
+                       "--comonad", "coreader:S=0")
+    assert code == 2
+    assert "--comonad" in err
 
 
 @pytest.mark.parametrize("flag,payload", [

@@ -11,7 +11,6 @@ from weakmaps.fincat import (
     FinSetCategory,
     canonical_set,
     coreader_comonad,
-    empty_sum_strip,
     exception_monad,
     finset_fragment,
     fsarrow,
@@ -144,8 +143,20 @@ def test_exception_monad_laws_and_collision():
     t = exception_monad(C, ("err",))
     rep = validate_monad(C, t, finset_fragment(2))
     assert rep.ok, rep.failures()
-    with pytest.raises(CategoryError, match="collide"):
-        t.functor.obj(("err", "x"))
+    # E may reuse a carrier label: X + E tags both sides apart
+    t = exception_monad(C, ("x1",))
+    assert t.functor.obj(("x0", "x1")) == ("L:x0", "L:x1", "R:x1")
+    rep = validate_monad(C, t, finset_fragment(2))
+    assert rep.ok, rep.failures()
+
+
+def test_exception_monad_mult_folds_the_two_copies_of_e():
+    t = exception_monad(C, ("e",))
+    tx = t.functor.obj(("x0",))
+    mu = t.mult(("x0",))
+    assert mu.dom == t.functor.obj(tx) == ("L:L:x0", "L:R:e", "R:e")
+    assert mu.cod == tx == ("L:x0", "R:e")
+    assert mu.graph() == (("L:L:x0", "L:x0"), ("L:R:e", "R:e"), ("R:e", "R:e"))
 
 
 def test_identity_comonad_and_monad_are_lawful():
@@ -284,12 +295,6 @@ def test_cofree_embedding_is_faithful_for_coreader():
         img = kl.cofree(h)
         assert img.under not in seen
         seen[img.under] = h
-
-
-def test_empty_sum_strip_is_iso():
-    strip, into = empty_sum_strip(C, ("a", "b"))
-    assert C.compose(strip, into) == C.identity(("a", "b"))
-    assert C.compose(into, strip) == C.identity(strip.dom)
 
 
 @settings(max_examples=60, deadline=None)

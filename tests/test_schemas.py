@@ -1,7 +1,9 @@
 """Loaders turn JSON payloads into validated structures or positioned errors."""
 
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,8 +137,13 @@ def test_canonical_negative_degree_keys_load():
 def test_builtin_algebra_kinds():
     for kind in ("rationals", "dual_numbers", "exterior"):
         assert load_algebra({"kind": kind}).validate().ok
+    assert load_algebra({"kind": "exterior", "gen_degree": 1}).validate().ok
     with pytest.raises(SchemaError, match="degree-1 generator"):
         load_algebra({"kind": "exterior", "gen_degree": 2})
+    # gen_degree means something only for exterior, and only as the integer 1
+    for kind, gen in (("dual_numbers", 5), ("exterior", True), ("exterior", 1.0)):
+        with pytest.raises(SchemaError, match=r"\$\.gen_degree"):
+            load_algebra({"kind": kind, "gen_degree": gen})
     with pytest.raises(SchemaError, match=r"\$\.kind"):
         load_algebra({"kind": "octonions"})
 
@@ -227,13 +234,27 @@ def test_builtin_effects_respect_direction():
     com = load_comonad({"kind": "coreader", "S": ["s0", "s1"]}, FIN)
     assert com.functor.obj(("a",)) == ("(a,s0)", "(a,s1)")
     mon = load_monad({"kind": "exception", "E": ["e"]}, FIN)
-    assert mon.functor.obj(("a",)) == ("a", "e")
+    assert mon.functor.obj(("a",)) == ("L:a", "R:e")
     assert load_comonad({"kind": "identity"}, FIN).functor.obj(("a",)) == ("a",)
     assert load_monad({"kind": "identity"}, FIN).functor.obj(("a",)) == ("a",)
     with pytest.raises(SchemaError, match="kind"):
         load_monad({"kind": "coreader", "S": ["s0"]}, FIN)
     with pytest.raises(SchemaError, match="kind"):
         load_comonad({"kind": "exception", "E": ["e"]}, FIN)
+
+
+def test_builtin_effects_are_built_only_by_the_loader():
+    """coreader_comonad(...) and exception_monad(...) are called in src/
+    only from schemas.py, so a builtin effect named on the command line
+    and one read from a file go through one loader."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.rglob("*.py")) if path.name != "schemas.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and {"coreader_comonad", "exception_monad"} & {
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+    assert not calls, "builtin effect built outside schemas.py at " + ", ".join(calls)
 
 
 def test_builtin_effects_need_computed_sets():
