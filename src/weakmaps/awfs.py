@@ -56,9 +56,6 @@ class SplitEpiAwfs:
     def rho(self, f):
         return self.cop(f).copair(f, self.cat.identity(self.cat.cod(f)))
 
-    def factor(self, f):
-        return self.lam(f), self.rho(f)
-
     def earr(self, f, g, h, k):
         """E(h,k): Ef -> Eg for a square (h,k): f -> g."""
         cg = self.cop(g)
@@ -97,9 +94,6 @@ class PSplitEpiAwfs:
 
     def rho(self, f):
         return self.cop(f).copair(f, self.comonad.counit(self.cat.cod(f)))
-
-    def factor(self, f):
-        return self.lam(f), self.rho(f)
 
     def earr(self, f, g, h, k):
         cg = self.cop(g)
@@ -190,10 +184,6 @@ class LCoalgebraArrow:
         return rep
 
 
-def cofree_coalgebra(awfs, f) -> LCoalgebraArrow:
-    return LCoalgebraArrow(awfs, awfs.lam(f), awfs.comult(f))
-
-
 def free_algebra(awfs, f) -> RAlgebraArrow:
     return RAlgebraArrow(awfs, awfs.rho(f), awfs.cop(f).inr)
 
@@ -237,13 +227,6 @@ def r_algebra_compose(outer: RAlgebraArrow, inner: RAlgebraArrow) -> RAlgebraArr
         cat.compose(aw.comonad.functor.arr(outer.witness), aw.comonad.comult(c)),
     )
     return RAlgebraArrow(aw, cat.compose(g, f), w)
-
-
-def right_connect(alg: RAlgebraArrow):
-    """The square (f, 1): alg -> identity-algebra on the codomain."""
-    cat = alg.awfs.cat
-    b = cat.cod(alg.arrow)
-    return alg.arrow, cat.identity(b)
 
 
 def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:

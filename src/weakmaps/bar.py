@@ -128,9 +128,6 @@ class DgAlgebra:
         return (isinstance(other, DgAlgebra) and self.cx == other.cx
                 and self.unit == other.unit and self.mult == other.mult)
 
-    def __repr__(self):
-        return f"DgAlgebra({self.name})"
-
 
 def unit_insert(alg: DgAlgebra, x: ChainComplex) -> GradedMap:
     """X -> A (x) X tensoring with the unit on the left."""
@@ -198,9 +195,6 @@ class DgModule:
     def __eq__(self, other):
         return (isinstance(other, DgModule) and self.alg == other.alg
                 and self.cx == other.cx and self.act == other.act)
-
-    def __repr__(self):
-        return f"DgModule({self.alg.name}/{self.name})"
 
 
 def builtin_module(alg: DgAlgebra, kind: str) -> DgModule:
@@ -960,16 +954,3 @@ def weak_to_strict(t: TruncatedCodescent,
     return t.glue([gmap_compose(f.dst.act, t.calc.T(f.full(n)))
                    for n in range(t.L + 1)])
 
-
-def codescent_map(ts: TruncatedCodescent, tt: TruncatedCodescent,
-                  u: GradedMap) -> GradedMap:
-    """|X(M)| -> |X(N)| induced levelwise by a strict module map u."""
-    if ts.calc.alg != tt.calc.alg:
-        raise BarError("resolutions live over different algebras")
-    if ts.L != tt.L:
-        raise BarError("resolutions have different truncation levels")
-    cs, ct = ts.calc, tt.calc
-    if u.src != cs.mod.cx or u.dst != ct.mod.cx or u.deg != 0:
-        raise BarError("map endpoints do not match the resolved modules")
-    return ts.glue([gmap_compose(tt.iota(n), cs.Tpow(n + 1, u))
-                    for n in range(ts.L + 1)])

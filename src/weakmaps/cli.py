@@ -90,9 +90,8 @@ def _comonad_spec(cat, spec):
 def _dg_inputs(ns):
     """(config, algebra, module, laws) from --dgalgebra/--builtin,
     --dgmodule/--module and --trunc; `laws` holds the algebra and module
-    law checks.  A run over input that breaks them stops there:
-    `bar resolve` and `dg check` report the FAIL lines and exit 1, while
-    `lift lali` and `factor ulali` refuse it with status 2."""
+    law checks.  A run over input that breaks them reports their FAIL
+    lines and stops there."""
     cfg = {"trunc": str(ns.trunc)}
     if ns.dgalgebra:
         cfg["dgalgebra"] = ns.dgalgebra
@@ -262,23 +261,23 @@ def _demo_lali(ns, alg, mod):
 
 
 def _load_lali(ns):
-    """(config, M, (B, g, f0, eps0)) for a lali B -> M; raises BarError
-    when the algebra, M or B breaks the algebra or module laws."""
+    """(config, M, (B, g, f0, eps0), laws) for a lali B -> M; `laws`
+    holds the law checks of the algebra, M and B."""
     cfg, alg, mod, laws = _dg_inputs(ns)
     if ns.lali:
         cfg["lali"] = ns.lali
         parts = schemas.load_lali(schemas.load_file(ns.lali), alg, mod)
     else:
         parts, cfg["demo"] = _demo_lali(ns, alg, mod)
-    if not parts[0].validate(laws).ok:
-        bad = "; ".join(c.line() for c in laws.failures())
-        raise BarError(f"algebra/module laws fail: {bad}")
-    return cfg, mod, parts
+    parts[0].validate(laws)
+    return cfg, mod, parts, laws
 
 
 def _run_lift_lali(ns):
+    cfg, mod, (modB, g, f0, eps0), laws = _load_lali(ns)
+    if not laws.ok:
+        return cfg, laws, []
     rep = CheckReport()
-    cfg, mod, (modB, g, f0, eps0) = _load_lali(ns)
     f, eps, _ = lift_ulali(modB, mod, g, f0, eps0, ns.trunc, rep)
     tables = [("components", [
         ("f nonzero levels",
@@ -290,8 +289,10 @@ def _run_lift_lali(ns):
 
 
 def _run_factor_ulali(ns):
+    cfg, mod, (modB, g, f0, eps0), laws = _load_lali(ns)
+    if not laws.ok:
+        return cfg, laws, []
     rep = CheckReport()
-    cfg, mod, (modB, g, f0, eps0) = _load_lali(ns)
     t = TruncatedCodescent(mod.calculus(ns.trunc))
     h, _ = free_ulali_factor(t, modB, g, f0, eps0, rep)
     tables = [("comparison", [

@@ -12,7 +12,6 @@ sign conventions put the twist on the left factor's degree:
 
     d(x (x) y)     = dx (x) y + (-1)^|x| x (x) dy
     (f (x) g)(x,y) = (-1)^{|g||x|} f x (x) g y
-    swap(x (x) y)  = (-1)^{|x||y|} y (x) x
 
 A homological lali is a chain map g with strict section q and a
 degree 1 homotopy xi collapsing its domain onto the section, subject to
@@ -24,8 +23,8 @@ from __future__ import annotations
 import functools
 import random
 
-from .ratmat import (assemble, eye, inverse, is_zero, madd, mmul, nonzeros,
-                     rank, shape, smul, transpose, zeros)
+from .ratmat import (assemble, eye, is_zero, madd, mmul, nonzeros, rank,
+                     shape, smul, transpose, zeros)
 from .report import CheckReport
 
 
@@ -63,9 +62,6 @@ class ChainComplex:
 
     def degrees(self):
         return sorted(self.dims)
-
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def __eq__(self, other):
         return (isinstance(other, ChainComplex)
@@ -294,53 +290,13 @@ def runit_iso(x: ChainComplex) -> GradedMap:
     return GradedMap(tensor_complex(x, unit_complex()), x, 0, id_gmap(x).mats)
 
 
-def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
-    """X (x) Y -> Y (x) X with sign (-1)^{pq} on the (p,q) block.
-
-    x_i (x) y_j sits at column off + i*|Y_q| and row base + j*|X_p| + i,
-    so the basis vectors with a fixed i map by eye(|Y_q|) (x) e_i.
-    """
-    src = tensor_complex(x, y)
-    dst = tensor_complex(y, x)
-    mats = {}
-    for n in src.degrees():
-        terms = []
-        for p, q, off, xd, yd in src.blocks(n):
-            base = dst.offset(n, q)
-            sign = -1 if (p * q) % 2 else 1
-            one = eye(yd)
-            terms += [(one, base, off + i * yd, sign, transpose((e_i,)))
-                      for i, e_i in enumerate(eye(xd))]
-        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
-    return GradedMap(src, dst, 0, mats)
-
-
 def signed_perm_inverse(f: GradedMap) -> GradedMap:
     """The blockwise transpose of a degree-0 map: the inverse of a signed
-    permutation, and the projection onto a summand of `direct_sum` from
-    its inclusion."""
+    permutation."""
     if f.deg != 0:
         raise DgError("only degree-0 isos are inverted blockwise")
     return GradedMap(f.dst, f.src, 0,
                      {k: transpose(m) for k, m in f.mats.items()})
-
-
-def direct_sum(xs):
-    """(X_1 + ... + X_n, [inclusion of each X_i]): the summands stacked
-    in order in each degree, the boundary block-diagonal."""
-    dims, offs = {}, []
-    for x in xs:
-        offs.append({k: dims.get(k, 0) for k in x.dims})
-        for k, n in x.dims.items():
-            dims[k] = dims.get(k, 0) + n
-    total = ChainComplex(dims, {
-        k: assemble(dims.get(k - 1, 0), n, [(x.d[k], off[k - 1], off[k])
-                                            for x, off in zip(xs, offs) if k in x.d])
-        for k, n in dims.items()})
-    incs = [GradedMap(x, total, 0, {k: assemble(dims[k], n, [(eye(n), off[k], 0)])
-                                   for k, n in x.dims.items()})
-            for x, off in zip(xs, offs)]
-    return total, incs
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +310,6 @@ class HomologicalLali:
         self.g = g
         self.q = q
         self.xi = xi
-
-    @property
-    def src(self):
-        return self.g.src
-
-    @property
-    def dst(self):
-        return self.g.dst
 
     def validate(self, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -382,32 +330,6 @@ class HomologicalLali:
         return rep
 
 
-def compose_lali(outer: HomologicalLali, inner: HomologicalLali) -> HomologicalLali:
-    """Composite B->C after A->B: section composes backwards and the
-    homotopies add after conjugating the outer one into A."""
-    if inner.dst != outer.src:
-        raise DgError("lalis are not composable")
-    g = gmap_compose(outer.g, inner.g)
-    q = gmap_compose(inner.q, outer.q)
-    xi = gmap_add(inner.xi,
-                  gmap_compose(inner.q, gmap_compose(outer.xi, inner.g)))
-    return HomologicalLali(g, q, xi)
-
-
-def identity_lali(x: ChainComplex) -> HomologicalLali:
-    one = id_gmap(x)
-    return HomologicalLali(one, one, zero_gmap(x, x, 1))
-
-
-def lali_morphism_ok(u: GradedMap, v: GradedMap,
-                     a: HomologicalLali, b: HomologicalLali) -> bool:
-    """(u: srcA -> srcB, v: dstA -> dstB) commutes with g, q and xi."""
-    return (is_chain_map(u) and is_chain_map(v)
-            and gmap_compose(b.g, u) == gmap_compose(v, a.g)
-            and gmap_compose(u, a.q) == gmap_compose(b.q, v)
-            and gmap_compose(u, a.xi) == gmap_compose(b.xi, u))
-
-
 # ---------------------------------------------------------------------------
 # Homology
 
@@ -426,45 +348,7 @@ def homology_ranks(x: ChainComplex, degrees=None):
 
 
 # ---------------------------------------------------------------------------
-# Seeded random instances (direct sums of cells, conjugated)
-
-
-def _unimodular(rng: random.Random, n):
-    """A product of at most 2n random elementary matrices 1 + c e_ij."""
-    m = eye(n)
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        m = mmul(assemble(n, n, [(eye(n), 0, 0), (((c,),), i, j)]), m)
-    return m
-
-
-def _conjugate(rng: random.Random, x: ChainComplex):
-    """x transported along a seeded unimodular change of basis u, one
-    per degree: returns (y, u: x -> y, u^-1: y -> x)."""
-    u = {k: _unimodular(rng, n) for k, n in x.dims.items()}
-    uinv = {k: inverse(m) for k, m in u.items()}
-    y = ChainComplex(x.dims, {k: mmul(u[k - 1], mmul(m, uinv[k]))
-                              for k, m in x.d.items()})
-    return y, GradedMap(x, y, 0, u), GradedMap(y, x, 0, uinv)
-
-
-def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
-    """Direct sum of spheres and disks in degrees <= max_deg, conjugated
-    by unimodular changes of basis so the matrices look arbitrary while
-    d.d = 0 holds by construction."""
-    cells = []  # (degree, is a disk)
-    for _ in range(rng.randrange(1, max_cells + 1)):
-        k = rng.randrange(0, max_deg + 1)
-        cells.append((k, rng.random() >= 0.5))
-    # disk boundaries are drawn degree by degree, in order of first use
-    draws = {k: iter([rng.choice([1, -1, 2]) for j, disk in cells if disk and j == k])
-             for k in dict.fromkeys(k for k, disk in cells if disk)}
-    parts = [ChainComplex({k: 1, k - 1: 1}, {k: ((next(draws[k]),),)}) if disk
-             else ChainComplex({k: 1}, {}) for k, disk in cells]
-    return _conjugate(rng, direct_sum(parts)[0])[0]
+# Seeded random maps
 
 
 def random_gmap(rng: random.Random, src: ChainComplex, dst: ChainComplex,
@@ -476,21 +360,3 @@ def random_gmap(rng: random.Random, src: ChainComplex, dst: ChainComplex,
                 tuple(rng.randrange(-3, 4) for _ in range(src.dim(k)))
                 for _ in range(dst.dim(k + deg)))
     return GradedMap(src, dst, deg, mats)
-
-
-def random_lali(rng: random.Random, max_deg=3,
-                base: ChainComplex = None) -> HomologicalLali:
-    """B plus contractible disk summands, then a change of basis on the
-    total space; the structure maps are transported along it."""
-    b = base if base is not None else random_complex(rng, max_deg)
-    disks = [rng.randrange(0, max_deg + 1) for _ in range(rng.randrange(1, 3))]
-    cells = [ChainComplex({k: 1, k - 1: 1}, {k: ((1,),)}) for k in disks]
-    a, (q, *incs) = direct_sum([b, *cells])
-    g = signed_perm_inverse(q)
-    xi = functools.reduce(gmap_add, (
-        gmap_compose(i, gmap_compose(GradedMap(c, c, 1, {k - 1: ((1,),)}),
-                                     signed_perm_inverse(i)))
-        for i, c, k in zip(incs, cells, disks)))
-    _, u, uinv = _conjugate(rng, a)
-    return HomologicalLali(gmap_compose(g, uinv), gmap_compose(u, q),
-                           gmap_compose(u, gmap_compose(xi, uinv)))

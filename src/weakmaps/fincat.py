@@ -51,24 +51,9 @@ class FinSetArrow:
     cod: tuple
     idx: tuple
 
-    def __call__(self, x):
-        return self.cod[self.idx[self.dom.index(x)]]
-
-    def graph(self):
-        return tuple((x, self.cod[i]) for x, i in zip(self.dom, self.idx))
-
     def __repr__(self):
         imgs = ",".join(self.cod[i] for i in self.idx)
         return f"{fmt_obj(self.dom)}->{fmt_obj(self.cod)}[{imgs}]"
-
-
-def fsarrow(dom, cod, images) -> FinSetArrow:
-    """Build an arrow from an explicit mapping (dict or per-element iterable)."""
-    dom, cod = tuple(dom), tuple(cod)
-    if isinstance(images, dict):
-        images = [images[x] for x in dom]
-    pos = {y: j for j, y in enumerate(cod)}
-    return FinSetArrow(dom, cod, tuple(pos[y] for y in images))
 
 
 class CoproductData:

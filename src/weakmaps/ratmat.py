@@ -135,11 +135,3 @@ def _rref(a):
 def rank(a):
     return _rref(a)[1]
 
-
-def inverse(a):
-    """Exact inverse of a square matrix: the right half of rref[a | 1]."""
-    n = len(a)
-    rows, _ = _rref([(*row, *e) for row, e in zip(a, eye(n))])
-    if any(rows[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)

@@ -60,7 +60,7 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return not any(c.status == FAIL for c in self.checks)
+        return not self.failures()
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]

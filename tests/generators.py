@@ -1,0 +1,206 @@
+"""Seeded generators and test-only builders.
+
+No subcommand runs these, so they live with the tests: finite-set
+arrows written out by hand, random complexes and lalis drawn from a
+seed, and the constructions the tests check against the product code
+(the tensor symmetry and the lali calculus).  The seeded instances are
+pinned by `test_dg.py::test_seeded_instances_pinned`.
+"""
+
+import functools
+import random
+
+from weakmaps.dg import (
+    ChainComplex,
+    DgError,
+    GradedMap,
+    HomologicalLali,
+    gmap_add,
+    gmap_compose,
+    id_gmap,
+    is_chain_map,
+    signed_perm_inverse,
+    tensor_complex,
+    zero_gmap,
+)
+from weakmaps.fincat import FinSetArrow
+from weakmaps.ratmat import _rref, assemble, eye, mmul, transpose
+
+# ---------------------------------------------------------------------------
+# Finite sets
+
+
+def fsarrow(dom, cod, images) -> FinSetArrow:
+    """Build an arrow from an explicit mapping (dict or per-element iterable)."""
+    dom, cod = tuple(dom), tuple(cod)
+    if isinstance(images, dict):
+        images = [images[x] for x in dom]
+    pos = {y: j for j, y in enumerate(cod)}
+    return FinSetArrow(dom, cod, tuple(pos[y] for y in images))
+
+
+def image(f: FinSetArrow, x):
+    """The label f sends the label x to."""
+    return f.cod[f.idx[f.dom.index(x)]]
+
+
+def graph(f: FinSetArrow):
+    return tuple((x, f.cod[i]) for x, i in zip(f.dom, f.idx))
+
+
+# ---------------------------------------------------------------------------
+# Complexes
+
+
+def total_dim(x: ChainComplex):
+    return sum(x.dims.values())
+
+
+def inverse(a):
+    """Exact inverse of a square matrix: the right half of rref[a | 1]."""
+    n = len(a)
+    rows, _ = _rref([(*row, *e) for row, e in zip(a, eye(n))])
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def direct_sum(xs):
+    """(X_1 + ... + X_n, [inclusion of each X_i]): the summands stacked
+    in order in each degree, the boundary block-diagonal.  The projection
+    onto a summand is `signed_perm_inverse` of its inclusion."""
+    dims, offs = {}, []
+    for x in xs:
+        offs.append({k: dims.get(k, 0) for k in x.dims})
+        for k, n in x.dims.items():
+            dims[k] = dims.get(k, 0) + n
+    total = ChainComplex(dims, {
+        k: assemble(dims.get(k - 1, 0), n, [(x.d[k], off[k - 1], off[k])
+                                            for x, off in zip(xs, offs) if k in x.d])
+        for k, n in dims.items()})
+    incs = [GradedMap(x, total, 0, {k: assemble(dims[k], n, [(eye(n), off[k], 0)])
+                                   for k, n in x.dims.items()})
+            for x, off in zip(xs, offs)]
+    return total, incs
+
+
+def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
+    """X (x) Y -> Y (x) X with sign (-1)^{pq} on the (p,q) block.
+
+    x_i (x) y_j sits at column off + i*|Y_q| and row base + j*|X_p| + i,
+    so the basis vectors with a fixed i map by eye(|Y_q|) (x) e_i.  It is
+    a chain map only if the tensor boundary carries the Koszul sign.
+    """
+    src = tensor_complex(x, y)
+    dst = tensor_complex(y, x)
+    mats = {}
+    for n in src.degrees():
+        terms = []
+        for p, q, off, xd, yd in src.blocks(n):
+            base = dst.offset(n, q)
+            sign = -1 if (p * q) % 2 else 1
+            one = eye(yd)
+            terms += [(one, base, off + i * yd, sign, transpose((e_i,)))
+                      for i, e_i in enumerate(eye(xd))]
+        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
+    return GradedMap(src, dst, 0, mats)
+
+
+# ---------------------------------------------------------------------------
+# The lali calculus
+
+
+class Lali(HomologicalLali):
+    """A homological lali g: src -> dst, with its ends named."""
+
+    @property
+    def src(self):
+        return self.g.src
+
+    @property
+    def dst(self):
+        return self.g.dst
+
+
+def compose_lali(outer: Lali, inner: Lali) -> Lali:
+    """Composite B->C after A->B: section composes backwards and the
+    homotopies add after conjugating the outer one into A."""
+    if inner.dst != outer.src:
+        raise DgError("lalis are not composable")
+    g = gmap_compose(outer.g, inner.g)
+    q = gmap_compose(inner.q, outer.q)
+    xi = gmap_add(inner.xi,
+                  gmap_compose(inner.q, gmap_compose(outer.xi, inner.g)))
+    return Lali(g, q, xi)
+
+
+def identity_lali(x: ChainComplex) -> Lali:
+    one = id_gmap(x)
+    return Lali(one, one, zero_gmap(x, x, 1))
+
+
+def lali_morphism_ok(u: GradedMap, v: GradedMap, a: Lali, b: Lali) -> bool:
+    """(u: srcA -> srcB, v: dstA -> dstB) commutes with g, q and xi."""
+    return (is_chain_map(u) and is_chain_map(v)
+            and gmap_compose(b.g, u) == gmap_compose(v, a.g)
+            and gmap_compose(u, a.q) == gmap_compose(b.q, v)
+            and gmap_compose(u, a.xi) == gmap_compose(b.xi, u))
+
+
+# ---------------------------------------------------------------------------
+# Seeded random instances (direct sums of cells, conjugated)
+
+
+def _unimodular(rng: random.Random, n):
+    """A product of at most 2n random elementary matrices 1 + c e_ij."""
+    m = eye(n)
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        m = mmul(assemble(n, n, [(eye(n), 0, 0), (((c,),), i, j)]), m)
+    return m
+
+
+def _conjugate(rng: random.Random, x: ChainComplex):
+    """x transported along a seeded unimodular change of basis u, one
+    per degree: returns (y, u: x -> y, u^-1: y -> x)."""
+    u = {k: _unimodular(rng, n) for k, n in x.dims.items()}
+    uinv = {k: inverse(m) for k, m in u.items()}
+    y = ChainComplex(x.dims, {k: mmul(u[k - 1], mmul(m, uinv[k]))
+                              for k, m in x.d.items()})
+    return y, GradedMap(x, y, 0, u), GradedMap(y, x, 0, uinv)
+
+
+def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
+    """Direct sum of spheres and disks in degrees <= max_deg, conjugated
+    by unimodular changes of basis so the matrices look arbitrary while
+    d.d = 0 holds by construction."""
+    cells = []  # (degree, is a disk)
+    for _ in range(rng.randrange(1, max_cells + 1)):
+        k = rng.randrange(0, max_deg + 1)
+        cells.append((k, rng.random() >= 0.5))
+    # disk boundaries are drawn degree by degree, in order of first use
+    draws = {k: iter([rng.choice([1, -1, 2]) for j, disk in cells if disk and j == k])
+             for k in dict.fromkeys(k for k, disk in cells if disk)}
+    parts = [ChainComplex({k: 1, k - 1: 1}, {k: ((next(draws[k]),),)}) if disk
+             else ChainComplex({k: 1}, {}) for k, disk in cells]
+    return _conjugate(rng, direct_sum(parts)[0])[0]
+
+
+def random_lali(rng: random.Random, max_deg=3, base: ChainComplex = None) -> Lali:
+    """B plus contractible disk summands, then a change of basis on the
+    total space; the structure maps are transported along it."""
+    b = base if base is not None else random_complex(rng, max_deg)
+    disks = [rng.randrange(0, max_deg + 1) for _ in range(rng.randrange(1, 3))]
+    cells = [ChainComplex({k: 1, k - 1: 1}, {k: ((1,),)}) for k in disks]
+    a, (q, *incs) = direct_sum([b, *cells])
+    g = signed_perm_inverse(q)
+    xi = functools.reduce(gmap_add, (
+        gmap_compose(i, gmap_compose(GradedMap(c, c, 1, {k - 1: ((1,),)}),
+                                     signed_perm_inverse(i)))
+        for i, c, k in zip(incs, cells, disks)))
+    _, u, uinv = _conjugate(rng, a)
+    return Lali(gmap_compose(g, uinv), gmap_compose(u, q),
+                gmap_compose(u, gmap_compose(xi, uinv)))

@@ -14,7 +14,6 @@ from weakmaps.bar import (
     bar_lali,
     builtin_algebra,
     builtin_module,
-    codescent_map,
     free_ulali_factor,
     lift_ulali,
     nonequivariant_twist,
@@ -42,12 +41,11 @@ from weakmaps.dg import (
     homology_ranks,
     id_gmap,
     is_chain_map,
-    lali_morphism_ok,
     lunit_iso,
-    random_complex,
     unit_complex,
     zero_gmap,
 )
+from generators import random_complex
 
 RAT = builtin_algebra("rationals")
 DUAL = builtin_algebra("dual_numbers")
@@ -492,39 +490,6 @@ def test_factor_twisted():
         h, rep = free_ulali_factor(t, modB, g, f0, eps0)
         assert rep.ok, [c.line() for c in rep.failures()]
         assert not h.is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Functoriality of the resolution
-
-
-def test_codescent_map_naturality():
-    ts, tt = cod(DF, 3), cod(DG, 3)
-    aug = DUAL.pivot
-    qu = codescent_map(ts, tt, aug)
-    assert is_chain_map(qu)
-    calc = ts.calc
-    for n in range(4):
-        assert gmap_compose(qu, ts.iota(n)) == gmap_compose(
-            tt.iota(n), calc.Tpow(n + 1, aug))
-
-
-def test_codescent_map_is_a_lali_morphism():
-    ts, tt = cod(DF, 3), cod(DG, 3)
-    aug = DUAL.pivot
-    qu = codescent_map(ts, tt, aug)
-    ls, _ = bar_lali(ts)
-    lt, _ = bar_lali(tt)
-    assert lali_morphism_ok(qu, aug, ls, lt)
-
-
-def test_codescent_map_identity_and_mismatch():
-    t = cod(DG, 2)
-    assert codescent_map(t, t, id_gmap(DG.cx)) == id_gmap(t.total)
-    with pytest.raises(BarError):
-        codescent_map(t, cod(DG, 3), id_gmap(DG.cx))
-    with pytest.raises(BarError):
-        codescent_map(t, cod(EG, 2), id_gmap(DG.cx))
 
 
 def test_corrupted_face_fails_face_face(family_fails):

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import weakmaps
 from weakmaps.cli import build_parser, main
 from weakmaps.schemas import load_algebra, load_module
 
@@ -148,23 +152,33 @@ LAWLESS = {"complex": {"degrees": {"0": 2}}, "unit": {"0": [[1], [0]]},
            "mult": {"0": [[1, 0, 0, 0], [0, 1, 0, 1]]}}
 
 
-@pytest.mark.parametrize("group,action", [("lift", "lali"),
-                                          ("factor", "ulali")])
-def test_lawless_algebra_rejected(tmp_path, capsys, group, action):
-    code, out, err = run(capsys, group, action,
-                         "--dgalgebra", write(tmp_path, "a.json", LAWLESS))
-    assert code == 2 and out == ""
-    assert err.startswith("input error: algebra/module laws fail: ")
-    assert "EQ alg.unit.right @ A : FAIL" in err
+# B = Q with the zero action: 1.b = 0 breaks the unit law
+LAWLESS_LALI = {
+    "module": {"complex": {"degrees": {"0": 1}}, "action": {}, "name": "B"},
+    "g": {"0": [[1]]}, "f0": {"0": [[1]]}, "eps0": {}}
 
 
-@pytest.mark.parametrize("group,action", [("bar", "resolve"), ("dg", "check")])
-def test_lawless_algebra_reported(tmp_path, capsys, group, action):
-    code, out, err = run(capsys, group, action, "--trunc", "2",
-                         "--dgalgebra", write(tmp_path, "a.json", LAWLESS))
+@pytest.mark.parametrize("group,action,lawless", [
+    ("bar", "resolve", "algebra"), ("dg", "check", "algebra"),
+    ("lift", "lali", "algebra"), ("factor", "ulali", "algebra"),
+    ("lift", "lali", "module"), ("factor", "ulali", "module"),
+], ids=["bar-resolve", "dg-check", "lift-lali", "factor-ulali",
+        "lift-lali-module", "factor-ulali-module"])
+def test_lawless_algebra_reported(tmp_path, capsys, group, action, lawless):
+    # every dg subcommand reports the broken law and runs nothing else
+    if lawless == "algebra":
+        args = ["--dgalgebra", write(tmp_path, "a.json", LAWLESS)]
+        line = "EQ alg.unit.right @ A : FAIL"
+    else:
+        args = ["--module", "ground",
+                "--lali", write(tmp_path, "lali.json", LAWLESS_LALI)]
+        line = "EQ mod.act.unit @ B : FAIL"
+    code, out, err = run(capsys, group, action, "--trunc", "2", *args)
     assert code == 1 and err == ""
-    assert "EQ alg.unit.right @ A : FAIL" in out
-    assert not re.search(r"^(EQ (bar|dg)\.|TABLE)", out, re.M)
+    assert line in out
+    assert all(ln.startswith(("EQ alg.", "EQ mod.")) for ln in out.splitlines()
+               if ln.startswith("EQ ")), out
+    assert "TABLE" not in out
 
 
 # the dual numbers acting on themselves, written out
@@ -214,25 +228,19 @@ def test_validate_exception_monad_reusing_a_carrier_label(tmp_path, capsys):
     assert out.rstrip().endswith("SUMMARY: checks=14 pass=14 fail=0 exempt=0")
 
 
+def test_validate_identity_monad(tmp_path, capsys):
+    mon = write(tmp_path, "m.json", {"kind": "identity"})
+    code, out, err = run(capsys, "validate", "--monad", mon, "--finset-max", "2")
+    assert code == 0 and err == ""
+    laws = [ln for ln in out.splitlines() if ln.startswith("EQ monad.")]
+    assert laws and all(ln.endswith(" : PASS") for ln in laws)
+
+
 def test_awfs_check_identity_comonad(capsys):
     code, out, err = run(capsys, "awfs", "check", "--builtin", "psplitepi",
                          "--comonad", "identity", "--finset-max", "1")
     assert code == 0 and err == ""
     assert "comonad=identity" in out.splitlines()[1]
-
-
-@pytest.mark.parametrize("group,action", [("lift", "lali"),
-                                          ("factor", "ulali")])
-def test_lawless_lali_module_rejected(tmp_path, capsys, group, action):
-    # B = Q with the zero action: 1.b = 0 breaks the unit law
-    lali = write(tmp_path, "lali.json", {
-        "module": {"complex": {"degrees": {"0": 1}}, "action": {}, "name": "B"},
-        "g": {"0": [[1]]}, "f0": {"0": [[1]]}, "eps0": {}})
-    code, out, err = run(capsys, group, action, "--module", "ground",
-                         "--lali", lali)
-    assert code == 2 and out == ""
-    assert err.startswith("input error: algebra/module laws fail: ")
-    assert "EQ mod.act.unit @ B : FAIL" in err
 
 
 # --- determinism and format parity ------------------------------------------
@@ -243,6 +251,45 @@ def test_reruns_are_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# runs each argv list of argv[1] through cli.main in one process and
+# prints the exit status and the md5 of the report
+MD5_PER_RUN = """
+import contextlib, hashlib, io, json, sys
+from weakmaps.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.md5(out.getvalue().encode()).hexdigest(), *argv)
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    runs = [
+        ["awfs", "check", "--finset-max", "2"],
+        ["awfs", "check", "--builtin", "psplitepi", "--finset-max", "1"],
+        ["weakmaps", "compare", "--A", "1", "--B", "2", "--bound", "3"],
+        ["bar", "resolve", "--trunc", "2"],
+        ["dg", "check", "--trunc", "2", "--trials", "2"],
+        ["lift", "lali", "--trunc", "2"],
+        ["factor", "ulali", "--trunc", "2"],
+        ["validate", "--category", write(tmp_path, "cat.json", IDEMPOTENT)],
+        ["validate", "--finset-max", "2",
+         "--comonad", write(tmp_path, "c.json", {"kind": "coreader", "S": ["s", "t"]}),
+         "--monad", write(tmp_path, "m.json", {"kind": "exception", "E": ["e"]}),
+         "--dgalgebra", write(tmp_path, "a.json", CONE)],
+    ]
+    src = str(Path(weakmaps.__file__).resolve().parents[1])
+    outs = [subprocess.run(
+        [sys.executable, "-c", MD5_PER_RUN, json.dumps(runs)],
+        env={**os.environ, "PYTHONHASHSEED": seed,
+             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, check=True, timeout=60).stdout
+        for seed in ("0", "1")]
+    assert [ln.split()[0] for ln in outs[0].splitlines()] == ["0"] * len(runs)
+    assert outs[0] == outs[1]
 
 
 def test_json_carries_the_same_report(capsys):

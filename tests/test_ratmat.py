@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from weakmaps.dg import _unimodular
-from weakmaps.ratmat import _place, assemble, eye, inverse, mmul, rank, zeros
+from weakmaps.ratmat import _place, assemble, eye, mmul, rank, zeros
+from generators import _unimodular, inverse
 
 
 # -- dense reference formulas ------------------------------------------------

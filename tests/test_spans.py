@@ -10,7 +10,6 @@ from weakmaps.fincat import (
     canonical_set,
     coreader_comonad,
     finset_fragment,
-    fsarrow,
     validate_category,
 )
 from weakmaps.awfs import PSplitEpiAwfs, RAlgebraArrow, SplitEpiAwfs, identity_algebra
@@ -30,6 +29,7 @@ from weakmaps.spans import (
     span_maps,
     span_to_kleisli,
 )
+from generators import fsarrow
 
 C = FinSetCategory()
 SPLIT = SplitEpiAwfs(C)
