@@ -262,21 +262,25 @@ def _demo_lali(ns, alg, mod):
 
 def _load_lali(ns):
     """(config, M, (B, g, f0, eps0), laws) for a lali B -> M; `laws`
-    holds the law checks of the algebra, M and B."""
+    holds the law checks of the algebra, M and B.  B is checked and the
+    demo lali built only if the algebra and M pass; else parts may be None."""
     cfg, alg, mod, laws = _dg_inputs(ns)
+    parts = None
     if ns.lali:
         cfg["lali"] = ns.lali
         parts = schemas.load_lali(schemas.load_file(ns.lali), alg, mod)
-    else:
+    elif laws.ok:
         parts, cfg["demo"] = _demo_lali(ns, alg, mod)
-    parts[0].validate(laws)
+    if laws.ok:
+        parts[0].validate(laws)
     return cfg, mod, parts, laws
 
 
 def _run_lift_lali(ns):
-    cfg, mod, (modB, g, f0, eps0), laws = _load_lali(ns)
+    cfg, mod, parts, laws = _load_lali(ns)
     if not laws.ok:
         return cfg, laws, []
+    modB, g, f0, eps0 = parts
     rep = CheckReport()
     f, eps, _ = lift_ulali(modB, mod, g, f0, eps0, ns.trunc, rep)
     tables = [("components", [
@@ -289,9 +293,10 @@ def _run_lift_lali(ns):
 
 
 def _run_factor_ulali(ns):
-    cfg, mod, (modB, g, f0, eps0), laws = _load_lali(ns)
+    cfg, mod, parts, laws = _load_lali(ns)
     if not laws.ok:
         return cfg, laws, []
+    modB, g, f0, eps0 = parts
     rep = CheckReport()
     t = TruncatedCodescent(mod.calculus(ns.trunc))
     h, _ = free_ulali_factor(t, modB, g, f0, eps0, rep)

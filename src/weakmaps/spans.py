@@ -132,8 +132,17 @@ def span_is_map(r, s: ASpan, t: ASpan) -> bool:
 
 
 def span_maps(s: ASpan, t: ASpan):
-    cat = s.left.awfs.cat
-    return [r for r in cat.hom(s.apex, t.apex) if span_is_map(r, s, t)]
+    """Every span map s -> t, in cat.hom order.  r(x) ranges over the fibre
+    {y : l_t(y) = l_s(x), r_t(y) = r_s(x)} and is forced to w_t(j) at
+    w_s(j) (no map on a clash); span_is_map still checks each candidate."""
+    fibres = {}
+    for y, legs in enumerate(zip(t.left.arrow.idx, t.right.idx)):
+        fibres.setdefault(legs, []).append(y)
+    choices = [fibres.get(legs, []) for legs in zip(s.left.arrow.idx, s.right.idx)]
+    for x, y in zip(s.left.witness.idx, t.left.witness.idx):
+        choices[x] = [y] if y in choices[x] else []
+    rs = (FinSetArrow(s.apex, t.apex, idx) for idx in itertools.product(*choices))
+    return [r for r in rs if span_is_map(r, s, t)]
 
 
 def normalize_span(s: ASpan) -> ASpan:

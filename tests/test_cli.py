@@ -181,6 +181,16 @@ def test_lawless_algebra_reported(tmp_path, capsys, group, action, lawless):
     assert "TABLE" not in out
 
 
+@pytest.mark.parametrize("group,action", [("lift", "lali"), ("factor", "ulali")])
+def test_lawless_algebra_builds_no_demo_lali(tmp_path, capsys, group, action):
+    # B's laws over a lawless algebra only repeat its FAILs: not checked
+    code, out, err = run(capsys, group, action, "--trunc", "2",
+                         "--dgalgebra", write(tmp_path, "a.json", LAWLESS))
+    assert code == 1 and err == ""
+    assert "EQ alg.unit.right @ A : FAIL" in out
+    assert "@ thick" not in out
+
+
 # the dual numbers acting on themselves, written out
 DUAL_ON_ITSELF = {"complex": {"degrees": {"0": 2}},
                   "action": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]]}}

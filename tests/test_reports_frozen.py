@@ -17,6 +17,8 @@ FROZEN = [
      "00016dbd373a11a7403454bd92a7d337"),
     ("weakmaps compare --A 1 --B 2 --bound 4",
      "b629c8c34f49665858aaab745a3d82ae"),
+    ("weakmaps compare --A 2 --B 2 --bound 4",
+     "e9f1bc2412fe33f6f10ba89e70e874c5"),
     ("bar resolve --trunc 3", "3fb4041c27bbe9222f11b841a1bb4ac3"),
     ("bar resolve --trunc 3 --builtin exterior --module free",
      "26662d274250f10457acf08db83aaaf8"),

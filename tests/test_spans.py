@@ -10,9 +10,11 @@ from weakmaps.fincat import (
     canonical_set,
     coreader_comonad,
     finset_fragment,
+    identity_comonad,
     validate_category,
 )
 from weakmaps.awfs import PSplitEpiAwfs, RAlgebraArrow, SplitEpiAwfs, identity_algebra
+from weakmaps import spans as spans_module
 from weakmaps.report import PASS
 from weakmaps.spans import (
     WeakMapCategory,
@@ -214,6 +216,51 @@ def test_span_maps_compose_and_preserve_kappa():
                 found += 1
                 assert span_to_kleisli(wm, t).under == ks
     assert found > 0
+
+
+CENSUS_AWFS = [PSplitEpiAwfs(C, coreader_comonad(C, canonical_set(2, "s"))),
+               PSplitEpiAwfs(C, identity_comonad(C))]
+
+
+@pytest.fixture
+def tried(monkeypatch):
+    """The candidates span_maps hands to span_is_map, in order."""
+    seen = []
+    monkeypatch.setattr(spans_module, "span_is_map",
+                        lambda r, s, t: seen.append(r) or span_is_map(r, s, t))
+    return seen
+
+
+def test_span_maps_equal_the_filtered_hom_set(tried):
+    # the solved search against the brute-force filter of the whole
+    # hom-set, lists compared with their order.  That every candidate
+    # tried is a span map is checked too: list equality alone cannot see
+    # a lost fibre or witness constraint, since span_is_map filters it
+    pairs = 0
+    for aw in CENSUS_AWFS:
+        for a, b, bound in ((1, 2, 3), (2, 1, 3), (2, 2, 2)):
+            census = list(enumerate_spans(aw, canonical_set(a, "a"),
+                                          canonical_set(b, "b"), bound))
+            for s, t in itertools.product(census, repeat=2):
+                tried.clear()
+                solved = span_maps(s, t)
+                assert solved == [r for r in C.hom(s.apex, t.apex)
+                                  if span_is_map(r, s, t)], (s, t)
+                assert tried == solved, (s, t)
+                pairs += 1
+    assert pairs == 10256
+
+
+def test_span_maps_witness_clash_has_no_map(tried):
+    # P(a0) has two points over a0; s sends both to its one apex point, t
+    # to two points with the same legs, so r would need two values there
+    a1 = canonical_set(1, "a")
+    s = _api_span(PSPLIT, a1, B2, 1, (0,), (0, 0), (0,))
+    t = _api_span(PSPLIT, a1, B2, 2, (0, 0), (0, 1), (0, 0))
+    assert s.left.validate().ok and t.left.validate().ok
+    assert len(C.hom(s.apex, t.apex)) == 2
+    assert not any(span_is_map(r, s, t) for r in C.hom(s.apex, t.apex))
+    assert span_maps(s, t) == [] and tried == []
 
 
 def test_span_equiv_equal_and_one_step():
