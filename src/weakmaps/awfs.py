@@ -27,6 +27,7 @@ from .fincat import (
     FinSetArrow,
     FunctorData,
     MonadData,
+    fibres,
     finset_fragment,
     fmt_ends,
     fmt_obj,
@@ -246,29 +247,13 @@ def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:
 
 
 def squares_between(cat, f: FinSetArrow, g: FinSetArrow):
-    """All (h,k) with g.h = k.f, as arrows, enumerated by forcing k on the
-    image of f."""
-    na, nb = len(f.dom), len(f.cod)
-    for h_idx in itertools.product(range(len(g.dom)), repeat=na):
-        forced = [-1] * nb
-        ok = True
-        for i in range(na):
-            pos = f.idx[i]
-            val = g.idx[h_idx[i]]
-            if forced[pos] < 0:
-                forced[pos] = val
-            elif forced[pos] != val:
-                ok = False
-                break
-        if not ok:
-            continue
-        h = FinSetArrow(f.dom, g.dom, h_idx)
-        free = [j for j in range(nb) if forced[j] < 0]
-        for choice in itertools.product(range(len(g.cod)), repeat=len(free)):
-            k_idx = list(forced)
-            for j, c in zip(free, choice):
-                k_idx[j] = c
-            yield h, FinSetArrow(f.cod, g.cod, tuple(k_idx))
+    """All (h,k) with g.h = k.f, as arrows: k runs over hom(f.cod, g.cod)
+    in lex order, and h(i) over the fibre of g above k(f(i))."""
+    over = fibres(g.idx)
+    for k_idx in itertools.product(range(len(g.cod)), repeat=len(f.cod)):
+        k = FinSetArrow(f.cod, g.cod, k_idx)
+        for h_idx in itertools.product(*(over.get(k_idx[j], ()) for j in f.idx)):
+            yield FinSetArrow(f.dom, g.dom, h_idx), k
 
 
 def fragment_arrows(cat, max_size):

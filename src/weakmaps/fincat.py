@@ -43,6 +43,16 @@ def fmt_ends(dom, cod) -> str:
 # FinSet backend
 
 
+def fibres(values) -> dict:
+    """{value: ascending positions holding it}.  Every constrained search
+    over finite sets (sections, span maps, squares, pullbacks) picks each
+    point's image from such a fibre."""
+    out = {}
+    for i, v in enumerate(values):
+        out.setdefault(v, []).append(i)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class FinSetArrow:
     """Total function between label tuples; idx[i] is the cod-position of dom[i]."""
@@ -148,12 +158,8 @@ class FinSetCategory:
     def pullback(self, f: FinSetArrow, g: FinSetArrow) -> PullbackData:
         if f.cod != g.cod:
             raise CategoryError("pullback needs a cospan")
-        pairs = [
-            (i, j)
-            for i in range(len(f.dom))
-            for j in range(len(g.dom))
-            if f.idx[i] == g.idx[j]
-        ]
+        over = fibres(g.idx)
+        pairs = [(i, j) for i, x in enumerate(f.idx) for j in over.get(x, ())]
         obj = tuple(f"({f.dom[i]},{g.dom[j]})" for i, j in pairs)
         p1 = FinSetArrow(obj, f.dom, tuple(i for i, _ in pairs))
         p2 = FinSetArrow(obj, g.dom, tuple(j for _, j in pairs))

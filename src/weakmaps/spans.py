@@ -33,6 +33,7 @@ from .fincat import (
     FinSetArrow,
     KleisliArrow,
     canonical_set,
+    fibres,
 )
 from .report import CheckReport
 
@@ -135,34 +136,12 @@ def span_maps(s: ASpan, t: ASpan):
     """Every span map s -> t, in cat.hom order.  r(x) ranges over the fibre
     {y : l_t(y) = l_s(x), r_t(y) = r_s(x)} and is forced to w_t(j) at
     w_s(j) (no map on a clash); span_is_map still checks each candidate."""
-    fibres = {}
-    for y, legs in enumerate(zip(t.left.arrow.idx, t.right.idx)):
-        fibres.setdefault(legs, []).append(y)
-    choices = [fibres.get(legs, []) for legs in zip(s.left.arrow.idx, s.right.idx)]
+    over = fibres(zip(t.left.arrow.idx, t.right.idx))
+    choices = [over.get(legs, []) for legs in zip(s.left.arrow.idx, s.right.idx)]
     for x, y in zip(s.left.witness.idx, t.left.witness.idx):
         choices[x] = [y] if y in choices[x] else []
     rs = (FinSetArrow(s.apex, t.apex, idx) for idx in itertools.product(*choices))
     return [r for r in rs if span_is_map(r, s, t)]
-
-
-def normalize_span(s: ASpan) -> ASpan:
-    """Relabel the apex canonically: sort points by (left image, right
-    image, witness preimages) and rename positionally.  Tied points are
-    interchangeable by a span automorphism, so the result is a class
-    invariant."""
-    aw = s.left.awfs
-    l, r, w = s.left.arrow, s.right, s.left.witness
-    pre = {i: [] for i in range(len(l.dom))}
-    for j in range(len(w.dom)):
-        pre[w.idx[j]].append(j)
-    keys = sorted(range(len(l.dom)),
-                  key=lambda i: (l.idx[i], r.idx[i], tuple(pre[i])))
-    apex = canonical_set(len(keys), "s")
-    rank = {old: new for new, old in enumerate(keys)}
-    nl = FinSetArrow(apex, l.cod, tuple(l.idx[i] for i in keys))
-    nr = FinSetArrow(apex, r.cod, tuple(r.idx[i] for i in keys))
-    nw = FinSetArrow(w.dom, apex, tuple(rank[w.idx[j]] for j in range(len(w.dom))))
-    return ASpan(RAlgebraArrow(aw, nl, nw), nr)
 
 
 def canonical_span(wm: WeakMapCategory, s: ASpan) -> ASpan:
@@ -193,28 +172,26 @@ class SpanZigzag:
 
 @dataclass(frozen=True)
 class SpanEquivResult:
-    kind: str  # "equal" | "connected" | "not-found-within-bounds"
+    kind: str  # "connected" | "not-found-within-bounds"
     zigzag: object = None
 
     @property
     def equivalent(self):
-        return self.kind in ("equal", "connected")
+        return self.kind == "connected"
 
 
 def span_equiv(wm: WeakMapCategory, s: ASpan, t: ASpan,
                apex_bound=None, zigzag_bound=4) -> SpanEquivResult:
     """Decide zigzag-connectivity of two spans within explicit bounds.
 
-    Tries, in order: equality after normalisation; a single span map in
-    either direction; the canonical span with apex Q(src) mapping onto
+    Tries, in order: a single span map in either direction (isomorphic
+    spans included); the canonical span with apex Q(src) mapping onto
     both (needs zigzag_bound >= 2 and Q(src) within apex_bound).  The
     not-found answer names exceeded bounds rather than claiming
     inequivalence.
     """
     if s.src != t.src or s.dst != t.dst:
         raise CategoryError("spans have different boundaries")
-    if normalize_span(s) == normalize_span(t):
-        return SpanEquivResult("equal", SpanZigzag((s,), (), ()))
     if zigzag_bound >= 1:
         for r in span_maps(s, t):
             return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("fwd",)))
@@ -258,8 +235,8 @@ class HomComparison:
 
 def _sections(l, eps):
     """Every sigma with l[sigma[w]] = eps[w] for all w, in lex order."""
-    return itertools.product(*([x for x in range(len(l)) if l[x] == e]
-                               for e in eps))
+    over = fibres(l)
+    return itertools.product(*(over.get(e, ()) for e in eps))
 
 
 def _int_spans(a, b, eps, max_apex):
@@ -306,8 +283,9 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
       the real category operations, exhaustively up to full_upto and on
       a seeded deterministic sample above;
     * roundtrip: kleisli -> span -> kleisli is the identity;
-    * class.count: bounded span classes biject with co-Kleisli arrows
-      (needs apex_bound >= |QA| so the canonical spans appear);
+    * class.count: bounded span classes biject with co-Kleisli arrows;
+      TRUNCATION-EXEMPT when apex_bound < |QA|, as the canonical spans
+      need apex QA;
     * kappa.invariant: sampled one-step span maps preserve kappa, with
       sources built from arbitrary relabelings over at most
       INVARIANCE_TARGETS sampled targets.
@@ -344,8 +322,11 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
         rt.check(back == u, lambda: repr(u), back, u)
     rt.close(f"{kleisli_count} co-Kleisli arrows")
 
-    rep.record("class.count", f"apex<={apex_bound}",
-               len(classes) == kleisli_count, len(classes), kleisli_count)
+    if apex_bound < len(qa):
+        rep.exempt("class.count", f"apex<={apex_bound}")
+    else:
+        rep.record("class.count", f"apex<={apex_bound}",
+                   len(classes) == kleisli_count, len(classes), kleisli_count)
 
     # invariance: build sources over sampled targets by arbitrary relabeling
     targets = list(_int_spans(a_size, b_size, eps, min(2, apex_bound)))

@@ -1,4 +1,7 @@
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -430,16 +433,19 @@ def test_filler_splits_by_image(data):
 
 
 def test_squares_between_matches_bruteforce():
-    fs = [f for f in fragment_arrows(C, 2)]
-    import random
-    rng = random.Random(0)
-    for _ in range(30):
-        f, g = rng.choice(fs), rng.choice(fs)
-        fast = set(squares_between(C, f, g))
-        slow = {
+    # multisets, so a square yielded twice fails too; every pair of the
+    # size <= 2 fragment
+    fs = fragment_arrows(C, 2)
+    for f, g in itertools.product(fs, repeat=2):
+        fast = Counter(squares_between(C, f, g))
+        slow = Counter(
             (h, k)
             for h in C.hom(f.dom, g.dom)
             for k in C.hom(f.cod, g.cod)
             if C.compose(g, h) == C.compose(k, f)
-        }
-        assert fast == slow
+        )
+        assert fast == slow, (f, g)
+    assert len(fs) ** 2 == 121
+    # size <= 3: the closed form sum_(f,g) prod_b sum_d |g^-1 d| ** |f^-1 b|
+    fs = fragment_arrows(C, 3)
+    assert sum(1 for f in fs for g in fs for _ in squares_between(C, f, g)) == 74112

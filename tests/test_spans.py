@@ -24,7 +24,6 @@ from weakmaps.spans import (
     compare_hom,
     identity_span,
     kleisli_to_span,
-    normalize_span,
     span_compose,
     span_equiv,
     span_is_map,
@@ -184,14 +183,15 @@ def test_identity_span_is_unit_for_composition_up_to_kappa():
         assert span_to_kleisli(wm, left_unit) == target
         assert span_to_kleisli(wm, right_unit) == target
         # right unit does not even change the span up to iso
-        assert normalize_span(right_unit) == normalize_span(s)
+        assert any(sorted(r.idx) == list(range(len(s.apex)))
+                   for r in span_maps(right_unit, s))
 
 
-def test_normalize_is_idempotent_and_label_free():
+def test_span_maps_find_every_apex_relabelling():
+    # permuting the apex labels gives an isomorphic span, and the
+    # permutation back is one of its span maps
+    pairs = 0
     for s in all_spans(SPLIT, A2, B2, 3):
-        n = normalize_span(s)
-        assert normalize_span(n) == n
-        # permuting apex labels does not change the normal form
         k = len(s.apex)
         for perm in itertools.permutations(range(k)):
             inv = [0] * k
@@ -201,7 +201,9 @@ def test_normalize_is_idempotent_and_label_free():
             r2 = tuple(s.right.idx[inv[i]] for i in range(k))
             w2 = tuple(perm[j] for j in s.left.witness.idx)
             s2 = _api_span(SPLIT, A2, B2, k, l2, w2, r2)
-            assert normalize_span(s2) == n
+            assert FinSetArrow(s2.apex, s.apex, tuple(inv)) in span_maps(s2, s)
+            pairs += 1
+    assert pairs == 592
 
 
 def test_span_maps_compose_and_preserve_kappa():
@@ -268,7 +270,8 @@ def test_span_equiv_equal_and_one_step():
     wm = WeakMapCategory(aw)
     s = next(iter(all_spans(aw, A2, B2, 2)))
     res = span_equiv(wm, s, s)
-    assert res.kind == "equal"
+    assert res.kind == "connected"
+    assert res.zigzag.verify()
     # a span and its canonical replacement are one zigzag apart or less
     c = canonical_span(wm, s)
     res = span_equiv(wm, s, c)
