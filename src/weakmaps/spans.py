@@ -144,11 +144,6 @@ def span_maps(s: ASpan, t: ASpan):
     return [r for r in rs if span_is_map(r, s, t)]
 
 
-def canonical_span(wm: WeakMapCategory, s: ASpan) -> ASpan:
-    """The span with apex Q(src) presenting the same weak map."""
-    return kleisli_to_span(wm, span_to_kleisli(wm, s))
-
-
 @dataclass(frozen=True)
 class SpanZigzag:
     """Chain of span maps connecting spans[0] to spans[-1]; dirs[i] is
@@ -224,8 +219,6 @@ class SpanClass:
 
 @dataclass
 class HomComparison:
-    src: tuple
-    dst: tuple
     kleisli_count: int
     span_count: int
     span_class_count: int
@@ -273,7 +266,7 @@ INVARIANCE_TARGETS = 200
 
 
 def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
-                seed=0, report=None) -> HomComparison:
+                seed=0, zigzag=0, report=None) -> HomComparison:
     """Census of weak maps A -> B in both presentations.
 
     Every span with apex size <= apex_bound is enumerated (integer
@@ -288,7 +281,12 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
       need apex QA;
     * kappa.invariant: sampled one-step span maps preserve kappa, with
       sources built from arbitrary relabelings over at most
-      INVARIANCE_TARGETS sampled targets.
+      INVARIANCE_TARGETS sampled targets;
+    * canonical.reach, when zigzag > 0: every bounded span is connected
+      to the canonical span with apex QA of its class by span_equiv
+      within depth zigzag.  Each class's canonical span is built once,
+      keyed by the span's co-Kleisli image span_to_kleisli(wm, s) rather
+      than the integer kappa, so a wrong kappa cannot hide a failure.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -299,7 +297,7 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     pa = len(eps)
     rng = random.Random(seed)
 
-    kleisli_count = b_size ** pa if pa else 1
+    kleisli_count = b_size ** pa
     classes = {}
     span_count = 0
     api = rep.family("api.kappa")
@@ -350,6 +348,17 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
                               ks, kt)
     inv.close(f"{inv.n} one-step maps")
 
+    if zigzag:
+        canonical = {}
+        reach = rep.family("canonical.reach")
+        for s in enumerate_spans(awfs, a_labels, b_labels, apex_bound):
+            u = span_to_kleisli(wm, s)
+            if u not in canonical:
+                canonical[u] = kleisli_to_span(wm, u)
+            e = span_equiv(wm, s, canonical[u], apex_bound=apex_bound,
+                           zigzag_bound=zigzag)
+            reach.check(e.equivalent, lambda: repr(s), e.kind, "connected")
+        reach.close(f"{reach.n} spans within apex<={apex_bound}")
+
     ordered = tuple(SpanClass(kappa, classes[kappa]) for kappa in sorted(classes))
-    return HomComparison(a_labels, b_labels, kleisli_count, span_count,
-                         len(classes), ordered, rep)
+    return HomComparison(kleisli_count, span_count, len(classes), ordered, rep)

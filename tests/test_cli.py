@@ -1,5 +1,6 @@
 """Exit codes, determinism, and report formats of the command line."""
 
+import ast
 import fcntl
 import hashlib
 import json
@@ -631,17 +632,17 @@ def test_non_chain_gradedmap_exits_1(tmp_path, capsys):
 
 
 def test_unreachable_span_fails_canonical_reach(monkeypatch, capsys):
-    import weakmaps.cli as cli
+    import weakmaps.spans as spans
     from weakmaps.spans import SpanEquivResult
 
-    real = cli.span_equiv
+    real = spans.span_equiv
 
     def lost_on_apex_2(wm, s, t, **kw):
         if len(s.apex) == 2:
             return SpanEquivResult("not-found-within-bounds")
         return real(wm, s, t, **kw)
 
-    monkeypatch.setattr(cli, "span_equiv", lost_on_apex_2)
+    monkeypatch.setattr(spans, "span_equiv", lost_on_apex_2)
     code, out, _ = run(capsys, "weakmaps", "compare", "--A", "1", "--B", "2",
                        "--bound", "2", "--zigzag", "2")
     assert code == 1
@@ -652,6 +653,27 @@ def test_unreachable_span_fails_canonical_reach(monkeypatch, capsys):
         for ln in items)
     assert re.fullmatch(r"EQ canonical.reach @ \d+ spans within apex<=2"
                         rf" : FAIL\(lhs={len(items)} failing, rhs=0\)", agg)
+
+
+def test_cli_imports_only_compare_hom_from_spans():
+    """The weak-map census, canonical reach included, lives in
+    spans.compare_hom: cli.py takes nothing else from spans, so span
+    enumeration, canonical spans and zigzag search stay out of the CLI."""
+    tree = ast.parse(Path(weakmaps.cli.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["weakmaps" if node.level else "",
+                                            node.module]))
+            names = [a.name for a in node.names]
+            if module == "weakmaps.spans":
+                imported += names
+            elif module == "weakmaps" and "spans" in names:
+                imported.append("the spans module")
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names
+                         if a.name.startswith("weakmaps.spans")]
+    assert imported == ["compare_hom"], imported
 
 
 # --- the README stays in step with the parser --------------------------------

@@ -19,7 +19,6 @@ from weakmaps.report import PASS
 from weakmaps.spans import (
     WeakMapCategory,
     _api_span,
-    canonical_span,
     enumerate_spans,
     compare_hom,
     identity_span,
@@ -273,7 +272,7 @@ def test_span_equiv_equal_and_one_step():
     assert res.kind == "connected"
     assert res.zigzag.verify()
     # a span and its canonical replacement are one zigzag apart or less
-    c = canonical_span(wm, s)
+    c = kleisli_to_span(wm, span_to_kleisli(wm, s))
     res = span_equiv(wm, s, c)
     assert res.equivalent
     assert res.zigzag.verify()
@@ -379,3 +378,9 @@ def test_corrupted_kappa_fails_each_census_family(monkeypatch, family_fails):
         family_fails(rep, name)
     assert rep.lines()[-1].startswith("EQ kappa.invariant @ ")
     assert "EQ roundtrip @ 4 co-Kleisli arrows : FAIL(lhs=4 failing, rhs=0)" in rep.lines()
+    # canonical spans are keyed by the (corrupted) co-Kleisli image, not by
+    # kappa, so a two-point apex meets a canonical span it does not reach
+    rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3, zigzag=4).report
+    reach = family_fails(rep, "canonical.reach")
+    assert len(reach) == 8
+    assert all(c.lhs == "not-found-within-bounds" for c in reach)
