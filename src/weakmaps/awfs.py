@@ -97,10 +97,8 @@ class PSplitEpiAwfs:
         return self.cop(f).copair(f, self.comonad.counit(self.cat.cod(f)))
 
     def earr(self, f, g, h, k):
-        cg = self.cop(g)
-        cat = self.cat
-        pk = self.comonad.functor.arr(k)
-        return self.cop(f).copair(cat.compose(cg.inl, h), cat.compose(cg.inr, pk))
+        """E(h,k) = h + P(k): A + PB -> C + PD, one arrow."""
+        return self.cop(f).plus(h, self.comonad.functor.arr(k), self.cop(g))
 
     def comult(self, f):
         # A + PB -> A + P(A + PB): the PB summand duplicates, then lands in

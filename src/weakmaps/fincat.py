@@ -1,10 +1,12 @@
 """Finite categories with computable structure.
 
 * FinSetCategory: objects are tuples of distinct element labels, arrows
-  are tabulated total functions.  Hom-sets enumerate in lexicographic
-  order of function graphs, coproducts are tagged unions (tags "L"/"R"),
-  pullbacks are lexicographically ordered subsets of the product with a
-  mediating-map solver.  It is the only backend that computes anything.
+  are tabulated total functions (`FinSetArrow`, an immutable slotted
+  (dom, cod, idx) triple with structural == and hash: a dict key).
+  Hom-sets enumerate in lexicographic order of function graphs,
+  coproducts are tagged unions (tags "L"/"R"), pullbacks are
+  lexicographically ordered subsets of the product with a mediating-map
+  solver.  It is the only backend that computes anything.
 * TableCategory: objects, arrows, identities and a composition table
   supplied explicitly, loaded by `schemas.load_category`.  It serves the
   validators only (`validate --category/--comonad/--monad`) and has no
@@ -53,21 +55,43 @@ def fibres(values) -> dict:
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class FinSetArrow:
     """Total function between label tuples; idx[i] is the cod-position of dom[i]."""
 
-    dom: tuple
-    cod: tuple
-    idx: tuple
+    __slots__ = ("dom", "cod", "idx")
+
+    def __init__(self, dom: tuple, cod: tuple, idx: tuple):
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_idx(self, idx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FinSetArrow is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FinSetArrow is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FinSetArrow:
+            return NotImplemented
+        return self.idx == other.idx and self.dom == other.dom and self.cod == other.cod
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.idx))
 
     def __repr__(self):
         imgs = ",".join(self.cod[i] for i in self.idx)
         return f"{fmt_obj(self.dom)}->{fmt_obj(self.cod)}[{imgs}]"
 
 
+# cheaper than a frozen dataclass: __init__ stores through these descriptors
+_set_dom = FinSetArrow.dom.__set__
+_set_cod = FinSetArrow.cod.__set__
+_set_idx = FinSetArrow.idx.__set__
+
+
 class CoproductData:
-    """Chosen coproduct: tagged union object, injections, copair operation."""
+    """Chosen coproduct: tagged union object, injections, copair and sum."""
 
     def __init__(self, obj, inl, inr):
         self.obj = obj
@@ -80,6 +104,15 @@ class CoproductData:
         if f.dom != self.inl.dom or g.dom != self.inr.dom:
             raise CategoryError("copair legs do not match the coproduct summands")
         return FinSetArrow(self.obj, f.cod, f.idx + g.idx)
+
+    def plus(self, h: FinSetArrow, k: FinSetArrow, into: CoproductData) -> FinSetArrow:
+        """h + k = [inl h, inr k] into the coproduct `into`, as one index sum."""
+        if h.dom != self.inl.dom or k.dom != self.inr.dom:
+            raise CategoryError("plus legs do not start at the coproduct summands")
+        if h.cod != into.inl.dom or k.cod != into.inr.dom:
+            raise CategoryError("plus legs do not land in the target summands")
+        shift = len(h.cod)
+        return FinSetArrow(self.obj, into.obj, h.idx + tuple([j + shift for j in k.idx]))
 
 
 class PullbackData:
@@ -94,8 +127,8 @@ class PullbackData:
 
     def mediate(self, u: FinSetArrow, v: FinSetArrow) -> FinSetArrow:
         """The unique k with p1 k = u and p2 k = v; raises if the cone fails."""
-        if u.dom != v.dom:
-            raise CategoryError("cone legs must share a domain")
+        if u.dom != v.dom or u.cod != self.p1.cod or v.cod != self.p2.cod:
+            raise CategoryError("cone legs must share a domain and end at f.dom, g.dom")
         spot = {(self.p1.idx[i], self.p2.idx[i]): i for i in range(len(self.obj))}
         idx = []
         for i in range(len(u.dom)):
@@ -125,7 +158,8 @@ class FinSetCategory:
     def compose(self, g: FinSetArrow, f: FinSetArrow) -> FinSetArrow:
         if f.cod != g.dom:
             raise CategoryError(f"not composable: cod {f!r} != dom {g!r}")
-        return FinSetArrow(f.dom, g.cod, tuple(g.idx[i] for i in f.idx))
+        gi = g.idx
+        return FinSetArrow(f.dom, g.cod, tuple([gi[i] for i in f.idx]))
 
     def hom(self, a, b) -> list:
         a, b = tuple(a), tuple(b)
@@ -245,27 +279,26 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
     s = tuple(s)
     if not s:
         raise CategoryError("coreader comonad needs a nonempty label set")
+    n, ks = len(s), range(len(s))
 
     @functools.cache
     def pobj(x):
         return tuple(f"({e},{t})" for e in x for t in s)
 
     def parr(f: FinSetArrow) -> FinSetArrow:
-        n = len(s)
-        idx = tuple(f.idx[i] * n + k for i in range(len(f.dom)) for k in range(n))
+        # (x,t) goes to (f(x),t): position i*n+t maps to f.idx[i]*n+t
+        idx = tuple([j * n + t for j in f.idx for t in ks])
         return FinSetArrow(pobj(f.dom), pobj(f.cod), idx)
 
     def counit(x):
         x = tuple(x)
-        n = len(s)
-        idx = tuple(i for i in range(len(x)) for _ in range(n))
+        idx = tuple(i for i in range(len(x)) for _ in ks)
         return FinSetArrow(pobj(x), x, idx)
 
     def comult(x):
         x = tuple(x)
-        n = len(s)
         # (x,t) goes to ((x,t),t): position (i*n+k) maps to (i*n+k)*n + k
-        idx = tuple((i * n + k) * n + k for i in range(len(x)) for k in range(n))
+        idx = tuple((i * n + k) * n + k for i in range(len(x)) for k in ks)
         return FinSetArrow(pobj(x), pobj(pobj(x)), idx)
 
     return ComonadData(FunctorData(pobj, parr, "(-)xS"), counit, comult, f"(-)x{fmt_obj(s)}")
@@ -274,15 +307,14 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
 def exception_monad(cat: FinSetCategory, e) -> MonadData:
     """T(X) = X + E through the chosen coproduct, labels "L:x" and "R:e",
     so E may reuse carrier names: eta = inl, mu = [id, inr] out of
-    (X + E) + E, and T f = [inl f, inr]."""
+    (X + E) + E, and T f = f + 1 = [inl f, inr]."""
     e = tuple(e)
 
     def tobj(x):
         return cat.coproduct(x, e).obj
 
     def tarr(f: FinSetArrow) -> FinSetArrow:
-        cod = cat.coproduct(f.cod, e)
-        return cat.coproduct(f.dom, e).copair(cat.compose(cod.inl, f), cod.inr)
+        return cat.coproduct(f.dom, e).plus(f, cat.identity(e), cat.coproduct(f.cod, e))
 
     def unit(x):
         return cat.coproduct(x, e).inl

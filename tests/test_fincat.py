@@ -8,6 +8,7 @@ from weakmaps.fincat import (
     CategoryError,
     FinSetArrow,
     CoKleisliCategory,
+    KleisliArrow,
     FinSetCategory,
     canonical_set,
     coreader_comonad,
@@ -23,6 +24,7 @@ from weakmaps.fincat import (
 from weakmaps.awfs import (
     SplitEpiAwfs,
     cofibrant_replacement,
+    fragment_arrows,
     replacement_comparison,
     validate_comonad_iso,
 )
@@ -45,6 +47,27 @@ def test_compose_rejects_mismatched_endpoints():
     f = fsarrow("ab", "xy", {"a": "x", "b": "y"})
     with pytest.raises(CategoryError):
         C.compose(f, f)
+
+
+@pytest.mark.parametrize("field", ["dom", "cod", "idx"])
+def test_arrow_fields_cannot_be_assigned_or_deleted(field):
+    f = fsarrow("ab", "xy", {"a": "x", "b": "y"})
+    with pytest.raises(AttributeError):
+        setattr(f, field, ())
+    with pytest.raises(AttributeError):
+        delattr(f, field)
+    assert f == fsarrow("ab", "xy", {"a": "x", "b": "y"})
+
+
+def test_arrow_equality_is_structural():
+    f = FinSetArrow(("a", "b"), ("x", "y"), (1, 0))
+    g = FinSetArrow(tuple("ab"), tuple("xy"), tuple([1, 0]))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    # same positions, other domain labels
+    assert f != FinSetArrow(("a", "c"), ("x", "y"), (1, 0))
+    assert f != (f.dom, f.cod, f.idx)
+    assert f != KleisliArrow(f.dom, f.cod, f.idx)
 
 
 def test_hom_is_lex_ordered_by_graph():
@@ -93,6 +116,18 @@ def test_pullback_elements_and_mediator():
     assert image(k, "w") == "(y,u)"
 
 
+def test_pullback_mediator_rejects_legs_into_other_objects():
+    f = fsarrow("xy", "s", {"x": "s", "y": "s"})
+    g = fsarrow("uv", "s", {"u": "s", "v": "s"})
+    pb = C.pullback(f, g)
+    u = fsarrow("w", "xy", {"w": "y"})
+    v = fsarrow("w", "uv", {"w": "u"})
+    with pytest.raises(CategoryError, match="cone legs"):
+        pb.mediate(fsarrow("w", "pq", {"w": "q"}), v)
+    with pytest.raises(CategoryError, match="cone legs"):
+        pb.mediate(u, fsarrow("w", "rt", {"w": "r"}))
+
+
 def test_pullback_mediator_rejects_noncommuting_cone():
     f = fsarrow("xy", "st", {"x": "s", "y": "t"})
     g = fsarrow("u", "st", {"u": "s"})
@@ -101,6 +136,31 @@ def test_pullback_mediator_rejects_noncommuting_cone():
     v = fsarrow("w", "u", {"w": "u"})
     with pytest.raises(CategoryError, match="does not commute"):
         pb.mediate(bad_u, v)
+
+
+def test_plus_is_copair_of_injected_legs():
+    arrows = fragment_arrows(C, 2)
+    assert len(arrows) == 11
+    for h in arrows:
+        for k in arrows:
+            cop = C.coproduct(h.dom, k.dom)
+            into = C.coproduct(h.cod, k.cod)
+            expect = cop.copair(C.compose(into.inl, h), C.compose(into.inr, k))
+            assert cop.plus(h, k, into) == expect
+
+
+@pytest.mark.parametrize("src, dst", [
+    (("q", "bc"), ("xy", "z")),  # h.dom
+    (("a", "q"), ("xy", "z")),  # k.dom
+    (("a", "bc"), ("q", "z")),  # h.cod
+    (("a", "bc"), ("xy", "q")),  # k.cod
+])
+def test_plus_rejects_each_endpoint_mismatch(src, dst):
+    h = fsarrow("a", "xy", {"a": "y"})
+    k = fsarrow("bc", "z", {"b": "z", "c": "z"})
+    assert C.coproduct("a", "bc").plus(h, k, C.coproduct("xy", "z")).idx == (1, 2, 2)
+    with pytest.raises(CategoryError, match="plus legs"):
+        C.coproduct(*src).plus(h, k, C.coproduct(*dst))
 
 
 def test_category_laws_on_small_fragment():
@@ -117,6 +177,15 @@ def test_coreader_comonad_laws():
     assert image(eps, "(a,s)") == "a" and image(eps, "(b,t)") == "b"
     dup = p.comult(("a",))
     assert image(dup, "(a,t)") == "((a,t),t)"
+
+
+def test_coreader_arrow_sends_each_pair_label_to_the_image_pair():
+    p = coreader_comonad(C, "st")
+    arrows = fragment_arrows(C, 3)
+    assert len(arrows) == 60
+    for f in arrows:
+        assert graph(p.functor.arr(f)) == tuple(
+            (f"({x},{t})", f"({image(f, x)},{t})") for x in f.dom for t in "st")
 
 
 def test_coreader_comonad_with_corrupted_comult_fails_coassoc():

@@ -43,6 +43,9 @@ ORACLES = {
         "oracle: re-checks, map by map, a zigzag that span_equiv returned",
     "awfs.validate_awfs.ill_typed": BROKEN_AWFS,
     "fincat.KleisliArrow.__repr__": BROKEN_AWFS,
+    **dict.fromkeys([
+        "fincat.FinSetArrow.__setattr__", "fincat.FinSetArrow.__delattr__",
+    ], "failure path: only code that mutates an arrow reaches it"),
     "awfs.validate_e_functoriality":
         "law E(h'h, k'k) = E(h',k') E(h,k); recording it in `awfs check`"
         " changes the awfs_laws report that perfbench/reference.json pins by"
