@@ -277,11 +277,9 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
 
     def eq(name, sub, lhs_thunk, rhs_thunk):
         try:
-            lhs, rhs = lhs_thunk(), rhs_thunk()
+            rep.eq(name, sub, lhs_thunk(), rhs_thunk())
         except CategoryError as e:
             rep.record(name, sub, False, "<ill-typed>", str(e))
-            return
-        rep.eq(name, sub, lhs, rhs)
 
     for f in arrows:
         sub = repr(f)
@@ -350,13 +348,12 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
                     r3 = cat.compose(dl_g, e_hk)
                     l4 = cat.compose(e_hk, mu_f)
                     r4 = cat.compose(mu_g, awfs.earr(rf, rg, e_hk, k))
+                    nat_lam.check(l1 == r1, sub, l1, r1)
+                    nat_rho.check(l2 == r2, sub, l2, r2)
+                    nat_comult.check(l3 == r3, sub, l3, r3)
+                    nat_mult.check(l4 == r4, sub, l4, r4)
                 except CategoryError as e:
                     ill_typed(sub, e)
-                    continue
-                nat_lam.check(l1 == r1, sub, l1, r1)
-                nat_rho.check(l2 == r2, sub, l2, r2)
-                nat_comult.check(l3 == r3, sub, l3, r3)
-                nat_mult.check(l4 == r4, sub, l4, r4)
     refused = len(arrows) - len(typed)
     for fam in nat:
         fam.close(f"{fam.n - refused} squares"

@@ -68,8 +68,6 @@ def _size(text):
 
 
 def _fmt_dims(d) -> str:
-    if not d:
-        return "{}"
     return "{" + ", ".join(f"{k}: {d[k]}" for k in sorted(d)) + "}"
 
 
@@ -176,7 +174,7 @@ def _run_weakmaps_compare(ns):
     cfg = {"comonad": ns.comonad, "A": str(ns.a_size), "B": str(ns.b_size),
            "bound": str(ns.bound), "zigzag": str(ns.zigzag)}
     aw = PSplitEpiAwfs(cat, _comonad_spec(cat, ns.comonad))
-    res = compare_hom(aw, ns.a_size, ns.b_size, ns.bound, zigzag=ns.zigzag,
+    res = compare_hom(aw, ns.a_size, ns.b_size, ns.bound, reach=ns.zigzag > 0,
                       report=rep)
     return cfg, rep, [
         ("counts", [("co-Kleisli arrows", str(res.kleisli_count)),
@@ -368,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bound", type=_positive, default=6,
                    help="apex bound for span enumeration (default 6)")
     c.add_argument("--zigzag", type=_size, default=4,
-                   help="zigzag depth for canonical reachability; 0 skips,"
-                        " and every depth >= 1 gives the same verdicts")
+                   help="0 skips canonical reachability; any depth >= 1"
+                        " checks it, by one span map per span")
     c.set_defaults(handler=_run_weakmaps_compare, tool="weakmaps compare")
 
     br = sub.add_parser("bar", help="bar resolution suites")

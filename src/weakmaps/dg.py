@@ -246,10 +246,8 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
             fp, gq = f.block(p), g.block(q)
             if is_zero(fp) or is_zero(gq):
                 continue
-            base = tgt_off.get(p + f.deg)
-            if base is None:
-                continue
-            terms.append((fp, base, off, -1 if (g.deg * p) % 2 else 1, gq))
+            terms.append((fp, tgt_off[p + f.deg], off,
+                          -1 if (g.deg * p) % 2 else 1, gq))
         if terms:
             mats[n] = assemble(rows, cols, terms)
     return GradedMap(src, dst, deg, mats)
@@ -334,10 +332,8 @@ class HomologicalLali:
 # Homology
 
 
-def homology_ranks(x: ChainComplex, degrees=None):
-    """Betti numbers dim ker - dim im by exact rank computation."""
-    if degrees is None:
-        degrees = x.degrees()
+def homology_ranks(x: ChainComplex, degrees):
+    """Betti numbers dim ker - dim im in `degrees`, by exact rank."""
     out = {}
     for k in degrees:
         n = x.dim(k)

@@ -34,11 +34,9 @@ def transpose(a):
 
 
 def mmul(a, b):
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    if not b or not b[0]:
-        return tuple(() for _ in a)
-    c = len(b[0])
+    c = len(b[0]) if b else 0
     bnz = {}  # k -> nonzero (j, b[k][j]), built when row k of b is first hit
     out = []
     for row in a:

@@ -9,8 +9,9 @@ whose left leg carries an algebra structure.  Every algebra induces a
 comparison map phi from the replacement of its codomain, giving a
 functor from spans to co-Kleisli arrows; conversely a co-Kleisli arrow
 spreads out into a span with apex QA.  The two presentations agree up
-to zigzags of span maps, and `compare_hom` measures both sides
-exhaustively over finite sets.
+to zigzags of span maps; one map is enough to reach the canonical span
+with apex QA, the section phi of the left leg.  `compare_hom` measures
+both sides exhaustively over finite sets.
 """
 
 from __future__ import annotations
@@ -177,31 +178,21 @@ class SpanEquivResult:
 
 def span_equiv(wm: WeakMapCategory, s: ASpan, t: ASpan,
                apex_bound=None, zigzag_bound=4) -> SpanEquivResult:
-    """Decide zigzag-connectivity of two spans within explicit bounds.
+    """Connect two spans by one span map, in either direction.
 
-    Tries, in order: a single span map in either direction (isomorphic
-    spans included); the canonical span with apex Q(src) mapping onto
-    both (needs zigzag_bound >= 2 and Q(src) within apex_bound).  The
-    not-found answer names exceeded bounds rather than claiming
-    inequivalence.
+    One step is all `compare_hom` needs: every span is reached from the
+    canonical span of its class by its section phi.  The not-found
+    answer claims no inequivalence, as a longer zigzag may still exist.
+    `wm`, `apex_bound` and `zigzag_bound` are unused, and the result
+    keeps the general shape of a zigzag, only because acceptance test 3
+    still passes them and reads it.
     """
     if s.src != t.src or s.dst != t.dst:
         raise CategoryError("spans have different boundaries")
-    if zigzag_bound >= 1:
-        for r in span_maps(s, t):
-            return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("fwd",)))
-        for r in span_maps(t, s):
-            return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("bwd",)))
-    ku, kv = span_to_kleisli(wm, s), span_to_kleisli(wm, t)
-    if ku == kv and zigzag_bound >= 2:
-        c = kleisli_to_span(wm, ku)
-        if apex_bound is None or len(c.apex) <= apex_bound:
-            rs = wm.phi(s.left).under
-            rt = wm.phi(t.left).under
-            if span_is_map(rs, c, s) and span_is_map(rt, c, t):
-                return SpanEquivResult(
-                    "connected",
-                    SpanZigzag((s, c, t), (rs, rt), ("bwd", "fwd")))
+    for r in span_maps(s, t):
+        return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("fwd",)))
+    for r in span_maps(t, s):
+        return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("bwd",)))
     return SpanEquivResult("not-found-within-bounds")
 
 
@@ -266,7 +257,7 @@ INVARIANCE_TARGETS = 200
 
 
 def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
-                seed=0, zigzag=0, report=None) -> HomComparison:
+                seed=0, reach=False, report=None) -> HomComparison:
     """Census of weak maps A -> B in both presentations.
 
     Every span with apex size <= apex_bound is enumerated (integer
@@ -282,11 +273,11 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
     * kappa.invariant: sampled one-step span maps preserve kappa, with
       sources built from arbitrary relabelings over at most
       INVARIANCE_TARGETS sampled targets;
-    * canonical.reach, when zigzag > 0: every bounded span is connected
-      to the canonical span with apex QA of its class by span_equiv
-      within depth zigzag.  Each class's canonical span is built once,
-      keyed by the span's co-Kleisli image span_to_kleisli(wm, s) rather
-      than the integer kappa, so a wrong kappa cannot hide a failure.
+    * canonical.reach, when reach is set: span_equiv connects every
+      bounded span by one span map to the canonical span with apex QA
+      of its class.  Each class's canonical span is built once, keyed
+      by the span's co-Kleisli image span_to_kleisli(wm, s) rather than
+      the integer kappa, so a wrong kappa cannot hide a failure.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -348,17 +339,16 @@ def compare_hom(awfs, a_size=2, b_size=2, apex_bound=4, full_upto=3,
                               ks, kt)
     inv.close(f"{inv.n} one-step maps")
 
-    if zigzag:
+    if reach:
         canonical = {}
-        reach = rep.family("canonical.reach")
+        reached = rep.family("canonical.reach")
         for s in enumerate_spans(awfs, a_labels, b_labels, apex_bound):
             u = span_to_kleisli(wm, s)
             if u not in canonical:
                 canonical[u] = kleisli_to_span(wm, u)
-            e = span_equiv(wm, s, canonical[u], apex_bound=apex_bound,
-                           zigzag_bound=zigzag)
-            reach.check(e.equivalent, lambda: repr(s), e.kind, "connected")
-        reach.close(f"{reach.n} spans within apex<={apex_bound}")
+            e = span_equiv(wm, s, canonical[u])
+            reached.check(e.equivalent, lambda: repr(s), e.kind, "connected")
+        reached.close(f"{reached.n} spans within apex<={apex_bound}")
 
     ordered = tuple(SpanClass(kappa, classes[kappa]) for kappa in sorted(classes))
     return HomComparison(kleisli_count, span_count, len(classes), ordered, rep)

@@ -27,6 +27,20 @@ from weakmaps.fincat import FinSetArrow
 from weakmaps.ratmat import _rref, assemble, eye, mmul, transpose
 
 # ---------------------------------------------------------------------------
+# Instance files
+
+# a dg-algebra file with a nonzero differential: Q.1 + Q.v in degree 0,
+# Q.u in degree 1, d u = v, all products of u and v zero; mult columns
+# follow the tensor basis (1u, vu | u1, uv) in degree 1
+CONE = {
+    "complex": {"degrees": {"0": 2, "1": 1}, "boundary": {"1": [[0], [1]]}},
+    "unit": {"0": [[1], [0]]},
+    "mult": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]], "1": [[1, 0, 1, 0]]},
+    "name": "cone",
+}
+
+
+# ---------------------------------------------------------------------------
 # Finite sets
 
 

@@ -17,6 +17,8 @@ import weakmaps
 from weakmaps.cli import build_parser, main
 from weakmaps.schemas import load_algebra, load_module
 
+from generators import CONE
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -115,16 +117,6 @@ def test_table_comonad_and_monad_pass(tmp_path, capsys):
     assert "EQ comonad.coassoc @ x : PASS" in out
     assert "EQ monad.assoc @ x : PASS" in out
     assert out.rstrip().endswith("SUMMARY: checks=16 pass=16 fail=0 exempt=0")
-
-
-# Q.1 + Q.v in degree 0, Q.u in degree 1, d u = v, all products of u and v
-# zero; mult columns follow the tensor basis (1u, vu | u1, uv) in degree 1
-CONE = {
-    "complex": {"degrees": {"0": 2, "1": 1}, "boundary": {"1": [[0], [1]]}},
-    "unit": {"0": [[1], [0]]},
-    "mult": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]], "1": [[1, 0, 1, 0]]},
-    "name": "cone",
-}
 
 
 def test_dgalgebra_with_differential_has_reduced_differential():

@@ -65,14 +65,14 @@ def test_complex_normalisation():
 
 def test_frozen_homology():
     c = ChainComplex({0: 2, 1: 2}, {1: ((1, 1), (1, 1))})
-    assert homology_ranks(c) == {0: 1, 1: 1}
+    assert homology_ranks(c, c.degrees()) == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_homology_matches_sympy(seed):
     rng = random.Random(seed)
     c = random_complex(rng, max_deg=3, max_cells=5)
-    ours = homology_ranks(c)
+    ours = homology_ranks(c, c.degrees())
     for k in c.degrees():
         r_in = sympy.Matrix(c.boundary(k + 1)).rank() if c.dim(k + 1) else 0
         r_out = sympy.Matrix(c.boundary(k)).rank() if c.dim(k - 1) else 0
@@ -172,7 +172,7 @@ def test_tensor_frozen_boundaries():
 def test_tensor_kunneth_frozen():
     t = tensor_complex(X, Y)
     # H(X) = (0, 1), H(Y) = (1, 0) so the product concentrates in degree 1
-    assert homology_ranks(t) == {0: 0, 1: 1, 2: 0}
+    assert homology_ranks(t, t.degrees()) == {0: 0, 1: 1, 2: 0}
 
 
 def test_tensor_boundary_decomposition():
@@ -381,8 +381,8 @@ def test_lali_morphism_identity():
 def test_lali_is_quasi_iso(seed):
     rng = random.Random(500 + seed)
     lali = random_lali(rng)
-    ha = homology_ranks(lali.src)
-    hb = homology_ranks(lali.dst)
+    ha = homology_ranks(lali.src, lali.src.degrees())
+    hb = homology_ranks(lali.dst, lali.dst.degrees())
     for k in set(ha) | set(hb):
         assert ha.get(k, 0) == hb.get(k, 0)
 

@@ -5,8 +5,9 @@ attribute or an imported name anywhere in `src/` or `tests/` outside its
 own definition.  Matching by name alone is generous: one call of any
 `validate` keeps every `validate` alive, so some dead code can pass.
 Dunder methods are called by the language and are exempt.
-`test_reachability.py` is the runtime counterpart: it requires every
-function in `src/` to run under a subcommand.
+`test_reachability.py` is the runtime counterpart, line by line: it
+requires every function in `src/`, and every statement in a function
+body, to run under a subcommand, unless a listed reason lets it stay.
 """
 
 import ast

@@ -151,6 +151,7 @@ def test_empty_operands():
     assert mmul((), ((1, 2),)) == dense_mmul((), ((1, 2),)) == ()
     # 0-column right factor: rows of the left factor survive, empty
     assert mmul(((1,), (2,)), ((),)) == dense_mmul(((1,), (2,)), ((),)) == ((), ())
+    assert mmul(((1, 2), (0, 0), (3, 4)), ((), ())) == ((), (), ())
     # inner dimension 0
     assert mmul(((), ()), ()) == dense_mmul(((), ()), ()) == ((), ())
     assert kron((), ((1,),)) == dense_kron((), ((1,),)) == ()
@@ -164,6 +165,8 @@ def test_shape_mismatch_raises():
         mmul(((1, 2),), ((1, 2),))
     with pytest.raises(ValueError, match="shape mismatch"):
         mmul(((),), ((1,),))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mmul(((1,),), ())
 
 
 def test_kron_index_convention():

@@ -1,14 +1,22 @@
-"""Every function in `src/` runs under some subcommand.
+"""Every statement in `src/` runs under some subcommand.
 
-The runtime counterpart of `test_no_dead_code.py`: instead of looking
-for a function's name, the collector runs `cli.main` in-process under
-`sys.setprofile` and records the code object of every call.  The runs
-cover every subcommand on tiny lawful inputs, one instance file of each
-kind, and corrupted files, so that the FAIL and refusal paths run too.
+The runtime counterpart of `test_no_dead_code.py`: the collector runs
+`cli.main` in-process under `sys.settrace` and records every line of
+`src/` that runs.  The runs cover every subcommand and built-in algebra
+on tiny lawful inputs, one instance file of each kind, and corrupted
+files, so that the FAIL and refusal paths run too.
 
-A definition (a `def` in `src/`, nested or not) that did not run fails
-the test unless `ORACLES` names it with the reason it may stay; an
-`ORACLES` entry that runs, or no longer exists, fails it as well.
+Two gates read the same lines:
+
+* a definition (a `def` in `src/`, nested or not) counts as reached
+  when any line of its body ran; one that did not fails the test unless
+  `ORACLES` names it with the reason it may stay;
+* a statement in a function body must run, be a `raise`, lie in an
+  `ORACLES` function, or be named in `UNREACHED`, by its function and
+  its stripped source text, with the reason it may stay.
+
+An `ORACLES` or `UNREACHED` entry that runs, or no longer exists, fails
+the test as well.
 """
 
 import ast
@@ -20,8 +28,12 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import weakmaps
 from weakmaps.cli import main
+
+from generators import CONE
 
 PACKAGE = Path(weakmaps.__file__).resolve().parent
 
@@ -73,16 +85,47 @@ ORACLES = {
 }
 
 
-def definitions(path: Path) -> dict:
-    """(file, first line) -> dotted name of every `def` in `path`.  The
-    first line is that of the first decorator, as in the code object."""
-    found = {}
+# (dotted function, source text) -> why that statement of a function that
+# runs stays in src/ although no subcommand runs it
+UNREACHED = {
+    ("awfs.validate_awfs", "ill_typed(repr(f), e)"): BROKEN_AWFS,
+    ("awfs.validate_awfs", "ill_typed(sub, e)"): BROKEN_AWFS,
+    ("awfs.validate_awfs.eq",
+     'rep.record(name, sub, False, "<ill-typed>", str(e))'): BROKEN_AWFS,
+    ("fincat.validate_category",
+     'rep.record("compose.endpoints", f"{g!r} . {f!r}", False,'
+     " fmt_ends(cat.dom(gf), cat.cod(gf)), fmt_ends(a, c))"):
+        "failure path: the category loader refuses a compose row with"
+        " the wrong endpoints, and finite sets compose correctly",
+    ("fincat.FinSetArrow.__eq__", "return NotImplemented"):
+        "failure path: only comparing an arrow with another type reaches"
+        " it; test_arrow_equality_is_structural does, and src/ never does",
+    ("dg.HomologicalLali.validate", "return rep"):
+        "failure path: the lali loader and the built-in fibration give"
+        " g, q and xi their shapes, so only a hand-built lali reaches it",
+    ("bar.TruncatedCodescent.validate", "return rep"):
+        "failure path: only a defect in the codescent complex reaches it;"
+        " input that breaks its laws stops at the law checks before",
+    ("spans.span_equiv", 'return SpanEquivResult("not-found-within-bounds")'):
+        "failure path: every span reaches its canonical span in one step;"
+        " test_unreachable_span_fails_canonical_reach FAILs it in the CLI",
+    ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
+        "failure path: only a reader that closes stdout early reaches it;"
+        " test_reader_closing_stdout_ends_the_run_quietly runs that in a"
+        " subprocess, as it replaces the process's stdout",
+}
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def functions(path: Path) -> list:
+    """(dotted name, node) of every `def` in `path`, nested or not."""
+    found = []
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[str(path), first] = prefix + child.name
+                found.append((prefix + child.name, child))
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.")
@@ -91,6 +134,26 @@ def definitions(path: Path) -> dict:
 
     visit(ast.parse(path.read_text(), str(path)), f"{path.stem}.")
     return found
+
+
+def statements(node):
+    """The statements of a function body, those inside its compound
+    statements included, but not the bodies of nested defs and classes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+            if not isinstance(child, DEFS):
+                yield from statements(child)
+        elif isinstance(child, (ast.excepthandler, ast.match_case)):
+            yield from statements(child)
+
+
+def source_text(source: str, stmt) -> str:
+    """The stripped source text of `stmt`, whitespace collapsed; for a
+    compound statement, its first line."""
+    if hasattr(stmt, "body") or hasattr(stmt, "cases"):
+        return source.splitlines()[stmt.lineno - 1].strip()
+    return " ".join(ast.get_source_segment(source, stmt).split())
 
 
 def _clear_caches(modules):
@@ -104,27 +167,62 @@ def _clear_caches(modules):
                     clear()
 
 
-def unreached(run, paths, modules) -> list:
-    """Sorted dotted names of the definitions in the files `paths` whose
-    code did not start while `run()` ran.  `modules` are the imported
-    files, whose caches are emptied first."""
-    defs = {}
-    for p in paths:
-        defs.update(definitions(Path(p).resolve()))
-    _clear_caches(modules)
-    seen = set()
+def lines_run(run, paths) -> set:
+    """(resolved file, line) of every line of the files `paths` that ran
+    while `run()` ran.  Frames of other files get no line tracer."""
+    files = {str(Path(p).resolve()) for p in paths}
+    ours, seen = {}, set()
 
-    def hook(frame, event, arg):
-        if event == "call":
-            seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
 
-    sys.setprofile(hook)
+    def call(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in ours:
+            ours[name] = str(Path(name).resolve()) in files
+        return local if ours[name] else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
     try:
         run()
     finally:
-        sys.setprofile(None)
-    ran = {(str(Path(f).resolve()), line) for f, line in seen}
-    return sorted(name for key, name in defs.items() if key not in ran)
+        sys.settrace(previous)
+    return {(str(Path(f).resolve()), line) for f, line in seen}
+
+
+def unreached(run, paths, modules, oracles=()) -> tuple:
+    """What of the files `paths` did not run while `run()` ran, after the
+    caches of the imported files `modules` are emptied:
+
+    * the sorted dotted names of the definitions no line of whose body
+      ran;
+    * the sorted (dotted function, `source_text`) of the statements in
+      function bodies none of whose lines ran, leaving out docstrings,
+      `raise` statements and every statement of a function that
+      `oracles` names or that is nested in one.
+    """
+    _clear_caches(modules)
+    ran = lines_run(run, paths)
+    defs, stmts = [], []
+    for p in paths:
+        path = Path(p).resolve()
+        source = path.read_text()
+        for name, fn in functions(path):
+            body = range(fn.body[0].lineno, fn.end_lineno + 1)
+            if not any((str(path), n) in ran for n in body):
+                defs.append(name)
+            if any(name == o or name.startswith(o + ".") for o in oracles):
+                continue
+            doc = fn.body[0] if ast.get_docstring(fn) is not None else None
+            stmts += [(name, source_text(source, s)) for s in statements(fn)
+                      if s is not doc
+                      and not isinstance(s, ast.Raise)
+                      and not any((str(path), n) in ran
+                                  for n in range(s.lineno, s.end_lineno + 1))]
+    return sorted(defs), sorted(stmts)
 
 
 # --- the runs ---------------------------------------------------------------
@@ -139,9 +237,15 @@ IDEMPOTENT = {
                 ["e", "e", "e"]],
 }
 IDENTITY_FUNCTOR = {"obj_map": {"x": "x"}, "arr_map": {"1x": "1x", "e": "e"}}
-# 1x.e = 1x: the identity law fails
-LAWLESS_CATEGORY = {**IDEMPOTENT, "compose": [
-    ["1x", "1x", "1x"], ["1x", "e", "1x"], ["e", "1x", "e"], ["e", "e", "e"]]}
+# 1x.e = 1x and e.e = 1x: the identity law and associativity fail; y has
+# no arrow to or from x
+LAWLESS_CATEGORY = {
+    "objects": ["x", "y"],
+    "arrows": [*IDEMPOTENT["arrows"], {"id": "1y", "dom": "y", "cod": "y"}],
+    "identities": {"x": "1x", "y": "1y"},
+    "compose": [["1x", "1x", "1x"], ["1x", "e", "1x"], ["e", "1x", "e"],
+                ["e", "e", "1x"], ["1y", "1y", "1y"]],
+}
 CX = {"degrees": {"0": 1, "1": 1}, "boundary": {"1": [[1]]}}
 DUAL_ON_ITSELF = {"complex": {"degrees": {"0": 2}},
                   "action": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]]}}
@@ -155,24 +259,40 @@ GROUND_LALI = {"module": {"kind": "ground"}, "g": {"0": [[1]]},
 BROKEN_LALI = {"module": {"complex": {"degrees": {"0": 2}},
                           "action": {"0": [[1, 0, 0, 0], [0, 1, 0, 0]]}},
                "g": {"0": [[1, 0]]}, "f0": {"0": [[1], [0]]}, "eps0": {}}
+# B = two copies of the free module with d = 1; eps0 does not vanish on
+# the unit insertions, so lifting refuses it at level 1
+SIDE_BROKEN_LALI = {
+    "module": {"complex": {"degrees": {"0": 2, "1": 2},
+                           "boundary": {"1": [[1, 0], [0, 1]]}},
+               "action": {"0": DUAL_ON_ITSELF["action"]["0"],
+                          "1": DUAL_ON_ITSELF["action"]["0"]}},
+    "g": {"0": [[1, 0], [0, 1]]}, "f0": {"0": [[1, 0], [0, 1]]},
+    "eps0": {"0": [[1, 0], [0, 0]]}}
 
 
 def subcommand_runs(tmp_path) -> list:
-    """(exit status, argv) covering every subcommand, an instance file of
-    each kind, FAIL lines and a refusal."""
+    """(exit status, argv) covering every subcommand, each built-in
+    algebra, an instance file of each kind, FAIL lines and refusals."""
     def f(name, payload):
         p = tmp_path / name
         p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return str(p)
 
+    badalg = f("badalg.json", LAWLESS_ALGEBRA)
     return [
         (0, ["awfs", "check", "--finset-max", "1"]),
         (0, ["awfs", "check", "--builtin", "psplitepi", "--comonad", "coreader:S=1",
              "--finset-max", "1", "--format", "json"]),
         (0, ["weakmaps", "compare", "--A", "1", "--B", "1", "--bound", "2",
              "--zigzag", "2"]),
+        (0, ["weakmaps", "compare", "--A", "1", "--B", "1", "--bound", "1"]),
         (0, ["bar", "resolve", "--trunc", "2"]),
+        (0, ["bar", "resolve", "--trunc", "2", "--builtin", "exterior"]),
+        (0, ["bar", "resolve", "--trunc", "2", "--dgalgebra", f("cone.json", CONE)]),
+        (0, ["bar", "resolve", "--trunc", "2",
+             "--dgmodule", f("dmod.json", DUAL_ON_ITSELF)]),
         (0, ["dg", "check", "--trunc", "2", "--trials", "1"]),
+        (0, ["dg", "check", "--trunc", "2", "--trials", "1", "--builtin", "rationals"]),
         (0, ["lift", "lali", "--trunc", "2"]),
         (0, ["factor", "ulali", "--trunc", "2", "--plain"]),
         (0, ["lift", "lali", "--trunc", "2", "--module", "ground",
@@ -191,24 +311,31 @@ def subcommand_runs(tmp_path) -> list:
         (0, ["validate", "--dgalgebra", f("alg.json", {"kind": "dual_numbers"}),
              "--dgmodule", f("mod.json", DUAL_ON_ITSELF),
              "--complex", f("cx.json", CX),
-             "--gradedmap", f("g.json", {"src": CX, "dst": CX,
-                                         "matrices": {"0": [[1]], "1": [[1]]}})]),
+             "--gradedmap", f("g.json", {"src": CX, "dst": CX, "matrices":
+                                         {"0": [["1/2"]], "1": [["1/2"]]}})]),
         (1, ["validate", "--category", f("badcat.json", LAWLESS_CATEGORY)]),
         (1, ["validate", "--gradedmap", f("badg.json", {"src": CX, "dst": CX,
                                                         "matrices": {"0": [[1]]}})]),
-        (1, ["bar", "resolve", "--trunc", "2",
-             "--dgalgebra", f("badalg.json", LAWLESS_ALGEBRA)]),
+        (1, ["bar", "resolve", "--trunc", "2", "--dgalgebra", badalg]),
+        (1, ["dg", "check", "--trunc", "2", "--dgalgebra", badalg]),
+        (1, ["lift", "lali", "--trunc", "2", "--dgalgebra", badalg]),
+        (1, ["factor", "ulali", "--trunc", "2", "--dgalgebra", badalg]),
         (1, ["lift", "lali", "--trunc", "2", "--module", "ground",
              "--lali", f("badlali.json", BROKEN_LALI)]),
         (2, ["validate", "--complex", f("broken.json", '{"degrees": {')]),
+        (2, ["validate", "--finset-max", "1",
+             "--monad", f("badkind.json", {"kind": "coreader", "S": ["s"]})]),
+        (2, ["lift", "lali", "--trunc", "2", "--lali", f("side.json", SIDE_BROKEN_LALI)]),
     ]
 
 
-def test_every_definition_runs_under_a_subcommand(tmp_path):
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """`unreached` over the subcommand runs, each run's exit status checked."""
     files = sorted(PACKAGE.glob("*.py"))
     modules = [importlib.import_module(f"weakmaps.{p.stem}")
                for p in files if p.stem != "__main__"]
-    runs = subcommand_runs(tmp_path)
+    runs = subcommand_runs(tmp_path_factory.mktemp("runs"))
     codes = []
 
     def run():
@@ -216,16 +343,37 @@ def test_every_definition_runs_under_a_subcommand(tmp_path):
                 contextlib.redirect_stderr(io.StringIO()):
             codes.extend(main(argv) for _, argv in runs)
 
-    missing = unreached(run, files, modules)
+    found = unreached(run, files, modules, ORACLES)
     assert codes == [code for code, _ in runs]
+    return found
+
+
+def test_every_definition_runs_under_a_subcommand(reach):
+    missing, _ = reach
     assert [n for n in missing if n not in ORACLES] == []
     assert [n for n in ORACLES if n not in missing] == [], \
         "runs under a subcommand or is gone: drop it from ORACLES"
 
 
-def test_collector_reports_an_unreached_function(tmp_path):
+def test_every_statement_runs_under_a_subcommand(reach):
+    _, missing = reach
+    assert [s for s in missing if s not in UNREACHED] == []
+    assert [s for s in UNREACHED if s not in missing] == [], \
+        "runs under a subcommand or is gone: drop it from UNREACHED"
+
+
+def _probe(tmp_path, source):
     path = tmp_path / "reach_probe.py"
-    path.write_text(
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location("reach_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return path, probe
+
+
+def test_collector_reports_an_unreached_function(tmp_path):
+    path, probe = _probe(
+        tmp_path,
         "import functools\n\n\n"
         "class K:\n"
         "    def used(self):\n"
@@ -235,8 +383,22 @@ def test_collector_reports_an_unreached_function(tmp_path):
         "    return 1\n\n\n"
         "def extra():\n"
         "    return 2\n")
-    spec = importlib.util.spec_from_file_location("reach_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
     probe.cached()  # the collector must empty this cache to see the body run
-    assert unreached(lambda: probe.K().used(), [path], [probe]) == ["reach_probe.extra"]
+    assert unreached(lambda: probe.K().used(), [path], [probe]) == (
+        ["reach_probe.extra"], [("reach_probe.extra", "return 2")])
+
+
+def test_collector_reports_an_unreached_statement(tmp_path):
+    path, probe = _probe(
+        tmp_path,
+        "def sign(x):\n"
+        "    \"\"\"Docstrings and raise statements are never reported.\"\"\"\n"
+        "    if x < 0:\n"
+        "        return -1\n"
+        "    elif x > 99:\n"
+        "        raise ValueError(x)\n"
+        "    total = (x\n"
+        "             + 1)\n"
+        "    return 1 if total else 0\n")
+    assert unreached(lambda: probe.sign(0), [path], [probe]) == (
+        [], [("reach_probe.sign", "return -1")])

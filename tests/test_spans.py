@@ -17,6 +17,7 @@ from weakmaps.awfs import PSplitEpiAwfs, RAlgebraArrow, SplitEpiAwfs, identity_a
 from weakmaps import spans as spans_module
 from weakmaps.report import PASS
 from weakmaps.spans import (
+    SpanZigzag,
     WeakMapCategory,
     _api_span,
     enumerate_spans,
@@ -271,53 +272,69 @@ def test_span_equiv_equal_and_one_step():
     res = span_equiv(wm, s, s)
     assert res.kind == "connected"
     assert res.zigzag.verify()
-    # a span and its canonical replacement are one zigzag apart or less
+    # a span and its canonical replacement are one span map apart
     c = kleisli_to_span(wm, span_to_kleisli(wm, s))
     res = span_equiv(wm, s, c)
     assert res.equivalent
     assert res.zigzag.verify()
 
 
+def _two_step_pair():
+    """s2, t2 with one co-Kleisli image; the extra points have signatures
+    the other span lacks, so no span map runs either way between them."""
+    s2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 0), (0, 1), (0, 0, 1))
+    t2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 1), (0, 1), (0, 0, 1))
+    return s2, t2
+
+
+def _zigzag_through_canonical(wm, s2, t2):
+    """s2 -- c -- t2 through the canonical span c of their class, glued
+    from the one-step results span_equiv(wm, s2, c) and (wm, t2, c)."""
+    c = kleisli_to_span(wm, span_to_kleisli(wm, s2))
+    left, right = span_equiv(wm, s2, c), span_equiv(wm, t2, c)
+    assert left.equivalent and right.equivalent
+    flip = {"fwd": "bwd", "bwd": "fwd"}
+    return SpanZigzag((s2, c, t2),
+                      left.zigzag.maps + right.zigzag.maps,
+                      left.zigzag.dirs + (flip[right.zigzag.dirs[0]],))
+
+
 def test_span_equiv_canonical_domination_two_step():
     aw = SPLIT
     wm = WeakMapCategory(aw)
-    # two distinct one-point spans with equal kappa but no direct map
-    # s picks apex point mapping to (a0, b0), t to (a0, b1)? ensure kappa equal:
-    # need r[sigma] equal; use two-point apexes differing in an unused point
+    # kappa(s) = (0,0), kappa(t) = (0,1): different, must NOT be equivalent
     s = _api_span(aw, A2, B2, 2, (0, 1), (0, 1), (0, 0))
     t = _api_span(aw, A2, B2, 2, (0, 1), (0, 1), (0, 1))
-    # kappa(s) = (0,0), kappa(t) = (0,1): different, must NOT be equivalent
-    res = span_equiv(wm, s, t)
-    assert res.kind == "not-found-within-bounds"
-    # same kappa, but the extra points have signatures the other span
-    # lacks, so no direct map exists in either direction
-    s2 = _api_span(aw, A2, B2, 3, (0, 1, 0), (0, 1), (0, 0, 1))
-    t2 = _api_span(aw, A2, B2, 3, (0, 1, 1), (0, 1), (0, 0, 1))
+    assert span_equiv(wm, s, t).kind == "not-found-within-bounds"
+    # same kappa and no direct map: span_equiv, one step only, finds
+    # nothing, but each reaches the canonical span in one step
+    s2, t2 = _two_step_pair()
     assert not span_maps(s2, t2) and not span_maps(t2, s2)
-    res = span_equiv(wm, s2, t2)
-    assert res.equivalent
-    assert res.kind == "connected"
-    assert res.zigzag.verify()
-    assert res.zigzag.dirs == ("bwd", "fwd")  # s2 <- canonical -> t2
+    assert span_to_kleisli(wm, s2) == span_to_kleisli(wm, t2)
+    assert span_equiv(wm, s2, t2).kind == "not-found-within-bounds"
+    zz = _zigzag_through_canonical(wm, s2, t2)
+    assert zz.verify()
+    assert zz.dirs == ("bwd", "fwd")  # s2 <- canonical -> t2
+    assert zz.maps[0] == wm.phi(s2.left).under
 
 
 def test_zigzag_with_a_non_map_does_not_verify():
     wm = WeakMapCategory(SPLIT)
-    s2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 0), (0, 1), (0, 0, 1))
-    t2 = _api_span(SPLIT, A2, B2, 3, (0, 1, 1), (0, 1), (0, 0, 1))
-    zz = span_equiv(wm, s2, t2).zigzag
+    s2, t2 = _two_step_pair()
+    zz = _zigzag_through_canonical(wm, s2, t2)
     c = zz.spans[1]
     bad = next(r for r in C.hom(c.apex, t2.apex) if not span_is_map(r, c, t2))
     assert not dataclasses.replace(zz, maps=(zz.maps[0], bad)).verify()
 
 
 def test_span_equiv_respects_tight_bounds():
-    aw = SPLIT
-    wm = WeakMapCategory(aw)
-    s2 = _api_span(aw, A2, B2, 3, (0, 1, 0), (0, 1), (0, 0, 1))
-    t2 = _api_span(aw, A2, B2, 3, (0, 1, 1), (0, 1), (0, 0, 1))
-    assert span_equiv(wm, s2, t2, zigzag_bound=1).kind == "not-found-within-bounds"
-    assert span_equiv(wm, s2, t2, apex_bound=1).kind == "not-found-within-bounds"
+    # one step is the whole search, so the bounds change no answer
+    wm = WeakMapCategory(SPLIT)
+    s2, t2 = _two_step_pair()
+    c = kleisli_to_span(wm, span_to_kleisli(wm, s2))
+    for kw in ({}, {"zigzag_bound": 1}, {"apex_bound": 1}):
+        assert span_equiv(wm, s2, t2, **kw).kind == "not-found-within-bounds"
+        assert span_equiv(wm, s2, c, **kw).equivalent
 
 
 def test_span_equiv_rejects_boundary_mismatch():
@@ -380,7 +397,7 @@ def test_corrupted_kappa_fails_each_census_family(monkeypatch, family_fails):
     assert "EQ roundtrip @ 4 co-Kleisli arrows : FAIL(lhs=4 failing, rhs=0)" in rep.lines()
     # canonical spans are keyed by the (corrupted) co-Kleisli image, not by
     # kappa, so a two-point apex meets a canonical span it does not reach
-    rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3, zigzag=4).report
+    rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3, reach=True).report
     reach = family_fails(rep, "canonical.reach")
     assert len(reach) == 8
     assert all(c.lhs == "not-found-within-bounds" for c in reach)
