@@ -44,9 +44,14 @@ class SplitEpiAwfs:
     def __init__(self, cat):
         self.cat = cat
         self.comonad = identity_comonad(cat)
+        self._cops = {}  # (dom, cod) -> A + B
 
     def cop(self, f):
-        return self.cat.coproduct(self.cat.dom(f), self.cat.cod(f))
+        ends = (f.dom, f.cod)
+        c = self._cops.get(ends)
+        if c is None:
+            c = self._cops[ends] = self.cat.coproduct(*ends)
+        return c
 
     def E(self, f):
         return self.cop(f).obj
@@ -82,10 +87,14 @@ class PSplitEpiAwfs:
         self.cat = cat
         self.comonad = comonad
         self.name = f"{comonad.name}-split-epi"
+        self._cops = {}  # (dom, cod) -> A + PB
 
     def cop(self, f):
-        pb = self.comonad.functor.obj(self.cat.cod(f))
-        return self.cat.coproduct(self.cat.dom(f), pb)
+        ends = (f.dom, f.cod)
+        c = self._cops.get(ends)
+        if c is None:
+            c = self._cops[ends] = self.cat.coproduct(f.dom, self.comonad.functor.obj(f.cod))
+        return c
 
     def E(self, f):
         return self.cop(f).obj
@@ -249,8 +258,9 @@ def squares_between(cat, f: FinSetArrow, g: FinSetArrow):
     in lex order, and h(i) over the fibre of g above k(f(i))."""
     over = fibres(g.idx)
     for k_idx in itertools.product(range(len(g.cod)), repeat=len(f.cod)):
-        k = FinSetArrow(f.cod, g.cod, k_idx)
+        k = None  # built with the first h above it: a k with no h costs nothing
         for h_idx in itertools.product(*(over.get(k_idx[j], ()) for j in f.idx)):
+            k = k or FinSetArrow(f.cod, g.cod, k_idx)
             yield FinSetArrow(f.dom, g.dom, h_idx), k
 
 

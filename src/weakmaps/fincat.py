@@ -107,9 +107,11 @@ class CoproductData:
 
     def plus(self, h: FinSetArrow, k: FinSetArrow, into: CoproductData) -> FinSetArrow:
         """h + k = [inl h, inr k] into the coproduct `into`, as one index sum."""
-        if h.dom != self.inl.dom or k.dom != self.inr.dom:
+        # identity first: objects are mostly shared tuples out of the caches
+        a, b, c, d = self.inl.dom, self.inr.dom, into.inl.dom, into.inr.dom
+        if h.dom is not a and h.dom != a or k.dom is not b and k.dom != b:
             raise CategoryError("plus legs do not start at the coproduct summands")
-        if h.cod != into.inl.dom or k.cod != into.inr.dom:
+        if h.cod is not c and h.cod != c or k.cod is not d and k.cod != d:
             raise CategoryError("plus legs do not land in the target summands")
         shift = len(h.cod)
         return FinSetArrow(self.obj, into.obj, h.idx + tuple([j + shift for j in k.idx]))
@@ -156,7 +158,7 @@ class FinSetCategory:
         return f.cod
 
     def compose(self, g: FinSetArrow, f: FinSetArrow) -> FinSetArrow:
-        if f.cod != g.dom:
+        if f.cod is not g.dom and f.cod != g.dom:
             raise CategoryError(f"not composable: cod {f!r} != dom {g!r}")
         gi = g.idx
         return FinSetArrow(f.dom, g.cod, tuple([gi[i] for i in f.idx]))
@@ -280,6 +282,7 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
     if not s:
         raise CategoryError("coreader comonad needs a nonempty label set")
     n, ks = len(s), range(len(s))
+    blocks = []  # blocks[j] = (j*n, ..., j*n+n-1), grown to the largest cod seen
 
     @functools.cache
     def pobj(x):
@@ -287,7 +290,9 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
 
     def parr(f: FinSetArrow) -> FinSetArrow:
         # (x,t) goes to (f(x),t): position i*n+t maps to f.idx[i]*n+t
-        idx = tuple([j * n + t for j in f.idx for t in ks])
+        while len(blocks) < len(f.cod):
+            blocks.append(tuple(range(len(blocks) * n, len(blocks) * n + n)))
+        idx = tuple([t for j in f.idx for t in blocks[j]])
         return FinSetArrow(pobj(f.dom), pobj(f.cod), idx)
 
     def counit(x):

@@ -47,6 +47,7 @@ class WeakMapCategory:
         self.cat = awfs.cat
         self.q = cofibrant_replacement(awfs)
         self.kleisli = CoKleisliCategory(awfs.cat, self.q)
+        self._phi = {}  # (arrow, witness) -> phi; many spans share a left leg
 
     def phi(self, alg: RAlgebraArrow) -> KleisliArrow:
         """The weak section cod(f) -> dom(f) of an algebra (f, sigma).
@@ -54,11 +55,14 @@ class WeakMapCategory:
         Underlying arrow: Q(cod f) -> Ef -> dom f via the square from the
         empty-domain arrow into f, then the algebra structure map.
         """
-        aw, cat = self.awfs, self.cat
-        f = alg.arrow
-        a, b = cat.dom(f), cat.cod(f)
-        e = aw.earr(cat.from_initial(b), f, cat.from_initial(a), cat.identity(b))
-        return KleisliArrow(b, a, cat.compose(alg.p, e))
+        key = (alg.arrow, alg.witness)
+        if key not in self._phi:
+            aw, cat = self.awfs, self.cat
+            f = alg.arrow
+            a, b = cat.dom(f), cat.cod(f)
+            e = aw.earr(cat.from_initial(b), f, cat.from_initial(a), cat.identity(b))
+            self._phi[key] = KleisliArrow(b, a, cat.compose(alg.p, e))
+        return self._phi[key]
 
     def phi_by_filler(self, alg: RAlgebraArrow) -> KleisliArrow:
         """Same map through the comultiplication route; agreement with

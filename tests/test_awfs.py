@@ -121,6 +121,27 @@ def test_ill_typed_square_is_reported_not_raised(family_fails):
     assert all(c.name in NAT for c in rep.failures())
 
 
+class CountingFinSet(FinSetCategory):
+    def __init__(self):
+        self.coproducts = Counter()
+
+    def coproduct(self, a, b):
+        self.coproducts[(tuple(a), tuple(b))] += 1
+        return super().coproduct(a, b)
+
+
+@pytest.mark.parametrize("make", [
+    SplitEpiAwfs,
+    lambda cat: PSplitEpiAwfs(cat, coreader_comonad(cat, "st")),
+], ids=["splitepi", "coreader"])
+def test_validate_awfs_builds_each_coproduct_once(make):
+    # a work count, not a timing: E(f) = A + PB depends only on f's
+    # endpoints, so each coproduct is built once however many squares use it
+    cat = CountingFinSet()
+    assert validate_awfs(make(cat), 2).ok
+    assert cat.coproducts and set(cat.coproducts.values()) == {1}
+
+
 ONE = fragment_arrows(C, 1)[-1]  # the arrow {x0} -> {x0}
 TWO = fragment_arrows(C, 2)[2]  # the arrow {} -> {x0,x1}
 

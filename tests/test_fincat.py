@@ -383,6 +383,23 @@ def test_random_composites_are_pointwise_composition(n, m, k, data):
         assert image(gf, x) == image(g, image(f, x))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3), data=st.data())
+def test_coreader_arrow_matches_closed_form(n, data):
+    # one comonad per example, so its block table sees the empty domain and
+    # codomains that grow and shrink between calls: the drawn sizes, then
+    # a fixed tail that grows to 7 and drops back to 1
+    p = coreader_comonad(C, canonical_set(n, "s"))
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)),
+                               max_size=6))
+    for dom_n, cod_n in [(0, 2), *drawn, (2, 7), (0, 1), (3, 1)]:
+        idx = data.draw(st.tuples(*[st.integers(0, cod_n - 1)] * dom_n))
+        f = FinSetArrow(canonical_set(dom_n, "a"), canonical_set(cod_n, "b"), idx)
+        pf = p.functor.arr(f)
+        assert pf.idx == tuple(f.idx[i] * n + t for i in range(dom_n) for t in range(n))
+        assert (pf.dom, pf.cod) == (p.functor.obj(f.dom), p.functor.obj(f.cod))
+
+
 # --- table backend ---------------------------------------------------------
 
 WALKING_ARROW = {

@@ -15,6 +15,8 @@ FROZEN = [
     ("awfs check --finset-max 2", "ec51ff16f7c0f0b7a95fa93271fd2843"),
     ("awfs check --finset-max 2 --builtin psplitepi",
      "00016dbd373a11a7403454bd92a7d337"),
+    ("awfs check --finset-max 2 --builtin psplitepi --comonad coreader:S=3",
+     "319d8d064870e834c33f6d30acdec07d"),
     ("weakmaps compare --A 1 --B 2 --bound 4",
      "b629c8c34f49665858aaab745a3d82ae"),
     ("weakmaps compare --A 2 --B 2 --bound 4",

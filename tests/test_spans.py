@@ -69,6 +69,24 @@ def test_phi_section_property():
             assert lhs == wm.q.counit(A2)
 
 
+def test_phi_memo_tells_witnesses_apart():
+    # two algebras on one arrow, with different witnesses, asked of one
+    # WeakMapCategory in turn: a memo keyed on the arrow alone would hand
+    # the second the first one's phi
+    f = fsarrow(A2, ("b0",), {"a0": "b0", "a1": "b0"})
+    for aw in (SPLIT, PSPLIT):
+        pb = aw.comonad.functor.obj(("b0",))
+        algs = [RAlgebraArrow(aw, f, FinSetArrow(pb, A2, (i,) * len(pb)))
+                for i in (0, 1)]
+        assert all(alg.validate().ok for alg in algs)
+        wm = WeakMapCategory(aw)
+        phis = [wm.phi(alg) for alg in algs]
+        assert phis[0] != phis[1]
+        for alg, ph in zip(algs, phis):
+            assert ph == wm.phi_by_filler(alg) == WeakMapCategory(aw).phi(alg)
+            assert wm.phi(alg) is ph
+
+
 def test_phi_of_identity_algebra_is_counit():
     for aw in (SPLIT, PSPLIT):
         wm = WeakMapCategory(aw)
