@@ -244,10 +244,11 @@ class BarCalculus:
             self.incl_w.append(tensor_map(self.alg.incl_bar, self.incl_w[-1]))
             self.proj_w.append(tensor_map(self.alg.proj_bar, self.proj_w[-1]))
         self.barpow = [m.src for m in self.incl_w]
+        self._one = id_gmap(self.alg.cx)
 
     def T(self, f: GradedMap) -> GradedMap:
         """A (x) f with the Koszul sign on the A-degree."""
-        return tensor_map(id_gmap(self.alg.cx), f)
+        return tensor_map(self._one, f)
 
     def strict_sides(self, u: GradedMap, src_act: GradedMap,
                      dst_act: GradedMap):
@@ -668,7 +669,8 @@ class WeakHomElement:
 
     comps[n] lives on Abar^{(x)n} (x) M in degree n+i; the inflated
     component on the full power is comps[n] . proj_w[n] and vanishes on
-    every unit insertion by construction.
+    every unit insertion by construction.  full(n, p) keeps the ladder
+    of its T-powers, each rung built once as T of the rung below.
     """
 
     def __init__(self, src: DgModule, dst: DgModule, deg: int, L: int,
@@ -686,11 +688,17 @@ class WeakHomElement:
         self.deg = deg
         self.L = L
         self.comps = comps
+        self._calc = calc
+        self._rungs = tuple([] for _ in comps)
 
-    def full(self, n: int) -> GradedMap:
-        """Component inflated back to T^n M."""
-        calc = self.src.calculus(self.L)
-        return gmap_compose(self.comps[n], calc.proj_w[n])
+    def full(self, n: int, p: int = 0) -> GradedMap:
+        """T^p of component n inflated back to T^n M."""
+        rungs = self._rungs[n]
+        if not rungs:
+            rungs.append(gmap_compose(self.comps[n], self._calc.proj_w[n]))
+        while len(rungs) <= p:
+            rungs.append(self._calc.T(rungs[-1]))
+        return rungs[p]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
@@ -702,9 +710,10 @@ class WeakHomElement:
                 and self.comps == other.comps)
 
     def __repr__(self):
-        live = [n for n, c in enumerate(self.comps) if not c.is_zero()]
-        return (f"WeakHom(deg={self.deg}, L={self.L}, "
-                f"levels={live or 'none'})")
+        """Live levels with their entries, so failing sides differ."""
+        live = ", ".join(f"{n}: {c!r}" for n, c in enumerate(self.comps)
+                         if not c.is_zero())
+        return f"WeakHom(deg={self.deg}, L={self.L}, {{{live}}})"
 
 
 def weak_zero(src: DgModule, dst: DgModule, deg: int, L: int):
@@ -778,12 +787,11 @@ def weak_differential(f: WeakHomElement) -> WeakHomElement:
     for n in range(f.L + 1):
         out = graded_differential(f.full(n))
         if n >= 1:
-            prev = f.full(n - 1)
             out = gmap_sub(out, gmap_smul(sign,
                                           gmap_compose(f.dst.act,
-                                                       calc.T(prev))))
+                                                       f.full(n - 1, 1))))
             out = gmap_add(out, gmap_smul(sign,
-                                          gmap_compose(prev,
+                                          gmap_compose(f.full(n - 1),
                                                        calc.facesum(n))))
         comps.append(_restrict(calc, n, out))
     return WeakHomElement(f.src, f.dst, f.deg - 1, f.L, comps)
@@ -801,7 +809,7 @@ def weak_compose(g: WeakHomElement, f: WeakHomElement) -> WeakHomElement:
     for n in range(f.L + 1):
         out = zero_gmap(calc.pow[n], g.dst.cx, n + f.deg + g.deg)
         for p in range(n + 1):
-            term = gmap_compose(g.full(p), calc.Tpow(p, f.full(n - p)))
+            term = gmap_compose(g.full(p), f.full(n - p, p))
             if (p * f.deg) % 2:
                 term = gmap_smul(-1, term)
             out = gmap_add(out, term)
@@ -829,7 +837,8 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
 
     Components are forced: f_n = eps0 . act . T f_{n-1} and
     eps_n = -eps0 . act . T eps_{n-1}.  Returns (f, eps, report) where f
-    lifts f0 against Jg and eps contracts B onto the image.
+    lifts f0 against Jg and eps contracts B onto the image; f and eps are
+    None when a forced component fails to vanish on the unit insertions.
     """
     rep = report if report is not None else CheckReport()
     sub = f"{modB.name}->{modA.name}"
@@ -846,12 +855,20 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     for n in range(1, L + 1):
         fulls_e.append(gmap_smul(-1, gmap_compose(
             eps0, gmap_compose(modB.act, calcB.T(fulls_e[-1])))))
-    f = WeakHomElement(modA, modB, 0, L,
-                       [_restrict(calcA, n, fulls_f[n])
-                        for n in range(L + 1)])
-    eps = WeakHomElement(modB, modB, 1, L,
-                         [_restrict(calcB, n, fulls_e[n])
-                          for n in range(L + 1)])
+    # _restrict's side condition as FAIL lines; none are added if it holds
+    fam = rep.family("lift.reduced")
+    comps = {}
+    for nm, calc, ms in (("f", calcA, fulls_f), ("eps", calcB, fulls_e)):
+        comps[nm] = [gmap_compose(m, calc.incl_w[n])
+                     for n, m in enumerate(ms)]
+        for n, (c, m) in enumerate(zip(comps[nm], ms)):
+            back = gmap_compose(c, calc.proj_w[n])
+            fam.check(back == m, f"{sub} {nm}_{n}", back, m)
+    if fam.failed:
+        fam.close(sub)
+        return None, None, rep
+    f = WeakHomElement(modA, modB, 0, L, comps["f"])
+    eps = WeakHomElement(modB, modB, 1, L, comps["eps"])
 
     jg = weak_from_strict(g, modB, modA, L)
     rep.eq("lift.forget", sub, (weak_forget(f), weak_forget(eps)), (f0, eps0))
@@ -951,6 +968,6 @@ def weak_to_strict(t: TruncatedCodescent,
         raise BarError("coherent map does not start at the resolved module")
     if not weak_differential(f).is_zero():
         raise BarError("coherent map is not chain-closed")
-    return t.glue([gmap_compose(f.dst.act, t.calc.T(f.full(n)))
+    return t.glue([gmap_compose(f.dst.act, f.full(n, 1))
                    for n in range(t.L + 1)])
 

@@ -267,6 +267,8 @@ def _run_lift_lali(ns):
     modB, g, f0, eps0 = parts
     rep = CheckReport()
     f, eps, _ = lift_ulali(modB, mod, g, f0, eps0, ns.trunc, rep)
+    if f is None:
+        return cfg, rep, []
     tables = [("components", [
         ("f nonzero levels",
          str([n for n, c in enumerate(f.comps) if not c.is_zero()])),

@@ -39,6 +39,28 @@ CONE = {
     "name": "cone",
 }
 
+# a dg-algebra file whose reduced part sits in negative degree: Q.1 in
+# degree 0, Q.e in degree -1, e.e = 0.  A coherent map over it has live
+# components at every level; over the built-ins, whose reduced parts sit
+# in degrees >= 0, every component above level 1 vanishes by degree
+EXTERIOR_DOWN = {
+    "complex": {"degrees": {"-1": 1, "0": 1}},
+    "unit": {"0": [[1]]},
+    "mult": {"-1": [[1, 1]], "0": [[1]]},
+    "name": "exterior_down",
+}
+
+# a lali file whose B is two copies of the free dual-numbers module with
+# d = 1; eps0 does not vanish on the unit insertions, so the forced
+# coherent component f_1 fails lift.reduced
+SIDE_BROKEN_LALI = {
+    "module": {"complex": {"degrees": {"0": 2, "1": 2},
+                           "boundary": {"1": [[1, 0], [0, 1]]}},
+               "action": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]],
+                          "1": [[1, 0, 0, 0], [0, 1, 1, 0]]}},
+    "g": {"0": [[1, 0], [0, 1]]}, "f0": {"0": [[1, 0], [0, 1]]},
+    "eps0": {"0": [[1, 0], [0, 0]]}}
+
 
 # ---------------------------------------------------------------------------
 # Finite sets

@@ -17,7 +17,7 @@ import weakmaps
 from weakmaps.cli import build_parser, main
 from weakmaps.schemas import load_algebra, load_module
 
-from generators import CONE
+from generators import CONE, SIDE_BROKEN_LALI
 
 
 def run(capsys, *args):
@@ -609,6 +609,20 @@ def test_broken_lali_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "EQ lali.homotopy" in out and "FAIL" in out
     assert "lali=" in out.splitlines()[1]
+
+
+def test_lift_side_condition_is_a_fail_not_an_input_error(tmp_path, capsys):
+    lali = write(tmp_path, "side.json", SIDE_BROKEN_LALI)
+    code, out, err = run(capsys, "lift", "lali", "--trunc", "2",
+                         "--lali", lali)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[-3:] == [
+        "EQ lift.reduced @ M->free f_1 : FAIL(lhs=GradedMap(deg=1, {}),"
+        " rhs=GradedMap(deg=1, {0: (0,0)=1}))",
+        "EQ lift.reduced @ M->free : FAIL(lhs=1 failing, rhs=0)",
+        "SUMMARY: checks=11 pass=6 fail=5 exempt=0"]
+    assert not any(line.startswith("TABLE") for line in lines)
 
 
 def test_non_chain_gradedmap_exits_1(tmp_path, capsys):

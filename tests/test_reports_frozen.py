@@ -25,7 +25,11 @@ FROZEN = [
     ("bar resolve --trunc 3 --builtin exterior --module free",
      "26662d274250f10457acf08db83aaaf8"),
     ("dg check --trials 3", "34d07420533a8a3df3e50f17efd7a4a5"),
+    ("dg check --builtin exterior --module free --trunc 5 --trials 3",
+     "fdb95abe1b2b8fb63cccb09d3a82f6db"),
     ("lift lali --trunc 3", "13e71d0e3e86b3fcf5a67719b4ac2e46"),
+    ("lift lali --builtin exterior --trunc 5",
+     "9810c9e0c249018cac2f790a452c7b1f"),
     ("factor ulali --trunc 3", "0fb3ad1ebd5a97c3b6cd8be96b4a667d"),
 ]
 
