@@ -52,10 +52,11 @@ def faces_over_q_times_q(monkeypatch):
         a = mod.alg
         mult = GradedMap(tensor_complex(a.cx, a.cx), a.cx, 0,
                          {0: ((1, 0, 0, 0), (0, 1, 1, 1))})
-        other = DgModule(DgAlgebra(a.cx, a.unit, mult), mod.cx, mod.act)
+        other = DgModule(DgAlgebra(a.cx, a.unit, mult), mod.cx,
+                         mod.act).calculus(calc.L)
         for n in range(2, calc.L + 1):
             for j in range(n - 1):
-                calc._face[(n, j)] = other.calculus(calc.L).face(n, j)
+                calc._face[(n, j)] = other.face(n, j)
     _calculus_of_inputs(monkeypatch, corrupt)
 
 
