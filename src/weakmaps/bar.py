@@ -65,7 +65,7 @@ class DgAlgebra:
         self.mult = mult
         self.name = name
 
-        uvec = [row[0] for row in unit.block(0)]
+        uvec = [row[0] for row in unit.mats.get(0, ())]
         piv = next((i for i, v in enumerate(uvec) if v), None)
         if piv is None:
             raise BarError("unit vector is zero")
@@ -91,9 +91,7 @@ class DgAlgebra:
         for k in cx.d:
             if bdims.get(k) and bdims.get(k - 1):
                 # proj . d . incl per degree; only degree 0 differs
-                left = pmats.get(k - 1, eye(cx.dim(k - 1)))
-                right = imats.get(k, eye(cx.dim(k)))
-                bd[k] = mmul(left, mmul(cx.d[k], right))
+                bd[k] = mmul(pmats[k - 1], mmul(cx.d[k], imats[k]))
         self.abar = ChainComplex(bdims, bd)
         self.incl_bar = GradedMap(self.abar, cx, 0, imats)
         self.proj_bar = GradedMap(cx, self.abar, 0, pmats)
@@ -205,7 +203,7 @@ def builtin_module(alg: DgAlgebra, kind: str) -> DgModule:
         cx = unit_complex()
         # A (x) I in degree 0 is A_0; project onto the unit coefficient
         act = GradedMap(tensor_complex(alg.cx, cx), cx, 0,
-                        {0: alg.pivot.block(0)})
+                        {0: alg.pivot.mats[0]})
         return DgModule(alg, cx, act, name="ground")
     raise BarError(f"unknown module kind: {kind!r}")
 
@@ -417,25 +415,18 @@ class TruncatedCodescent:
                 k = m + n
                 offs[(k, n)] = dims.get(k, 0)
                 dims[k] = dims.get(k, 0) + lv.dim(m)
-        d = {}
-        for k in sorted(dims):
-            rows = dims.get(k - 1, 0)
-            if not rows:
-                continue
-            terms = []
-            for n, lv in enumerate(self.levels):
-                cn = lv.dim(k - n)
-                if not cn:
-                    continue
-                coff = offs[(k, n)]
-                if n >= 1 and (k - 1, n - 1) in offs:
-                    terms.append((drop[n].block(k - n), offs[(k - 1, n - 1)],
-                                  coff))
-                if (k - 1, n) in offs:
-                    terms.append((lv.boundary(k - n), offs[(k - 1, n)], coff,
-                                  -1 if n % 2 else 1))
-            d[k] = assemble(rows, dims[k], terms)
-        self.total = ChainComplex(dims, d)
+        terms = {}
+        for n, lv in enumerate(self.levels):
+            for m, b in lv.d.items():
+                terms.setdefault(m + n, []).append(
+                    (b, offs[(m + n - 1, n)], offs[(m + n, n)],
+                     -1 if n % 2 else 1))
+            if n:
+                for m, b in drop[n].mats.items():
+                    terms.setdefault(m + n, []).append(
+                        (b, offs[(m + n - 1, n - 1)], offs[(m + n, n)]))
+        self.total = ChainComplex(dims, {k: assemble(dims[k - 1], dims[k], ts)
+                                         for k, ts in terms.items()})
 
         self.tag_n = []
         self.read_n = []

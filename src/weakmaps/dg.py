@@ -1,14 +1,20 @@
 """Chain complexes over the rationals with exact arithmetic.
 
 Complexes have finite support; a graded map of degree n is a family of
-matrix blocks X_k -> Y_{k+n}, stored only where both ends are nonzero.
+matrix blocks X_k -> Y_{k+n}, stored only where both ends are nonzero
+and the block is not zero.  An absent block or boundary is zero, and no
+operation builds one: composites, sums, tensor maps and the tensor
+boundary walk the stored blocks only.  `block()` and `boundary()` read a
+dense matrix out for callers that want one.
+
 The differential of a map is the graded commutator
 
     (Df)_k = d_Y . f_k  -  (-1)^n  f_{k-1} . d_X
 
 so chain maps are the degree-0 cycles.  Tensor products order each
-graded piece by ascending left degree, blocks laid out i-major, and the
-sign conventions put the twist on the left factor's degree:
+graded piece by ascending left degree, blocks laid out i-major; the one
+table `off[p, q]` of X (x) Y holds the offset of X_p (x) Y_q in degree
+p+q.  The sign conventions put the twist on the left factor's degree:
 
     d(x (x) y)     = dx (x) y + (-1)^|x| x (x) dy
     (f (x) g)(x,y) = (-1)^{|g||x|} f x (x) g y
@@ -127,19 +133,20 @@ def gmap_compose(g: GradedMap, f: GradedMap) -> GradedMap:
     if g.src != f.dst:
         raise DgError("graded maps are not composable")
     mats = {}
-    for k in f.src.dims:
-        mid = k + f.deg
-        if f.src.dim(k) and g.src.dim(mid) and g.dst.dim(mid + g.deg):
-            mats[k] = mmul(g.block(mid), f.block(k))
+    for k, fk in f.mats.items():
+        gm = g.mats.get(k + f.deg)
+        if gm is not None:
+            mats[k] = mmul(gm, fk)
     return GradedMap(f.src, g.dst, f.deg + g.deg, mats)
 
 
 def gmap_add(f: GradedMap, g: GradedMap) -> GradedMap:
     if f.src != g.src or f.dst != g.dst or f.deg != g.deg:
         raise DgError("graded maps are not addable")
-    keys = set(f.mats) | set(g.mats)
-    return GradedMap(f.src, f.dst, f.deg,
-                     {k: madd(f.block(k), g.block(k)) for k in keys})
+    mats = dict(f.mats)
+    for k, m in g.mats.items():
+        mats[k] = madd(mats[k], m) if k in mats else m
+    return GradedMap(f.src, f.dst, f.deg, mats)
 
 
 def gmap_sub(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -181,43 +188,28 @@ def is_chain_map(f: GradedMap) -> bool:
 
 
 class TensorComplex(ChainComplex):
-    """Binary tensor with ascending-left-degree block layout."""
+    """Binary tensor; off[p, q] is the offset of the block X_p (x) Y_q in
+    degree p+q, the blocks of a degree in ascending left degree."""
 
     def __init__(self, x: ChainComplex, y: ChainComplex):
-        self.factors = (x, y)
-        self._layout = {}
+        self.off = {}
         dims = {}
-        for p in x.degrees():
-            for q in y.degrees():
-                n = p + q
-                block = self._layout.setdefault(n, [])
-                off = dims.get(n, 0)
-                block.append((p, q, off, x.dim(p), y.dim(q)))
-                dims[n] = off + x.dim(p) * y.dim(q)
-        super().__init__(dims, {n: self._boundary(n) for n in dims})
-
-    def blocks(self, n):
-        return self._layout.get(n, [])
-
-    def offset(self, n, p):
-        for bp, q, off, xd, yd in self.blocks(n):
-            if bp == p:
-                return off
-        raise DgError(f"no block of left degree {p} in total degree {n}")
-
-    def _boundary(self, n):
-        x, y = self.factors
-        rows = sum(b[3] * b[4] for b in self.blocks(n - 1))
-        cols = sum(b[3] * b[4] for b in self.blocks(n))
-        tgt_off = {b[0]: b[2] for b in self.blocks(n - 1)}
-        terms = []
-        for p, q, off, xd, yd in self.blocks(n):
-            if p - 1 in tgt_off:
-                terms.append((x.boundary(p), tgt_off[p - 1], off, 1, eye(yd)))
-            if p in tgt_off:
-                terms.append((eye(xd), tgt_off[p], off, -1 if p % 2 else 1,
-                              y.boundary(q)))
-        return assemble(rows, cols, terms)
+        for p, xd in sorted(x.dims.items()):
+            for q, yd in sorted(y.dims.items()):
+                self.off[p, q] = dims.get(p + q, 0)
+                dims[p + q] = self.off[p, q] + xd * yd
+        # d(x (x) y) = dx (x) y + (-1)^p x (x) dy, one term per stored d
+        terms = {}
+        for (p, q), col in self.off.items():
+            if p in x.d:
+                terms.setdefault(p + q, []).append(
+                    (x.d[p], self.off[p - 1, q], col, 1, eye(y.dims[q])))
+            if q in y.d:
+                terms.setdefault(p + q, []).append(
+                    (eye(x.dims[p]), self.off[p, q - 1], col,
+                     -1 if p % 2 else 1, y.d[q]))
+        super().__init__(dims, {n: assemble(dims[n - 1], dims[n], ts)
+                                for n, ts in terms.items()})
 
 
 @functools.cache
@@ -234,23 +226,15 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     src = tensor_complex(f.src, g.src)
     dst = tensor_complex(f.dst, g.dst)
     deg = f.deg + g.deg
-    mats = {}
-    for n in src.degrees():
-        rows = dst.dim(n + deg)
-        cols = src.dim(n)
-        if not rows or not cols:
-            continue
-        tgt_off = {b[0]: b[2] for b in dst.blocks(n + deg)}
-        terms = []
-        for p, q, off, xd, yd in src.blocks(n):
-            fp, gq = f.block(p), g.block(q)
-            if is_zero(fp) or is_zero(gq):
-                continue
-            terms.append((fp, tgt_off[p + f.deg], off,
-                          -1 if (g.deg * p) % 2 else 1, gq))
-        if terms:
-            mats[n] = assemble(rows, cols, terms)
-    return GradedMap(src, dst, deg, mats)
+    terms = {}
+    for p, fp in f.mats.items():
+        for q, gq in g.mats.items():
+            terms.setdefault(p + q, []).append(
+                (fp, dst.off[p + f.deg, q + g.deg], src.off[p, q],
+                 -1 if (g.deg * p) % 2 else 1, gq))
+    return GradedMap(src, dst, deg,
+                     {n: assemble(dst.dims[n + deg], src.dims[n], ts)
+                      for n, ts in terms.items()})
 
 
 def assoc_iso(x, y, z) -> GradedMap:
@@ -264,18 +248,18 @@ def assoc_iso(x, y, z) -> GradedMap:
     src = tensor_complex(xy, z)
     yz = tensor_complex(y, z)
     dst = tensor_complex(x, yz)
-    mats = {}
-    for n in src.degrees():
-        terms = []
-        for pq, r, off, _, zd in src.blocks(n):
-            for p, q, xy_off, xd, yd in xy.blocks(pq):
-                row0 = dst.offset(n, p) + yz.offset(q + r, q)
-                col0 = off + xy_off * zd
-                one = eye(yd * zd)
-                terms += [(one, row0 + i * yz.dim(q + r), col0 + i * yd * zd)
-                          for i in range(xd)]
-        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
-    return GradedMap(src, dst, 0, mats)
+    terms = {}
+    for (p, q), xy_off in xy.off.items():
+        xd, yd = x.dims[p], y.dims[q]
+        for r, zd in z.dims.items():
+            row0 = dst.off[p, q + r] + yz.off[q, r]
+            col0 = src.off[p + q, r] + xy_off * zd
+            one = eye(yd * zd)
+            terms.setdefault(p + q + r, []).extend(
+                (one, row0 + i * yz.dims[q + r], col0 + i * yd * zd)
+                for i in range(xd))
+    return GradedMap(src, dst, 0, {n: assemble(dst.dims[n], src.dims[n], ts)
+                                   for n, ts in terms.items()})
 
 
 def lunit_iso(x: ChainComplex) -> GradedMap:

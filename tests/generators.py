@@ -129,17 +129,16 @@ def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
     """
     src = tensor_complex(x, y)
     dst = tensor_complex(y, x)
-    mats = {}
-    for n in src.degrees():
-        terms = []
-        for p, q, off, xd, yd in src.blocks(n):
-            base = dst.offset(n, q)
-            sign = -1 if (p * q) % 2 else 1
-            one = eye(yd)
-            terms += [(one, base, off + i * yd, sign, transpose((e_i,)))
-                      for i, e_i in enumerate(eye(xd))]
-        mats[n] = assemble(dst.dim(n), src.dim(n), terms)
-    return GradedMap(src, dst, 0, mats)
+    terms = {}
+    for (p, q), off in src.off.items():
+        yd = y.dim(q)
+        sign = -1 if (p * q) % 2 else 1
+        one = eye(yd)
+        terms.setdefault(p + q, []).extend(
+            (one, dst.off[q, p], off + i * yd, sign, transpose((e_i,)))
+            for i, e_i in enumerate(eye(x.dim(p))))
+    return GradedMap(src, dst, 0, {n: assemble(dst.dim(n), src.dim(n), ts)
+                                   for n, ts in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_tensor_frozen_boundaries():
     t = tensor_complex(X, Y)
     assert t.dims == {0: 2, 1: 5, 2: 2}
     # blocks at degree 1 in ascending left degree: (0,1) then (1,0)
-    assert [b[:2] for b in t.blocks(1)] == [(0, 1), (1, 0)]
+    assert t.off == {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
     assert t.boundary(1) == ((2, 1, 0, -1, 0), (0, 0, 1, 0, -1))
     assert t.boundary(2) == ((1, -1), (-2, 0), (0, 0), (0, -2), (0, 0))
 

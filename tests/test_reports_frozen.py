@@ -6,9 +6,11 @@ Re-pin only for a deliberate change of report text, and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from generators import CONE, EXTERIOR_DOWN
 from weakmaps.cli import main
 
 FROZEN = [
@@ -36,6 +38,35 @@ FROZEN = [
 
 @pytest.mark.parametrize("args,md5", FROZEN, ids=[a for a, _ in FROZEN])
 def test_report_md5_frozen(capsys, args, md5):
+    assert main(args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+# Runs over an algebra file, for the paths the built-ins never reach: CONE
+# is the one fixture whose differential is nonzero through the tensor
+# boundary, and over EXTERIOR_DOWN the coherent levels 2..L are live.  The
+# `# config:` line prints the file's path, so each run writes it under a
+# fixed relative name in its own directory.
+FILES = {"cone.json": CONE, "exterior_down.json": EXTERIOR_DOWN}
+FROZEN_FILES = [
+    ("bar resolve --module ground --trunc 4 --dgalgebra cone.json",
+     "dc6c546718b6fbc56e1b2120355122c4"),
+    ("factor ulali --trunc 4 --dgalgebra cone.json",
+     "dfdfc25b3970225a4f48f211320ac1e6"),
+    ("dg check --module free --trunc 4 --trials 5"
+     " --dgalgebra exterior_down.json", "6c8c97234c67bd18fef8e015d1109941"),
+    ("lift lali --trunc 4 --dgalgebra exterior_down.json",
+     "5c1ac386a53f4473c493bfa187816904"),
+]
+
+
+@pytest.mark.parametrize("args,md5", FROZEN_FILES,
+                         ids=[a for a, _ in FROZEN_FILES])
+def test_file_report_md5_frozen(tmp_path, monkeypatch, capsys, args, md5):
+    monkeypatch.chdir(tmp_path)
+    name = args.split()[-1]
+    (tmp_path / name).write_text(json.dumps(FILES[name]))
     assert main(args.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == md5
