@@ -31,11 +31,12 @@ from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  graded_differential, HomologicalLali, id_gmap, lunit_iso,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
+from . import InputError
 from .ratmat import assemble, eye, mmul, nonzeros, rank
 from .report import CheckReport
 
 
-class BarError(Exception):
+class BarError(InputError):
     pass
 
 

@@ -7,50 +7,13 @@ tables, and a summary.  Exit status is a pure function of the report:
 and 2 for usage errors, schema errors and input errors (input that loads
 but cannot be used), printed to stderr with no partial report.  When the
 reader closes stdout early, the rest of the report is dropped and the
-exit status is still the report's.
+exit status is still the report's.  Each handler imports the layers it
+calls, so a subcommand loads only those and `--help` none of them.
 """
 
-from __future__ import annotations
-
 import argparse
-import json
 import os
-import random
-import re
 import sys
-
-from . import schemas
-from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
-from .bar import (
-    TruncatedCodescent,
-    bar_lali,
-    lift_ulali,
-    free_ulali_factor,
-    nonequivariant_twist,
-    normalized_level_dims,
-    random_weak,
-    thickened_lali,
-    validate_bar,
-    weak_add,
-    weak_compose,
-    weak_differential,
-    weak_identity,
-    weak_smul,
-)
-from .bar import BarError
-from .dg import DgError, chain_sides, homology_ranks, is_chain_map
-from .fincat import (
-    CategoryError,
-    FinSetCategory,
-    canonical_set,
-    finset_fragment,
-    validate_category,
-    validate_comonad,
-    validate_monad,
-)
-from .report import FAIL, CheckReport
-from .schemas import SchemaError
-from .spans import compare_hom
 
 
 def _positive(text):
@@ -72,6 +35,9 @@ def _fmt_dims(d) -> str:
 
 
 def _comonad_spec(cat, spec):
+    import re
+    from . import SchemaError, schemas
+    from .fincat import canonical_set
     m = re.fullmatch(r"identity|coreader:S=(\d+)", spec)
     if not m:
         raise SchemaError(
@@ -86,6 +52,7 @@ def _dg_inputs(ns):
     --dgmodule/--module and --trunc; `laws` holds the algebra and module
     law checks.  A run over input that breaks them reports their FAIL
     lines and stops there."""
+    from . import schemas
     cfg = {"trunc": str(ns.trunc)}
     if ns.dgalgebra:
         cfg["dgalgebra"] = ns.dgalgebra
@@ -109,6 +76,10 @@ def _dg_inputs(ns):
 
 
 def _run_validate(ns):
+    from . import SchemaError, schemas
+    from .fincat import (FinSetCategory, finset_fragment, validate_category,
+                         validate_comonad, validate_monad)
+    from .report import CheckReport
     rep = CheckReport()
     cfg = {}
     cat = None
@@ -146,6 +117,7 @@ def _run_validate(ns):
         # the loader rejects d.d != 0 with exit 2, so nothing is left to check
         schemas.load_complex(schemas.load_file(ns.complex))
     if ns.gradedmap:
+        from .dg import chain_sides
         cfg["gradedmap"] = ns.gradedmap
         g = schemas.load_gradedmap(schemas.load_file(ns.gradedmap))
         rep.record("gradedmap.chain", os.path.basename(ns.gradedmap),
@@ -156,6 +128,9 @@ def _run_validate(ns):
 
 
 def _run_awfs_check(ns):
+    from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
+    from .fincat import FinSetCategory
+    from .report import CheckReport
     rep = CheckReport()
     cat = FinSetCategory()
     cfg = {"builtin": ns.builtin, "finset-max": str(ns.finset_max)}
@@ -169,6 +144,10 @@ def _run_awfs_check(ns):
 
 
 def _run_weakmaps_compare(ns):
+    from .awfs import PSplitEpiAwfs
+    from .fincat import FinSetCategory
+    from .report import CheckReport
+    from .spans import compare_hom
     rep = CheckReport()
     cat = FinSetCategory()
     cfg = {"comonad": ns.comonad, "A": str(ns.a_size), "B": str(ns.b_size),
@@ -186,6 +165,9 @@ def _run_weakmaps_compare(ns):
 
 
 def _run_bar_resolve(ns):
+    from .bar import (TruncatedCodescent, bar_lali, normalized_level_dims,
+                      validate_bar)
+    from .dg import homology_ranks
     cfg, _, mod, rep = _dg_inputs(ns)
     if not rep.ok:
         return cfg, rep, []
@@ -205,6 +187,9 @@ def _run_bar_resolve(ns):
 
 
 def _run_dg_check(ns):
+    import random
+    from .bar import (random_weak, weak_add, weak_compose, weak_differential,
+                      weak_identity, weak_smul)
     cfg, alg, mod, rep = _dg_inputs(ns)
     cfg["trials"] = str(ns.trials)
     if not rep.ok:
@@ -237,6 +222,7 @@ def _demo_lali(ns, alg, mod):
     """The built-in acyclic fibration onto the module, twisted whenever
     the module carrier is the algebra itself (so higher coherence
     components are nonzero)."""
+    from .bar import nonequivariant_twist, thickened_lali
     twist = None
     if not ns.plain and mod.cx == alg.cx:
         twist = nonequivariant_twist(alg)
@@ -248,6 +234,7 @@ def _load_lali(ns):
     """(config, M, (B, g, f0, eps0), laws) for a lali B -> M; `laws`
     holds the law checks of the algebra, M and B.  B is checked and the
     demo lali built only if the algebra and M pass; else parts may be None."""
+    from . import schemas
     cfg, alg, mod, laws = _dg_inputs(ns)
     parts = None
     if ns.lali:
@@ -261,6 +248,8 @@ def _load_lali(ns):
 
 
 def _run_lift_lali(ns):
+    from .bar import lift_ulali
+    from .report import CheckReport
     cfg, mod, parts, laws = _load_lali(ns)
     if not laws.ok:
         return cfg, laws, []
@@ -279,6 +268,9 @@ def _run_lift_lali(ns):
 
 
 def _run_factor_ulali(ns):
+    from .bar import TruncatedCodescent, free_ulali_factor
+    from .dg import is_chain_map
+    from .report import CheckReport
     cfg, mod, parts, laws = _load_lali(ns)
     if not laws.ok:
         return cfg, laws, []
@@ -426,6 +418,7 @@ def _emit_text(out, tool, seed, cfg, rep, tables):
 
 
 def _emit_json(out, tool, seed, cfg, rep, tables):
+    import json
     doc = {
         "tool": f"weakmaps {tool}",
         "config": cfg,
@@ -438,13 +431,14 @@ def _emit_json(out, tool, seed, cfg, rep, tables):
 
 
 def main(argv=None) -> int:
+    from . import InputError, SchemaError
     ns = build_parser().parse_args(argv)
     try:
         cfg, rep, tables = ns.handler(ns)
     except SchemaError as e:
         print(f"schema error: {e}", file=sys.stderr)
         return 2
-    except (BarError, CategoryError, DgError) as e:
+    except InputError as e:
         # structurally unusable input that got past the schema layer
         print(f"input error: {e}", file=sys.stderr)
         return 2
@@ -457,7 +451,7 @@ def main(argv=None) -> int:
         # the reader closed stdout: send what is left to devnull, so the
         # flush at exit stays quiet, and keep the report's status
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if rep.counts()[FAIL] == 0 else 1
+    return 0 if rep.ok else 1
 
 
 if __name__ == "__main__":

@@ -29,17 +29,19 @@ from __future__ import annotations
 import functools
 import random
 
+from . import InputError
 from .ratmat import (assemble, eye, is_zero, madd, mmul, nonzeros, rank,
                      shape, smul, transpose, zeros)
 from .report import CheckReport
 
 
-class DgError(Exception):
+class DgError(InputError):
     pass
 
 
 class ChainComplex:
-    """dims: degree -> dimension; d: degree k -> matrix C_k -> C_{k-1}."""
+    """dims: degree -> dimension; d: degree k -> matrix C_k -> C_{k-1}.
+    Never changed after construction, so its hash is taken once."""
 
     def __init__(self, dims, d):
         self.dims = {k: n for k, n in dims.items() if n}
@@ -48,6 +50,8 @@ class ChainComplex:
             if self.dim(k) and self.dim(k - 1) and not is_zero(m):
                 self.d[k] = m
         self._check()
+        self._hash = hash((tuple(sorted(self.dims.items())),
+                           tuple(sorted(self.d.items()))))
 
     def _check(self):
         for k, m in self.d.items():
@@ -70,12 +74,11 @@ class ChainComplex:
         return sorted(self.dims)
 
     def __eq__(self, other):
-        return (isinstance(other, ChainComplex)
-                and self.dims == other.dims and self.d == other.d)
+        return self is other or (isinstance(other, ChainComplex) and (
+            self.dims, self.d) == (other.dims, other.d))
 
     def __hash__(self):
-        return hash((tuple(sorted(self.dims.items())),
-                     tuple(sorted((k, m) for k, m in self.d.items()))))
+        return self._hash
 
     def __repr__(self):
         ds = ",".join(f"{k}:{n}" for k, n in sorted(self.dims.items()))

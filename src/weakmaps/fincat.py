@@ -24,10 +24,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import InputError
 from .report import CheckReport
 
 
-class CategoryError(Exception):
+class CategoryError(InputError):
     pass
 
 

@@ -8,17 +8,15 @@ law failures are left to the validators so they show up as FAIL lines
 rather than parse errors.
 
 Rational entries are JSON integers or strings "p/q"; floats are rejected
-to keep the arithmetic exact.
+to keep the arithmetic exact.  Only the loaders that build dg objects
+import `dg` and `bar`, so finite-set input never loads them.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from fractions import Fraction
 
-from .bar import BarError, DgAlgebra, DgModule, builtin_algebra, builtin_module
-from .dg import ChainComplex, DgError, GradedMap, tensor_complex, unit_complex
+from . import SchemaError
 from .fincat import (
     ComonadData,
     FinSetCategory,
@@ -32,11 +30,8 @@ from .fincat import (
 )
 
 
-class SchemaError(Exception):
-    """Malformed input data; message carries a JSON-path style position."""
-
-
 def load_file(path: str):
+    import json
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -76,6 +71,7 @@ def _names(v, where) -> tuple:
 
 
 def _fraction(v, where) -> Fraction:
+    from fractions import Fraction
     if isinstance(v, bool):
         raise SchemaError(f"{where}: expected a rational, got a boolean")
     if isinstance(v, int):
@@ -130,6 +126,7 @@ def _mats(data, where, shape):
 
 
 def load_complex(data, where="$") -> ChainComplex:
+    from .dg import ChainComplex, DgError
     data = _dict(data, where, ("degrees", "boundary"))
     degs = _dict(data.get("degrees"), f"{where}.degrees")
     dims = {}
@@ -146,6 +143,7 @@ def load_complex(data, where="$") -> ChainComplex:
 
 
 def _gmap(data, src, dst, where, deg=0) -> GradedMap:
+    from .dg import GradedMap
     return GradedMap(src, dst, deg, _mats(
         data, where, lambda k: (dst.dim(k + deg), src.dim(k))))
 
@@ -162,6 +160,8 @@ def load_gradedmap(data, where="$") -> GradedMap:
 
 
 def load_algebra(data, where="$") -> DgAlgebra:
+    from .bar import BarError, DgAlgebra, builtin_algebra
+    from .dg import tensor_complex, unit_complex
     data = _dict(data, where)
     if "kind" in data:
         kind = data["kind"]
@@ -187,6 +187,8 @@ def load_algebra(data, where="$") -> DgAlgebra:
 
 
 def load_module(data, alg: DgAlgebra, where="$") -> DgModule:
+    from .bar import BarError, DgModule, builtin_module
+    from .dg import tensor_complex
     data = _dict(data, where)
     if "kind" in data:
         try:

@@ -14,7 +14,12 @@ from pathlib import Path
 import pytest
 
 import weakmaps
+import weakmaps.cli
+from weakmaps import schemas
+from weakmaps.bar import BarError
 from weakmaps.cli import build_parser, main
+from weakmaps.dg import DgError
+from weakmaps.fincat import CategoryError
 from weakmaps.schemas import load_algebra, load_module
 
 from generators import CONE, SIDE_BROKEN_LALI
@@ -30,6 +35,14 @@ def write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload) if isinstance(payload, dict) else payload)
     return str(p)
+
+
+def src_env(**extra):
+    """The environment, plus `extra`, of a subprocess that imports
+    weakmaps from the same `src` as this test run."""
+    src = str(Path(weakmaps.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 # --- exit code 0: passing suites --------------------------------------------
@@ -285,11 +298,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
          "--monad", write(tmp_path, "m.json", {"kind": "exception", "E": ["e"]}),
          "--dgalgebra", write(tmp_path, "a.json", CONE)],
     ]
-    src = str(Path(weakmaps.__file__).resolve().parents[1])
     outs = [subprocess.run(
         [sys.executable, "-c", MD5_PER_RUN, json.dumps(runs)],
-        env={**os.environ, "PYTHONHASHSEED": seed,
-             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        env=src_env(PYTHONHASHSEED=seed),
         capture_output=True, text=True, check=True, timeout=60).stdout
         for seed in ("0", "1")]
     assert [ln.split()[0] for ln in outs[0].splitlines()] == ["0"] * len(runs)
@@ -300,19 +311,87 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
 def test_reader_closing_stdout_ends_the_run_quietly(unbuffered):
     # the reader takes one line and closes the pipe.  The pipe holds one
     # page and the report is longer, so a later write meets the closed end
-    src = str(Path(weakmaps.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     r, w = os.pipe()
     fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
         [sys.executable, "-m", "weakmaps", "awfs", "check", "--finset-max", "2"],
-        stdout=w, stderr=subprocess.PIPE, env=env)
+        stdout=w, stderr=subprocess.PIPE,
+        env=src_env(PYTHONUNBUFFERED=unbuffered))
     os.close(w)
     with open(r, "rb", buffering=0) as out:
         assert out.readline() == b"# tool: weakmaps awfs check\n"
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")
+
+
+# --- each subcommand imports only the layers it runs -------------------------
+
+LAYERS = {f"weakmaps.{p.stem}" for p in Path(weakmaps.__file__).parent.glob("*.py")
+          if p.stem not in ("__init__", "__main__", "cli")}
+DG_STACK = {"weakmaps.bar", "weakmaps.dg", "weakmaps.ratmat"}
+# command ("CATEGORY" stands for a category file) -> modules that a
+# `python3 -m weakmaps` process running it must not import
+NOT_IMPORTED = {
+    "--help": LAYERS | {"json", "random", "fractions", "dataclasses"},
+    "awfs check --finset-max 1": DG_STACK | {"fractions"},
+    "awfs check --builtin psplitepi --finset-max 1": DG_STACK | {"fractions"},
+    "weakmaps compare --bound 2": DG_STACK | {"fractions"},
+    "bar resolve --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
+    "dg check --trunc 2 --trials 1": {"weakmaps.awfs", "weakmaps.spans"},
+    "lift lali --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
+    "factor ulali --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
+    "validate --category CATEGORY": DG_STACK,
+}
+
+
+def imported(*args):
+    """(exit status, set of the modules imported) of a fresh
+    `python3 -X importtime ARGS` process."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=src_env(), stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc.returncode, {
+        ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines()
+        if ln.startswith("import time:") and ln.count("|") == 2}
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    """What interpreter start-up imports before any weakmaps code runs."""
+    return imported("-c", "pass")[1]
+
+
+@pytest.mark.parametrize("command", NOT_IMPORTED)
+def test_subcommand_imports_only_its_layers(command, startup_modules,
+                                            tmp_path):
+    argv = shlex.split(command.replace(
+        "CATEGORY", write(tmp_path, "cat.json", IDEMPOTENT)))
+    status, mods = imported("-m", "weakmaps", *argv)
+    mods -= startup_modules
+    assert status == 0 and "weakmaps.cli" in mods
+    assert not mods & NOT_IMPORTED[command], sorted(mods & NOT_IMPORTED[command])
+
+
+# --- exit status 2 for errors raised while a run computes -------------------
+
+
+def test_run_time_errors_share_one_root():
+    assert all(issubclass(e, weakmaps.InputError)
+               for e in (BarError, CategoryError, DgError))
+    assert schemas.SchemaError is weakmaps.SchemaError
+    assert not issubclass(weakmaps.SchemaError, weakmaps.InputError)
+
+
+@pytest.mark.parametrize("error, prefix", [
+    (BarError, "input error: "), (CategoryError, "input error: "),
+    (DgError, "input error: "), (schemas.SchemaError, "schema error: ")])
+def test_error_raised_by_a_handler_exits_2(error, prefix, monkeypatch,
+                                           capsys):
+    def handler(ns):
+        raise error("no use for this input")
+    monkeypatch.setattr(weakmaps.cli, "_run_dg_check", handler)
+    code, out, err = run(capsys, "dg", "check", "--trials", "1")
+    assert (code, out, err) == (2, "", prefix + "no use for this input\n")
 
 
 def test_class_count_is_exempt_below_the_canonical_apex(capsys):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,19 @@ def test_tensor_complex_is_built_once_per_pair():
     assert x2 is not X and x2 == X
     assert tensor_complex(x2, Y) is tensor_complex(X, Y)
     assert tensor_complex(unit_complex(), X) is tensor_complex(unit_complex(), X)
+
+
+def test_complexes_built_apart_compare_and_hash_alike():
+    # the hash is taken once, at construction: equal complexes built
+    # separately, from differently written data, still agree on it
+    a = ChainComplex({0: 1, 1: 2, 3: 0}, {1: ((1, Fraction(-1, 2)),),
+                                           2: ((0,), (0,))})
+    b = ChainComplex({1: 2, 0: 1}, {1: ((Fraction(1), Fraction(-1, 2)),)})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == a and hash(a) == hash(a)
+    c = ChainComplex({0: 1, 1: 2}, {1: ((1, Fraction(1, 2)),)})
+    assert a != c and ChainComplex({0: 1, 1: 2}, {}) != a
+    assert len({a, b, c}) == 2
 
 
 def test_tensor_map_reads_its_endpoints_from_tensor_complex():

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+import weakmaps.bar as bar
 import weakmaps.cli as cli
 from weakmaps.bar import DgAlgebra, DgModule, random_weak, weak_identity
 from weakmaps.dg import GradedMap, gmap_smul, tensor_complex
@@ -81,12 +82,13 @@ def poisoned_g_rung(monkeypatch):
     def draw(rng, src, dst, deg, L):
         e = random_weak(rng, src, dst, deg, L)
         return _poison(e, 0, 2) if next(draws) % 3 == 1 else e
-    monkeypatch.setattr(cli, "random_weak", draw)
+    monkeypatch.setattr(bar, "random_weak", draw)
 
 
 def poisoned_identity(monkeypatch):
-    # T(id) doubled on the identity's ladder: only f . 1 reads it
-    monkeypatch.setattr(cli, "weak_identity",
+    # T(id) doubled on the identity's ladder: only f . 1 reads it (the
+    # other caller in bar, lift_ulali, runs under `lift lali` only)
+    monkeypatch.setattr(bar, "weak_identity",
                         lambda mod, L: _poison(weak_identity(mod, L), 0, 1))
 
 
