@@ -19,7 +19,7 @@ test, not an assumption.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fincat import (
     CategoryError,
@@ -137,7 +137,7 @@ class RAlgebraArrow:
     its laws are consequences but validate() still checks them.
     """
 
-    awfs: object
+    awfs: object = field(repr=False)
     arrow: object
     witness: object
 
@@ -170,7 +170,7 @@ class RAlgebraArrow:
 class LCoalgebraArrow:
     """Arrow f: A -> B with structure s: B -> Ef splitting rho(f)."""
 
-    awfs: object
+    awfs: object = field(repr=False)
     arrow: object
     structure: object
 

@@ -85,6 +85,39 @@ def graph(f: FinSetArrow):
 
 
 # ---------------------------------------------------------------------------
+# Corrupted weak-map constructions, patched over `weakmaps.spans`
+
+
+def kappa_swapped(span_to_kleisli):
+    """span_to_kleisli with b0 and b1 swapped in the image of every span
+    whose apex has two points."""
+    def swapped(wm, s):
+        u = span_to_kleisli(wm, s)
+        if len(s.apex) != 2:
+            return u
+        under = FinSetArrow(u.under.dom, u.under.cod,
+                            tuple(1 - x for x in u.under.idx))
+        return type(u)(u.dom, u.cod, under)
+    return swapped
+
+
+def apex_shifted(kleisli_to_span):
+    """kleisli_to_span with the canonical span's apex relabelled by the
+    cyclic shift i -> i+1, both legs and the witness moved with it.  The
+    result is isomorphic to the canonical span but, when the apex has
+    more than one point, no longer the one the section phi maps from."""
+    def shifted(wm, f):
+        c = kleisli_to_span(wm, f)
+        x, n, cat = c.apex, len(c.apex), wm.cat
+        back = FinSetArrow(x, x, tuple((i - 1) % n for i in range(n)))
+        fwd = FinSetArrow(x, x, tuple((i + 1) % n for i in range(n)))
+        left = type(c.left)(c.left.awfs, cat.compose(c.left.arrow, back),
+                            cat.compose(fwd, c.left.witness))
+        return type(c)(left, cat.compose(c.right, back))
+    return shifted
+
+
+# ---------------------------------------------------------------------------
 # Complexes
 
 

@@ -22,7 +22,7 @@ from weakmaps.dg import DgError
 from weakmaps.fincat import CategoryError
 from weakmaps.schemas import load_algebra, load_module
 
-from generators import CONE, SIDE_BROKEN_LALI
+from generators import CONE, SIDE_BROKEN_LALI, apex_shifted, kappa_swapped
 
 
 def run(capsys, *args):
@@ -716,28 +716,60 @@ def test_non_chain_gradedmap_exits_1(tmp_path, capsys):
     assert line.endswith(", rhs=deg=0 D=0)")
 
 
-def test_unreachable_span_fails_canonical_reach(monkeypatch, capsys):
+def test_relabelled_canonical_span_fails_canonical_reach(monkeypatch, capsys):
+    """Each canonical span is built with its apex cyclically relabelled.
+    It is isomorphic to the true one, so a search for a span map between
+    it and a span could still succeed; but phi of a span's left leg is
+    no span map out of it, and canonical.reach FAILs with phi and the
+    relabelled span as its sides.  The other four families PASS."""
     import weakmaps.spans as spans
-    from weakmaps.spans import SpanEquivResult
+    from weakmaps.awfs import PSplitEpiAwfs
+    from weakmaps.fincat import FinSetCategory, canonical_set, coreader_comonad
 
-    real = spans.span_equiv
-
-    def lost_on_apex_2(wm, s, t, **kw):
-        if len(s.apex) == 2:
-            return SpanEquivResult("not-found-within-bounds")
-        return real(wm, s, t, **kw)
-
-    monkeypatch.setattr(spans, "span_equiv", lost_on_apex_2)
+    shifted = apex_shifted(spans.kleisli_to_span)
+    monkeypatch.setattr(spans, "kleisli_to_span", shifted)
     code, out, _ = run(capsys, "weakmaps", "compare", "--A", "1", "--B", "2",
-                       "--bound", "2", "--zigzag", "2")
+                       "--bound", "3")
     assert code == 1
-    fails = [ln for ln in out.splitlines() if ln.startswith("EQ canonical.reach")]
-    items, agg = fails[:-1], fails[-1]
-    assert items and all(
-        ln.endswith(": FAIL(lhs=not-found-within-bounds, rhs=connected)")
-        for ln in items)
-    assert re.fullmatch(r"EQ canonical.reach @ \d+ spans within apex<=2"
-                        rf" : FAIL\(lhs={len(items)} failing, rhs=0\)", agg)
+    eqs = [ln for ln in out.splitlines() if ln.startswith("EQ ")]
+    *items, agg = [ln for ln in eqs if ln.startswith("EQ canonical.reach @ ")]
+    assert [ln for ln in eqs if not ln.startswith("EQ canonical.reach @ ")] == [
+        "EQ api.kappa @ 90 spans cross-checked : PASS",
+        "EQ roundtrip @ 4 co-Kleisli arrows : PASS",
+        "EQ class.count @ apex<=3 : PASS",
+        "EQ kappa.invariant @ 388 one-step maps : PASS"]
+    assert agg == ("EQ canonical.reach @ 90 spans within apex<=3"
+                   " : FAIL(lhs=56 failing, rhs=0)")
+    cat = FinSetCategory()
+    aw = PSplitEpiAwfs(cat, coreader_comonad(cat, canonical_set(2, "s")))
+    wm = spans.WeakMapCategory(aw)
+    by_repr = {repr(s): s for s in spans.enumerate_spans(
+        aw, canonical_set(1, "a"), canonical_set(2, "b"), 3)}
+    assert len(items) == 56
+    for ln in items:
+        subject, sides = ln.removeprefix("EQ canonical.reach @ ").split(
+            " : FAIL(lhs=")
+        s = by_repr[subject]
+        assert sides == (f"{wm.phi(s.left).under!r}, rhs="
+                         f"{shifted(wm, spans.span_to_kleisli(wm, s))!r})")
+    assert not any(" object at 0x" in ln for ln in out.splitlines())
+
+
+def test_failing_compare_report_prints_no_object_address(monkeypatch, capsys):
+    """A failing canonical.reach item names its span, whose algebra leg
+    holds the AWFS; the report prints no address of it, so two runs of
+    the same failing command print the same report."""
+    import weakmaps.spans as spans
+
+    monkeypatch.setattr(spans, "span_to_kleisli",
+                        kappa_swapped(spans.span_to_kleisli))
+    argv = ("weakmaps", "compare", "--A", "2", "--B", "2", "--bound", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert any(ln.startswith("EQ canonical.reach @ ASpan(")
+               for ln in out.splitlines())
+    assert [ln for ln in out.splitlines() if " object at 0x" in ln] == []
+    assert run(capsys, *argv) == (1, out, "")
 
 
 def test_cli_imports_only_compare_hom_from_spans():

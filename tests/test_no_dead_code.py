@@ -4,7 +4,8 @@ A definition counts as used when its name appears as a name, an
 attribute or an imported name anywhere in `src/` or `tests/` outside its
 own definition.  Matching by name alone is generous: one call of any
 `validate` keeps every `validate` alive, so some dead code can pass.
-Dunder methods are called by the language and are exempt.
+Dunder methods are called by the language and are exempt.  A local
+name that a function assigns and never reads fails as well.
 `test_reachability.py` is the runtime counterpart, line by line: it
 requires every function in `src/`, and every statement in a function
 body, to run under a subcommand, unless a listed reason lets it stay.
@@ -76,3 +77,56 @@ def test_every_instance_attribute_is_read():
                            and isinstance(f.target, ast.Name)
                            and not reads[f.target.id]]
     assert not unread, "never read: " + ", ".join(unread)
+
+
+def dead_locals(tree):
+    """(line, function, name) of every name that a function binds by a
+    plain assignment (`x = ...`, `x: T = ...`) and never loads, its
+    nested functions included.  Loop and unpacking targets, and names a
+    function declares `global` or `nonlocal`, are exempt."""
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(fn.body)
+        while stack:  # the statements of fn, not those of nested defs
+            node = stack.pop()
+            if isinstance(node, DEFS):
+                continue
+            own.append(node)
+            stack.extend(ast.iter_child_nodes(node))
+        shared = {n for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for n in node.names}
+        loads = {n.id for n in ast.walk(fn)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in own:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            dead += [(t.lineno, fn.name, t.id) for t in targets
+                     if isinstance(t, ast.Name)
+                     and t.id not in loads and t.id not in shared]
+    return sorted(dead)
+
+
+def test_every_local_assignment_is_read():
+    dead = [f"{p.relative_to(ROOT)}:{line} {fn}: {name}"
+            for p in sorted(PACKAGE.glob("*.py"))
+            for line, fn, name in dead_locals(ast.parse(p.read_text(), str(p)))]
+    assert not dead, "assigned and never read: " + ", ".join(dead)
+
+
+def test_dead_locals_finds_only_plain_assignments():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    unused = 1\n"
+        "    kept: int = 2\n"
+        "    typed: int = 3\n"
+        "    a, b = xs\n"
+        "    for x in xs:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        inner = kept\n"
+        "    return g\n")
+    assert dead_locals(tree) == [(2, "f", "unused"), (4, "f", "typed"),
+                                 (9, "g", "inner")]

@@ -30,7 +30,7 @@ from weakmaps.spans import (
     span_maps,
     span_to_kleisli,
 )
-from generators import fsarrow
+from generators import fsarrow, kappa_swapped
 
 C = FinSetCategory()
 SPLIT = SplitEpiAwfs(C)
@@ -395,19 +395,8 @@ def test_compare_hom_classes_are_balanced_split():
 
 def test_corrupted_kappa_fails_each_census_family(monkeypatch, family_fails):
     # span_to_kleisli swaps b0 and b1 on every span whose apex has two points
-    import weakmaps.spans as spans_mod
-
-    real = spans_mod.span_to_kleisli
-
-    def swapped(wm, s):
-        u = real(wm, s)
-        if len(s.apex) != 2:
-            return u
-        under = FinSetArrow(u.under.dom, u.under.cod,
-                            tuple(1 - x for x in u.under.idx))
-        return type(u)(u.dom, u.cod, under)
-
-    monkeypatch.setattr(spans_mod, "span_to_kleisli", swapped)
+    monkeypatch.setattr(spans_module, "span_to_kleisli",
+                        kappa_swapped(spans_module.span_to_kleisli))
     rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3).report
     for name in ("api.kappa", "roundtrip", "kappa.invariant"):
         family_fails(rep, name)
@@ -418,4 +407,33 @@ def test_corrupted_kappa_fails_each_census_family(monkeypatch, family_fails):
     rep = compare_hom(SPLIT, a_size=2, b_size=2, apex_bound=3, reach=True).report
     reach = family_fails(rep, "canonical.reach")
     assert len(reach) == 8
-    assert all(c.lhs == "not-found-within-bounds" for c in reach)
+    # each item's lhs is the witness checked: phi of the span's left leg
+    wm = WeakMapCategory(SPLIT)
+    by_repr = {repr(s): s for s in all_spans(SPLIT, A2, B2, 3)}
+    assert all(c.lhs == repr(wm.phi(by_repr[c.subject].left).under)
+               for c in reach)
+
+
+@pytest.mark.parametrize("corrupt", [False, True],
+                         ids=["lawful", "corrupted-kappa"])
+def test_witness_verdict_agrees_with_span_search(monkeypatch, corrupt):
+    """canonical.reach checks that phi of a span's left leg is a span map
+    from its canonical span; the search span_equiv gives the same verdict
+    on every span with A, B in {1, 2} and apex <= 3, lawful or under the
+    corrupted kappa, which breaks 20 spans over SPLIT and 30 over PSPLIT."""
+    if corrupt:
+        monkeypatch.setattr(spans_module, "span_to_kleisli",
+                            kappa_swapped(spans_module.span_to_kleisli))
+    unreached = []
+    for aw in (SPLIT, PSPLIT):
+        wm = WeakMapCategory(aw)
+        n = 0
+        for a, b in itertools.product((1, 2), repeat=2):
+            for s in all_spans(aw, canonical_set(a, "a"), canonical_set(b, "b"), 3):
+                u = spans_module.span_to_kleisli(wm, s)
+                c = kleisli_to_span(wm, u)
+                witness = span_is_map(wm.phi(s.left).under, c, s)
+                assert witness == span_equiv(wm, s, c).equivalent, s
+                n += not witness
+        unreached.append(n)
+    assert unreached == ([20, 30] if corrupt else [0, 0])
