@@ -230,7 +230,6 @@ class BarCalculus:
         self.alg = mod.alg
         self.L = L
         self._mu = {}
-        self._eta = {}
         self._face = {}
         self._degen = {}
         self._facesum = {}
@@ -256,14 +255,12 @@ class BarCalculus:
         return gmap_compose(u, src_act), gmap_compose(dst_act, self.T(u))
 
     def Tpow(self, j: int, f: GradedMap) -> GradedMap:
+        """T^j f.  Faces and degeneracies are built from their base, not
+        as T of a neighbour one power down, so that `bar.shift` compares
+        two independently built towers."""
         for _ in range(j):
             f = self.T(f)
         return f
-
-    def eta(self, n: int) -> GradedMap:
-        if n not in self._eta:
-            self._eta[n] = unit_insert(self.alg, self.pow[n])
-        return self._eta[n]
 
     def mu_on(self, x: ChainComplex) -> GradedMap:
         """A (x) (A (x) X) -> A (x) X multiplying the two outer slots."""
@@ -272,9 +269,6 @@ class BarCalculus:
             self._mu[x] = gmap_compose(tensor_map(self.alg.mult, id_gmap(x)),
                                        signed_perm_inverse(assoc_iso(a, a, x)))
         return self._mu[x]
-
-    def mu(self, n: int) -> GradedMap:
-        return self.mu_on(self.pow[n])
 
     def face(self, n: int, j: int) -> GradedMap:
         """d_j : T^n M -> T^{n-1} M for 0 <= j <= n-1."""
@@ -285,16 +279,20 @@ class BarCalculus:
             if j == n - 1:
                 self._face[key] = self.Tpow(n - 1, self.mod.act)
             else:
-                self._face[key] = self.Tpow(j, self.mu(n - j - 2))
+                self._face[key] = self.Tpow(
+                    j, self.mu_on(self.pow[n - j - 2]))
         return self._face[key]
 
     def degen(self, n: int, j: int) -> GradedMap:
-        """s_j : T^n M -> T^{n+1} M for -1 <= j <= n-1."""
+        """s_j : T^n M -> T^{n+1} M for -1 <= j <= n-1; s_{-1} inserts
+        the unit in front."""
         key = (n, j)
         if key not in self._degen:
             if not (-1 <= j <= n - 1):
                 raise BarError(f"no degeneracy s_{j} on power {n}")
-            self._degen[key] = self.Tpow(j + 1, self.eta(n - j - 1))
+            self._degen[key] = (
+                unit_insert(self.alg, self.pow[n]) if j == -1
+                else self.Tpow(j + 1, self.degen(n - j - 1, -1)))
         return self._degen[key]
 
     def facesum(self, n: int) -> GradedMap:
@@ -445,7 +443,7 @@ class TruncatedCodescent:
         self._iota = {}
 
         self.p = self.glue([calc.mod.act])
-        self.q = gmap_compose(self.iota(0), calc.eta(0))
+        self.q = gmap_compose(self.iota(0), calc.degen(0, -1))
         self.xi = self.glue([gmap_compose(self.iota(n + 1),
                                           calc.degen(n + 1, -1))
                              for n in range(L)])
@@ -716,9 +714,7 @@ def weak_zero(src: DgModule, dst: DgModule, deg: int, L: int):
 
 
 def weak_identity(mod: DgModule, L: int) -> WeakHomElement:
-    z = weak_zero(mod, mod, 0, L)
-    return WeakHomElement(mod, mod, 0, L,
-                          (id_gmap(mod.cx),) + z.comps[1:])
+    return weak_from_strict(id_gmap(mod.cx), mod, mod, L)
 
 
 def weak_from_strict(u: GradedMap, src: DgModule, dst: DgModule,
@@ -747,9 +743,7 @@ def weak_add(f: WeakHomElement, g: WeakHomElement) -> WeakHomElement:
 
 
 def weak_sub(f: WeakHomElement, g: WeakHomElement) -> WeakHomElement:
-    _same_shape(f, g)
-    return WeakHomElement(f.src, f.dst, f.deg, f.L,
-                          [gmap_sub(a, b) for a, b in zip(f.comps, g.comps)])
+    return weak_add(f, weak_smul(-1, g))
 
 
 def weak_smul(c, f: WeakHomElement) -> WeakHomElement:
@@ -773,7 +767,7 @@ def weak_differential(f: WeakHomElement) -> WeakHomElement:
     the outer slot of f_{n-1} and the alternating face sum of the source
     powers; only levels n and n-1 are read, so truncation is exact.
     """
-    calc = f.src.calculus(f.L)
+    calc = f._calc
     sign = -1 if f.deg % 2 else 1
     comps = []
     for n in range(f.L + 1):
@@ -796,7 +790,7 @@ def weak_compose(g: WeakHomElement, f: WeakHomElement) -> WeakHomElement:
         raise BarError("weak maps are not composable")
     if f.L != g.L:
         raise BarError("weak maps have different truncation levels")
-    calc = f.src.calculus(f.L)
+    calc = f._calc
     comps = []
     for n in range(f.L + 1):
         out = zero_gmap(calc.pow[n], g.dst.cx, n + f.deg + g.deg)
@@ -839,12 +833,10 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     HomologicalLali(g, f0, eps0).validate(rep)
     rep.eq("lift.g.strict", sub, *calcB.strict_sides(g, modB.act, modA.act))
 
-    fulls_f = [f0]
-    for n in range(1, L + 1):
+    fulls_f, fulls_e = [f0], [eps0]
+    for _ in range(L):
         fulls_f.append(gmap_compose(
             eps0, gmap_compose(modB.act, calcA.T(fulls_f[-1]))))
-    fulls_e = [eps0]
-    for n in range(1, L + 1):
         fulls_e.append(gmap_smul(-1, gmap_compose(
             eps0, gmap_compose(modB.act, calcB.T(fulls_e[-1])))))
     # _restrict's side condition as FAIL lines; none are added if it holds
@@ -928,7 +920,8 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
     forced = [gmap_compose(modB.act, calc.T(gmap_compose(eps0, m)))
               for m in stages[:-1]]
     rep.eq("factor.unique", sub,
-           [gmap_compose(stages[0], calc.eta(0))] + stages[1:], [f0] + forced)
+           [gmap_compose(stages[0], calc.degen(0, -1))] + stages[1:],
+           [f0] + forced)
     return h, rep
 
 
@@ -945,7 +938,7 @@ def strict_to_weak(t: TruncatedCodescent, u: GradedMap,
     calc = t.calc
     comps = []
     for n in range(t.L + 1):
-        full = gmap_compose(u, gmap_compose(t.iota(n), calc.eta(n)))
+        full = gmap_compose(u, gmap_compose(t.iota(n), calc.degen(n, -1)))
         comps.append(_restrict(calc, n, full))
     return WeakHomElement(calc.mod, dst, u.deg, t.L, comps)
 

@@ -98,10 +98,13 @@ def _run_validate(ns):
             eff = load(data, cat)
             check(cat, eff, cat.objects, rep)
         else:
-            cfg["finset-max"] = str(ns.finset_max)
+            size = ns.finset_max or 2
+            cfg["finset-max"] = str(size)
             fin = FinSetCategory()
             eff = load(data, fin)
-            check(fin, eff, finset_fragment(ns.finset_max), rep)
+            check(fin, eff, finset_fragment(size), rep)
+    if ns.finset_max is not None and "finset-max" not in cfg:
+        raise SchemaError("--finset-max: no (co)monad runs on finite sets")
     alg = None
     if ns.dgalgebra:
         cfg["dgalgebra"] = ns.dgalgebra
@@ -128,6 +131,7 @@ def _run_validate(ns):
 
 
 def _run_awfs_check(ns):
+    from . import SchemaError
     from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
     from .fincat import FinSetCategory
     from .report import CheckReport
@@ -135,10 +139,12 @@ def _run_awfs_check(ns):
     cat = FinSetCategory()
     cfg = {"builtin": ns.builtin, "finset-max": str(ns.finset_max)}
     if ns.builtin == "splitepi":
+        if ns.comonad is not None:
+            raise SchemaError("--comonad: splitepi takes no comonad")
         aw = SplitEpiAwfs(cat)
     else:
-        cfg["comonad"] = ns.comonad
-        aw = PSplitEpiAwfs(cat, _comonad_spec(cat, ns.comonad))
+        cfg["comonad"] = ns.comonad or "coreader:S=2"
+        aw = PSplitEpiAwfs(cat, _comonad_spec(cat, cfg["comonad"]))
     validate_awfs(aw, ns.finset_max, rep)
     return cfg, rep, []
 
@@ -310,9 +316,10 @@ def _add_dg_inputs(p, default_module):
 
 def _add_lali_inputs(p):
     p.add_argument("--trunc", type=_positive, default=4)
-    p.add_argument("--lali", metavar="FILE",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--lali", metavar="FILE",
                    help="lali instance file (default: built-in fibration)")
-    p.add_argument("--plain", action="store_true",
+    g.add_argument("--plain", action="store_true",
                    help="keep the built-in fibration untwisted")
 
 
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--dgmodule", metavar="FILE")
     v.add_argument("--complex", metavar="FILE")
     v.add_argument("--gradedmap", metavar="FILE")
-    v.add_argument("--finset-max", type=_positive, default=2,
+    v.add_argument("--finset-max", type=_positive,
                    help="fragment size for builtin (co)monads (default 2)")
     v.set_defaults(handler=_run_validate, tool="validate")
 
@@ -343,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c)
     c.add_argument("--builtin", choices=("splitepi", "psplitepi"),
                    default="splitepi")
-    c.add_argument("--comonad", default="coreader:S=2",
-                   help="comonad spec for psplitepi (identity|coreader:S=N)")
+    c.add_argument("--comonad",
+                   help="comonad spec for psplitepi (identity|coreader:S=N,"
+                        " default coreader:S=2)")
     c.add_argument("--finset-max", type=_positive, default=3)
     c.set_defaults(handler=_run_awfs_check, tool="awfs check")
 

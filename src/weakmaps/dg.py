@@ -27,7 +27,6 @@ g.xi = xi.q = xi.xi = 0.
 from __future__ import annotations
 
 import functools
-import random
 
 from . import InputError
 from .ratmat import (assemble, eye, is_zero, madd, mmul, nonzeros, rank,
@@ -334,7 +333,7 @@ def homology_ranks(x: ChainComplex, degrees):
 # Seeded random maps
 
 
-def random_gmap(rng: random.Random, src: ChainComplex, dst: ChainComplex,
+def random_gmap(rng, src: ChainComplex, dst: ChainComplex,
                 deg=0) -> GradedMap:
     mats = {}
     for k in src.degrees():

@@ -13,22 +13,20 @@ then records the aggregate line: PASS when no item failed, otherwise
 FAIL(lhs=<k> failing, rhs=0) with k the number of itemised failures.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 PASS = "PASS"
 FAIL = "FAIL"
 EXEMPT = "TRUNCATION-EXEMPT"
 
 
-@dataclass
 class Check:
-    name: str
-    subject: str
-    status: str
-    lhs: str = ""
-    rhs: str = ""
+    __slots__ = ("name", "subject", "status", "lhs", "rhs")
+
+    def __init__(self, name, subject, status, lhs="", rhs=""):
+        self.name = name
+        self.subject = subject
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
 
     def line(self) -> str:
         if self.status == FAIL:
@@ -36,9 +34,11 @@ class Check:
         return f"EQ {self.name} @ {self.subject} : {self.status}"
 
 
-@dataclass
 class CheckReport:
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        self.checks = []
 
     def record(self, name, subject, ok, lhs, rhs):
         status = PASS if ok else FAIL
@@ -52,7 +52,7 @@ class CheckReport:
         """Record lhs == rhs under `name`, keeping reprs on failure."""
         return self.record(name, subject, lhs == rhs, lhs, rhs)
 
-    def family(self, name) -> Family:
+    def family(self, name) -> "Family":
         return Family(self, name)
 
     def exempt(self, name, subject):
@@ -97,7 +97,6 @@ class CheckReport:
         }
 
 
-@dataclass(slots=True)
 class Family:
     """Counts the items of one check family and records its failures.
 
@@ -107,10 +106,13 @@ class Family:
     inside the `comonad.natural` family), else under the family's name.
     """
 
-    rep: CheckReport
-    name: str
-    n: int = 0
-    failed: int = 0
+    __slots__ = ("rep", "name", "n", "failed")
+
+    def __init__(self, rep, name):
+        self.rep = rep
+        self.name = name
+        self.n = 0
+        self.failed = 0
 
     def check(self, ok, subject, lhs, rhs, name=None) -> bool:
         self.n += 1

@@ -8,8 +8,9 @@ law failures are left to the validators so they show up as FAIL lines
 rather than parse errors.
 
 Rational entries are JSON integers or strings "p/q"; floats are rejected
-to keep the arithmetic exact.  Only the loaders that build dg objects
-import `dg` and `bar`, so finite-set input never loads them.
+to keep the arithmetic exact.  Each loader imports the layer whose
+objects it builds (`fincat`, `dg` or `bar`), so a run loads only the
+layers its input needs.
 """
 
 from __future__ import annotations
@@ -17,17 +18,6 @@ from __future__ import annotations
 import itertools
 
 from . import SchemaError
-from .fincat import (
-    ComonadData,
-    FinSetCategory,
-    FunctorData,
-    MonadData,
-    TableCategory,
-    coreader_comonad,
-    exception_monad,
-    identity_comonad,
-    identity_monad,
-)
 
 
 def load_file(path: str):
@@ -236,6 +226,7 @@ def _arrow(arrows, v, where, ends=None) -> str:
 
 
 def load_category(data, where="$") -> TableCategory:
+    from .fincat import TableCategory
     data = _dict(data, where, ("objects", "arrows", "identities", "compose"))
     objs = _names(data.get("objects"), f"{where}.objects")
     for key in ("arrows", "compose"):
@@ -286,6 +277,7 @@ def _table_fn(table, domain, where):
 
 
 def _load_functor(data, cat: TableCategory, where) -> FunctorData:
+    from .fincat import FunctorData, TableCategory
     if not isinstance(cat, TableCategory):
         raise SchemaError(f"{where}: a table functor needs a table category"
                           " (--category)")
@@ -311,6 +303,7 @@ def _obj_arrows(data, cat, where, ends):
 
 
 def load_comonad(data, cat, where="$") -> ComonadData:
+    from .fincat import ComonadData
     data = _dict(data, where)
     if "kind" in data:
         return _builtin_effect(data, cat, where, comonad=True)
@@ -324,6 +317,7 @@ def load_comonad(data, cat, where="$") -> ComonadData:
 
 
 def load_monad(data, cat, where="$") -> MonadData:
+    from .fincat import MonadData
     data = _dict(data, where)
     if "kind" in data:
         return _builtin_effect(data, cat, where, comonad=False)
@@ -344,6 +338,8 @@ def _labels(data, key, where):
 
 
 def _builtin_effect(data, cat, where, comonad):
+    from .fincat import (coreader_comonad, exception_monad, identity_comonad,
+                         identity_monad)
     kind = data["kind"]
     if kind == "identity":
         _dict(data, where, ("kind",))
@@ -359,6 +355,7 @@ def _builtin_effect(data, cat, where, comonad):
 
 
 def _sets_only(cat, where):
+    from .fincat import FinSetCategory
     if not isinstance(cat, FinSetCategory):
         raise SchemaError(
             f"{where}: this builtin is only defined over finite sets")

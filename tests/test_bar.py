@@ -284,14 +284,14 @@ def test_bar_lali_exterior_free():
 
 def test_coherent_unit_recursion():
     # the canonical section q feeds the contraction back into itself:
-    # the n-th stage of xi . abar . T(-) lands on iota_n . eta(n)
+    # the n-th stage of xi . abar . T(-) lands on iota_n . s_{-1}
     for mod, L in ((DG, 3), (EF, 2)):
         t = cod(mod, L)
         calc = t.calc
         stage = t.q
         for n in range(1, L + 1):
             stage = gmap_compose(t.xi, gmap_compose(t.abar, calc.T(stage)))
-            assert stage == gmap_compose(t.iota(n), calc.eta(n))
+            assert stage == gmap_compose(t.iota(n), calc.degen(n, -1))
 
 
 # ---------------------------------------------------------------------------

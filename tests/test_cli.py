@@ -329,6 +329,9 @@ def test_reader_closing_stdout_ends_the_run_quietly(unbuffered):
 LAYERS = {f"weakmaps.{p.stem}" for p in Path(weakmaps.__file__).parent.glob("*.py")
           if p.stem not in ("__init__", "__main__", "cli")}
 DG_STACK = {"weakmaps.bar", "weakmaps.dg", "weakmaps.ratmat"}
+# the FinSet layers, and the dataclasses module they are built with
+FINSET_STACK = {"weakmaps.fincat", "weakmaps.awfs", "weakmaps.spans",
+                "dataclasses"}
 # command ("CATEGORY" stands for a category file) -> modules that a
 # `python3 -m weakmaps` process running it must not import
 NOT_IMPORTED = {
@@ -336,10 +339,10 @@ NOT_IMPORTED = {
     "awfs check --finset-max 1": DG_STACK | {"fractions"},
     "awfs check --builtin psplitepi --finset-max 1": DG_STACK | {"fractions"},
     "weakmaps compare --bound 2": DG_STACK | {"fractions"},
-    "bar resolve --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
-    "dg check --trunc 2 --trials 1": {"weakmaps.awfs", "weakmaps.spans"},
-    "lift lali --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
-    "factor ulali --trunc 2": {"weakmaps.awfs", "weakmaps.spans"},
+    "bar resolve --trunc 2": FINSET_STACK,
+    "dg check --trunc 2 --trials 1": FINSET_STACK,
+    "lift lali --trunc 2": FINSET_STACK,
+    "factor ulali --trunc 2": FINSET_STACK,
     "validate --category CATEGORY": DG_STACK,
 }
 
@@ -504,6 +507,40 @@ def test_empty_coreader_spec(capsys):
                        "--comonad", "coreader:S=0")
     assert code == 2
     assert "--comonad" in err
+
+
+# --- exit code 2: an option the chosen run cannot use -------------------------
+
+
+def test_comonad_without_psplitepi_is_refused(capsys):
+    code, out, err = run(capsys, "awfs", "check", "--comonad", "coreader:S=5")
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: --comonad: ")
+
+
+@pytest.mark.parametrize("tool", [("lift", "lali"), ("factor", "ulali")])
+def test_lali_file_and_plain_are_exclusive(tmp_path, capsys, tool):
+    lali = write(tmp_path, "lali.json", SIDE_BROKEN_LALI)
+    with pytest.raises(SystemExit) as exit_:
+        main([*tool, "--lali", lali, "--plain"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert "argument --plain: not allowed with argument --lali" in err
+
+
+@pytest.mark.parametrize("inputs", [
+    {"--complex": {"degrees": {"0": 1}}},
+    {"--category": IDEMPOTENT,
+     "--comonad": {"functor": IDENTITY_FUNCTOR, "counit": {"x": "1x"},
+                   "comult": {"x": "1x"}}},
+])
+def test_finset_max_without_a_finite_set_run_is_refused(tmp_path, capsys,
+                                                        inputs):
+    args = [a for flag, payload in inputs.items()
+            for a in (flag, write(tmp_path, flag[2:] + ".json", payload))]
+    code, out, err = run(capsys, "validate", *args, "--finset-max", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: --finset-max: ")
 
 
 @pytest.mark.parametrize("flag,payload", [
