@@ -50,9 +50,10 @@ class DgAlgebra:
     The splitting picks the first nonzero coordinate of the unit vector
     as pivot; Abar keeps the remaining degree-0 coordinates and all of
     the other degrees.  Abar need not be closed under d in A, but the
-    induced differential proj.d.incl still squares to zero because the
+    induced differential proj.d.incl still squares to zero when the
     unit is a cycle, and that is the only differential the reduced
-    powers ever use.
+    powers ever use.  Abar is built either way, so a unit that is not a
+    cycle is reported by `alg.unit.chain`.
     """
 
     def __init__(self, cx: ChainComplex, unit: GradedMap, mult: GradedMap,
@@ -389,9 +390,10 @@ class TruncatedCodescent:
         d_tot . iota_n = iota_{n-1} . facesum  +  (-1)^n iota_n . d_X
 
     and since d_tot only ever lowers or keeps the level, cutting at L
-    leaves a subcomplex and d.d = 0 holds exactly (the constructor
-    verifies it).  The contraction data (p, q, xi) and the algebra
-    structure abar are assembled from the same strips.
+    leaves a subcomplex and d.d = 0 holds exactly (the tensor product
+    A (x) |X| that abar is built on verifies it).  The contraction data
+    (p, q, xi) and the algebra structure abar are assembled from the
+    same strips.
     """
 
     def __init__(self, calc: BarCalculus):
@@ -537,10 +539,10 @@ class TruncatedCodescent:
         rep.record("cod.q.chain", sub, *chain_sides(self.q))
         return rep
 
-    def as_module(self, name: str = None) -> DgModule:
+    def as_module(self) -> DgModule:
         """|X| with its algebra structure, as a module."""
-        nm = name if name is not None else f"Q({self.calc.mod.name})"
-        return DgModule(self.calc.alg, self.total, self.abar, name=nm)
+        return DgModule(self.calc.alg, self.total, self.abar,
+                        name=f"Q({self.calc.mod.name})")
 
 
 def bar_lali(t: TruncatedCodescent,
@@ -609,7 +611,7 @@ def normalized_level_dims(t: TruncatedCodescent, report: CheckReport = None):
 # A reusable acyclic fibration
 
 
-def thickened_lali(mod: DgModule, twist: GradedMap = None, name: str = "thick"):
+def thickened_lali(mod: DgModule, twist: GradedMap = None):
     """A lali (g, f0, eps0) : B -> M with B = M (x) D for the contractible
     complex D = ground (+) disk, acting through the M slot.
 
@@ -629,7 +631,7 @@ def thickened_lali(mod: DgModule, twist: GradedMap = None, name: str = "thick"):
     e1 = GradedMap(uc, disk, 0, {0: ((0,), (1,))})
     act = gmap_compose(tensor_map(mod.act, id_gmap(disk)),
                        signed_perm_inverse(assoc_iso(alg.cx, mod.cx, disk)))
-    modB = DgModule(alg, act.dst, act, name=name)
+    modB = DgModule(alg, act.dst, act, name="thick")
     runi = runit_iso(mod.cx)
     rinv = signed_perm_inverse(runi)
     g = gmap_compose(runi, tensor_map(id_gmap(mod.cx), gd))

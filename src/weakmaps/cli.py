@@ -295,12 +295,6 @@ def _run_factor_ulali(ns):
 # Argument parsing and report emission
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property suites (default 0)")
-
-
 def _add_dg_inputs(p, default_module):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--dgalgebra", metavar="FILE",
@@ -314,15 +308,6 @@ def _add_dg_inputs(p, default_module):
                    default=default_module, help="built-in module")
 
 
-def _add_lali_inputs(p):
-    p.add_argument("--trunc", type=_positive, default=4)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--lali", metavar="FILE",
-                   help="lali instance file (default: built-in fibration)")
-    g.add_argument("--plain", action="store_true",
-                   help="keep the built-in fibration untwisted")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weakmaps",
@@ -331,35 +316,40 @@ def build_parser() -> argparse.ArgumentParser:
                     " resolutions, all in exact arithmetic.")
     sub = ap.add_subparsers(dest="group", required=True)
 
-    v = sub.add_parser("validate", help="validate instance files")
-    _add_common(v)
-    v.add_argument("--category", metavar="FILE")
-    v.add_argument("--comonad", metavar="FILE")
-    v.add_argument("--monad", metavar="FILE")
-    v.add_argument("--dgalgebra", metavar="FILE")
-    v.add_argument("--dgmodule", metavar="FILE")
-    v.add_argument("--complex", metavar="FILE")
-    v.add_argument("--gradedmap", metavar="FILE")
-    v.add_argument("--finset-max", type=_positive,
-                   help="fragment size for builtin (co)monads (default 2)")
-    v.set_defaults(handler=_run_validate, tool="validate")
+    def command(tool, helps, handler):
+        """The parser of `weakmaps TOOL` (a group, or a group and its
+        action, with `helps` their help lines) and its common options."""
+        words = tool.split()
+        p = sub.add_parser(words[0], help=helps[0])
+        if len(words) == 2:
+            p = p.add_subparsers(dest="action", required=True).add_parser(
+                words[1], help=helps[1])
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized property suites (default 0)")
+        p.set_defaults(handler=handler, tool=tool)
+        return p
 
-    aw = sub.add_parser("awfs", help="factorisation system suites")
-    aws = aw.add_subparsers(dest="action", required=True)
-    c = aws.add_parser("check", help="exhaustive law suite on a fragment")
-    _add_common(c)
+    c = command("validate", ["validate instance files"], _run_validate)
+    for kind in ("category", "comonad", "monad", "dgalgebra", "dgmodule",
+                 "complex", "gradedmap"):
+        c.add_argument(f"--{kind}", metavar="FILE")
+    c.add_argument("--finset-max", type=_positive,
+                   help="fragment size for builtin (co)monads (default 2)")
+
+    c = command("awfs check", ["factorisation system suites",
+                               "exhaustive law suite on a fragment"],
+                _run_awfs_check)
     c.add_argument("--builtin", choices=("splitepi", "psplitepi"),
                    default="splitepi")
     c.add_argument("--comonad",
                    help="comonad spec for psplitepi (identity|coreader:S=N,"
                         " default coreader:S=2)")
     c.add_argument("--finset-max", type=_positive, default=3)
-    c.set_defaults(handler=_run_awfs_check, tool="awfs check")
 
-    wm = sub.add_parser("weakmaps", help="weak-map category suites")
-    wms = wm.add_subparsers(dest="action", required=True)
-    c = wms.add_parser("compare", help="census of both hom presentations")
-    _add_common(c)
+    c = command("weakmaps compare", ["weak-map category suites",
+                                     "census of both hom presentations"],
+                _run_weakmaps_compare)
     c.add_argument("--comonad", default="coreader:S=2")
     c.add_argument("--A", dest="a_size", type=_size, default=1,
                    help="source size (default 1)")
@@ -370,44 +360,35 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--zigzag", type=_size, default=4,
                    help="0 skips canonical reachability; any depth >= 1"
                         " checks it, by one span map per span")
-    c.set_defaults(handler=_run_weakmaps_compare, tool="weakmaps compare")
 
-    br = sub.add_parser("bar", help="bar resolution suites")
-    brs = br.add_subparsers(dest="action", required=True)
-    c = brs.add_parser("resolve", help="codescent dims and homology ranks")
-    _add_common(c)
+    c = command("bar resolve", ["bar resolution suites",
+                                "codescent dims and homology ranks"],
+                _run_bar_resolve)
     _add_dg_inputs(c, "ground")
     c.add_argument("--trunc", type=_positive, default=5,
                    help="truncation level L (default 5)")
-    c.set_defaults(handler=_run_bar_resolve, tool="bar resolve")
 
-    dg = sub.add_parser("dg", help="coherent-map algebra suites")
-    dgs = dg.add_subparsers(dest="action", required=True)
-    c = dgs.add_parser("check", help="seeded random property suites")
-    _add_common(c)
+    c = command("dg check", ["coherent-map algebra suites",
+                             "seeded random property suites"], _run_dg_check)
     _add_dg_inputs(c, "ground")
     c.add_argument("--trunc", type=_positive, default=4)
     c.add_argument("--trials", type=_positive, default=25,
                    help="random instances per law (default 25)")
-    c.set_defaults(handler=_run_dg_check, tool="dg check")
 
-    li = sub.add_parser("lift", help="coherent lifting")
-    lis = li.add_subparsers(dest="action", required=True)
-    c = lis.add_parser("lali", help="lift a strict contraction to a"
-                                    " coherent one")
-    _add_common(c)
-    _add_dg_inputs(c, "free")
-    _add_lali_inputs(c)
-    c.set_defaults(handler=_run_lift_lali, tool="lift lali")
-
-    fa = sub.add_parser("factor", help="factorisation through the resolution")
-    fas = fa.add_subparsers(dest="action", required=True)
-    c = fas.add_parser("ulali", help="strict comparison map out of the"
-                                     " resolution")
-    _add_common(c)
-    _add_dg_inputs(c, "free")
-    _add_lali_inputs(c)
-    c.set_defaults(handler=_run_factor_ulali, tool="factor ulali")
+    for tool, helps, handler in (
+            ("lift lali", ["coherent lifting", "lift a strict contraction to"
+                           " a coherent one"], _run_lift_lali),
+            ("factor ulali", ["factorisation through the resolution",
+                              "strict comparison map out of the resolution"],
+             _run_factor_ulali)):
+        c = command(tool, helps, handler)
+        _add_dg_inputs(c, "free")
+        c.add_argument("--trunc", type=_positive, default=4)
+        g = c.add_mutually_exclusive_group()
+        g.add_argument("--lali", metavar="FILE",
+                       help="lali instance file (default: built-in fibration)")
+        g.add_argument("--plain", action="store_true",
+                       help="keep the built-in fibration untwisted")
     return ap
 
 

@@ -40,26 +40,26 @@ class DgError(InputError):
 
 class ChainComplex:
     """dims: degree -> dimension; d: degree k -> matrix C_k -> C_{k-1}.
-    Never changed after construction, so its hash is taken once."""
+    Never changed after construction, so its hash is taken once.  The
+    constructor checks shapes only: d.d = 0 is checked by the loader and
+    by the tensor product, so the reduced part of an algebra whose unit
+    is not a cycle can be built and its algebra reported."""
 
     def __init__(self, dims, d):
         self.dims = {k: n for k, n in dims.items() if n}
         self.d = {}
         for k, m in d.items():
             if self.dim(k) and self.dim(k - 1) and not is_zero(m):
+                if shape(m) != (self.dim(k - 1), self.dim(k)):
+                    raise DgError(f"boundary at degree {k} has the wrong shape")
                 self.d[k] = m
-        self._check()
         self._hash = hash((tuple(sorted(self.dims.items())),
                            tuple(sorted(self.d.items()))))
 
-    def _check(self):
-        for k, m in self.d.items():
-            if shape(m) != (self.dim(k - 1), self.dim(k)):
-                raise DgError(f"boundary at degree {k} has the wrong shape")
+    def check_square_zero(self):
         for k in self.d:
-            if k - 1 in self.d:
-                if not is_zero(mmul(self.d[k - 1], self.d[k])):
-                    raise DgError(f"d.d != 0 out of degree {k}")
+            if k - 1 in self.d and not is_zero(mmul(self.d[k - 1], self.d[k])):
+                raise DgError(f"d.d != 0 out of degree {k}")
 
     def dim(self, k) -> int:
         return self.dims.get(k, 0)
@@ -212,6 +212,7 @@ class TensorComplex(ChainComplex):
                      -1 if p % 2 else 1, y.d[q]))
         super().__init__(dims, {n: assemble(dims[n - 1], dims[n], ts)
                                 for n, ts in terms.items()})
+        self.check_square_zero()
 
 
 @functools.cache

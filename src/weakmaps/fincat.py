@@ -349,9 +349,8 @@ def validate_category(cat, objects, report=None) -> CheckReport:
         for b in objects:
             ia, ib = cat.identity(a), cat.identity(b)
             for f in cat.hom(a, b):
-                lhs, rhs = cat.compose(ib, f), cat.compose(f, ia)
-                ok = lhs == f and rhs == f
-                rep.record("id.unit", repr(f), ok, lhs, f)
+                rep.eq("id.unit", repr(f),
+                       (cat.compose(ib, f), cat.compose(f, ia)), (f, f))
     for a in objects:
         for b in objects:
             for c in objects:

@@ -127,9 +127,11 @@ def load_complex(data, where="$") -> ChainComplex:
     bnd = _mats(data.get("boundary", {}), f"{where}.boundary",
                 lambda k: (dims.get(k - 1, 0), dims.get(k, 0)))
     try:
-        return ChainComplex(dims, bnd)
+        cx = ChainComplex(dims, bnd)
+        cx.check_square_zero()
     except DgError as e:
         raise SchemaError(f"{where}: {e}") from e
+    return cx
 
 
 def _gmap(data, src, dst, where, deg=0) -> GradedMap:

@@ -198,6 +198,26 @@ def test_lawless_algebra_builds_no_demo_lali(tmp_path, capsys, group, action):
     assert "@ thick" not in out
 
 
+# d.d = 0 on A, but d(1) = e_{-1} != 0: Abar's induced d does not square
+# to zero, so the unit and mult fail to be chain maps
+UNIT_NOT_A_CYCLE = {
+    "complex": {"degrees": {"1": 1, "0": 2, "-1": 1},
+                "boundary": {"1": [[1], [1]], "0": [[1, -1]]}},
+    "unit": {"0": [[1], [0]]},
+    "mult": {"0": [[0, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]],
+             "1": [[1, 0, 1, 0]], "-1": [[1, 0, 1, 0]]}}
+
+
+@pytest.mark.parametrize("command", ["validate", "bar resolve"])
+def test_unit_that_is_not_a_cycle_is_reported(tmp_path, capsys, command):
+    alg = write(tmp_path, "a.json", UNIT_NOT_A_CYCLE)
+    code, out, err = run(capsys, *command.split(), "--dgalgebra", alg)
+    assert code == 1 and err == ""
+    assert "EQ alg.unit.chain @ A : FAIL(lhs=deg=0 D=" in out
+    assert "EQ alg.mult.chain @ A : FAIL(lhs=deg=0 D=" in out
+    assert "TABLE" not in out
+
+
 # the dual numbers acting on themselves, written out
 DUAL_ON_ITSELF = {"complex": {"degrees": {"0": 2}},
                   "action": {"0": [[1, 0, 0, 0], [0, 1, 1, 0]]}}
@@ -828,6 +848,31 @@ def test_cli_imports_only_compare_hom_from_spans():
             imported += [a.name for a in node.names
                          if a.name.startswith("weakmaps.spans")]
     assert imported == ["compare_hom"], imported
+
+
+# --- the parser: every help screen pinned -------------------------------------
+
+# command words -> md5 of its `--help` screen at 80 columns
+HELP_MD5 = [
+    ("", "4e2b7c375a5203f8272125ecc0ec7f7b"),
+    ("validate", "934167afeba594a486005550cbb9fc01"),
+    ("awfs", "2439cdfb794c8a6c283583c77fe10331"),
+    ("awfs check", "7eaab3f6c28ca45e46c39422471cd4f4"),
+    ("weakmaps compare", "a844fd1c89dc3bc898463d91316d80b5"),
+    ("bar resolve", "bd8e5edd75196513a6b62ad6c8dd2e01"),
+    ("dg check", "ace830184b91a11e32979883c35469f7"),
+    ("lift lali", "67c62d5d0dc3100a1b439d08a3e4651b"),
+    ("factor ulali", "19dc6c4506abdb7a061a4334d6253178"),
+]
+
+
+@pytest.mark.parametrize("words,md5", HELP_MD5, ids=[w or "weakmaps" for w, _ in HELP_MD5])
+def test_help_screen_frozen(monkeypatch, capsys, words, md5):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args([*words.split(), "--help"])
+    assert exit_.value.code == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
 # --- the README stays in step with the parser --------------------------------

@@ -458,7 +458,9 @@ def test_table_category_unit_violation_detected_by_validator():
     cat = load_category(data)
     rep = validate_category(cat, ["0"])
     assert not rep.ok
-    assert any(c.name == "id.unit" and c.subject == "'e'" for c in rep.failures())
+    # both composites print, so the two sides of the line differ
+    unit, = _failures_named(rep, "id.unit")
+    assert (unit.subject, unit.lhs, unit.rhs) == ("'e'", "('e', 'i0')", "('e', 'e')")
 
 
 def test_table_schema_errors_have_positions():

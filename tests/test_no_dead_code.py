@@ -9,6 +9,9 @@ name that a function assigns and never reads fails as well.
 `test_reachability.py` is the runtime counterpart, line by line: it
 requires every function in `src/`, and every statement in a function
 body, to run under a subcommand, unless a listed reason lets it stay.
+One primitive per operation: no run of 4 consecutive statements over 6
+or more lines may appear twice in `src/` once every name and constant
+is blanked.
 """
 
 import ast
@@ -130,3 +133,82 @@ def test_dead_locals_finds_only_plain_assignments():
         "    return g\n")
     assert dead_locals(tree) == [(2, "f", "unused"), (4, "f", "typed"),
                                  (9, "g", "inner")]
+
+
+def _shape(node):
+    """`node` as nested tuples, with every name and constant blanked."""
+    if isinstance(node, (ast.Name, ast.Constant)):
+        return type(node).__name__
+    if isinstance(node, ast.AST):
+        return (type(node).__name__,
+                *(_shape(value) for _, value in ast.iter_fields(node)))
+    if isinstance(node, list):
+        return tuple(_shape(value) for value in node)
+    return node
+
+
+def _statement_runs(tree, size):
+    """(enclosing def, statements) of every run of `size` consecutive
+    statements in one body of `tree`."""
+    def visit(node, owner):
+        for _, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                for i in range(len(value) - size + 1):
+                    yield owner, value[i:i + size]
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, child.name if isinstance(child, DEFS) else owner)
+    return visit(tree, "<module>")
+
+
+def repeated_blocks(trees, size=4, min_lines=6):
+    """Pairs of "path:line def" of two runs of `size` consecutive
+    statements, anywhere in `trees` ({path: module}), that span at least
+    `min_lines` lines, do not overlap, do not start with a docstring, and
+    are equal once every name and constant is blanked."""
+    seen, pairs = {}, []
+    for path, tree in trees.items():
+        for owner, run in _statement_runs(tree, size):
+            start, end = run[0].lineno, run[-1].end_lineno
+            first = run[0]
+            if end - start + 1 < min_lines or (
+                    isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                continue
+            label = f"{path}:{start} {owner}"
+            earlier = seen.setdefault(_shape(run), [])
+            pairs += [(other, label) for p, s, e, other in earlier
+                      if p != path or e < start or end < s]
+            earlier.append((path, start, end, label))
+    return pairs
+
+
+def test_no_block_of_statements_is_repeated():
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text(), str(p))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    pairs = repeated_blocks(trees)
+    assert not pairs, "repeated blocks: " + ", ".join(
+        f"{a} = {b}" for a, b in pairs)
+
+
+def test_repeated_blocks_blanks_names_and_constants_only():
+    # four statements over six lines; keyword names are not blanked
+    block = ("    p = sub.add_parser({0!r},\n"
+             "                       help='x')\n"
+             "    q = p.add_subparsers(dest='action')\n"
+             "    c = q.add_parser({1!r},\n"
+             "                     help='y')\n"
+             "    c.set_defaults(tool={0!r})\n")
+    source = ("def f(sub):\n    'doc'\n" + block.format("a", "b")
+              + block.format("c", "d") + "def g(sub):\n" + block.format("e", "f"))
+    assert repeated_blocks({"m.py": ast.parse(source)}) == [
+        ("m.py:3 f", "m.py:9 f"), ("m.py:3 f", "m.py:16 g"),
+        ("m.py:9 f", "m.py:16 g")]
+    renamed = ast.parse(source.replace("help='y'", "metavar='y'", 1))
+    assert repeated_blocks({"m.py": renamed}) == [("m.py:9 f", "m.py:16 g")]
+    assert repeated_blocks({"m.py": ast.parse(source)}, min_lines=7) == []
+    # a run that starts with a docstring is left out
+    fn = "def {0}():\n    '''one\n    two\n    '''\n    a = 1\n    b = 2\n    return a + b\n"
+    assert repeated_blocks({"m.py": ast.parse(fn.format("f") + fn.format("g"))}) == []
+    call = fn.replace("    '''one", "    f('''one").replace("    '''\n", "    ''')\n")
+    assert repeated_blocks({"m.py": ast.parse(call.format("f") + call.format("g"))}) == [
+        ("m.py:2 f", "m.py:9 g")]

@@ -72,7 +72,7 @@ ORACLES = {
         "spans.span_compose", "spans.identity_span",
         "fincat.CoKleisliCategory.identity", "fincat.CoKleisliCategory.dom",
         "fincat.CoKleisliCategory.cod", "fincat.CoKleisliCategory.compose",
-        "fincat.CoKleisliCategory.hom", "fincat.CoKleisliCategory.cofree",
+        "fincat.CoKleisliCategory.cofree",
         "awfs.identity_algebra", "awfs.r_algebra_compose", "awfs.cartesian_lift",
         "fincat.FinSetCategory.pullback", "fincat.PullbackData.__init__",
         "fincat.PullbackData.mediate",
@@ -116,8 +116,9 @@ UNREACHED = {
         ("cli.main", 'print(f"input error: {e}", file=sys.stderr)'),
         ("cli.main", "return 2"),
     ], "failure path: an error raised while a run computes; the loaders"
-       " refuse bad input as schema errors, and a lali whose lift fails"
-       " its side condition gets lift.reduced FAIL lines, so only a defect"
+       " refuse bad input as schema errors, an algebra whose unit is not"
+       " a cycle gets alg.unit.chain FAIL lines, and a lali whose lift"
+       " fails its side condition gets lift.reduced FAIL lines, so only a defect"
        " in the program reaches it (ROADMAP item 13)"),
     ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
         "failure path: only a reader that closes stdout early reaches it;"

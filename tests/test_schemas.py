@@ -40,7 +40,7 @@ def test_complex_happy_path():
 
 
 def test_complex_rejects_boundary_square():
-    with pytest.raises(SchemaError, match=r"^\$:"):
+    with pytest.raises(SchemaError, match=r"^\$: d\.d != 0 out of degree 2$"):
         load_complex({"degrees": {"0": 1, "1": 1, "2": 1},
                       "boundary": {"1": [[1]], "2": [[1]]}})
 
