@@ -261,7 +261,7 @@ def squares_between(cat, f: FinSetArrow, g: FinSetArrow):
         k = None  # built with the first h above it: a k with no h costs nothing
         for h_idx in itertools.product(*(over.get(k_idx[j], ()) for j in f.idx)):
             k = k or FinSetArrow(f.cod, g.cod, k_idx)
-            yield FinSetArrow(f.dom, g.dom, h_idx), k
+            yield tuple.__new__(FinSetArrow, (f.dom, g.dom, h_idx)), k
 
 
 def fragment_arrows(cat, max_size):

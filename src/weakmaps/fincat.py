@@ -1,8 +1,10 @@
 """Finite categories with computable structure.
 
 * FinSetCategory: objects are tuples of distinct element labels, arrows
-  are tabulated total functions (`FinSetArrow`, an immutable slotted
-  (dom, cod, idx) triple with structural == and hash: a dict key).
+  are tabulated total functions (`FinSetArrow`, the immutable tuple
+  (dom, cod, idx), equal only to another arrow: a dict key).  Arrows are
+  built by `tuple.__new__`, with no Python frame, and every composite
+  index tuple is one C-level `itemgetter` gather.
   Hom-sets enumerate in lexicographic order of function graphs,
   coproducts are tagged unions (tags "L"/"R"), pullbacks are
   lexicographically ordered subsets of the product with a mediating-map
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import _tuplegetter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import InputError
 from .report import CheckReport
@@ -56,39 +60,30 @@ def fibres(values) -> dict:
     return out
 
 
-class FinSetArrow:
-    """Total function between label tuples; idx[i] is the cod-position of dom[i]."""
+class FinSetArrow(tuple):
+    """Total function between label tuples, as the immutable tuple
+    (dom, cod, idx); idx[i] is the cod-position of dom[i].  It equals only
+    another FinSetArrow, never the plain tuple it hashes like.  Hot paths
+    build it with `tuple.__new__(FinSetArrow, (dom, cod, idx))`: no frame.
+    """
 
-    __slots__ = ("dom", "cod", "idx")
+    __slots__ = ()
+    dom = _tuplegetter(0, "domain labels")
+    cod = _tuplegetter(1, "codomain labels")
+    idx = _tuplegetter(2, "codomain position of each domain point")
 
-    def __init__(self, dom: tuple, cod: tuple, idx: tuple):
-        _set_dom(self, dom)
-        _set_cod(self, cod)
-        _set_idx(self, idx)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FinSetArrow is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"FinSetArrow is immutable: cannot delete {name!r}")
+    def __new__(cls, dom: tuple, cod: tuple, idx: tuple):
+        return tuple.__new__(cls, (dom, cod, idx))
 
     def __eq__(self, other):
-        if other.__class__ is not FinSetArrow:
-            return NotImplemented
-        return self.idx == other.idx and self.dom == other.dom and self.cod == other.cod
+        return other.__class__ is FinSetArrow and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.dom, self.cod, self.idx))
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
         imgs = ",".join(self.cod[i] for i in self.idx)
         return f"{fmt_obj(self.dom)}->{fmt_obj(self.cod)}[{imgs}]"
-
-
-# cheaper than a frozen dataclass: __init__ stores through these descriptors
-_set_dom = FinSetArrow.dom.__set__
-_set_cod = FinSetArrow.cod.__set__
-_set_idx = FinSetArrow.idx.__set__
 
 
 class CoproductData:
@@ -104,18 +99,20 @@ class CoproductData:
             raise CategoryError("copair legs must share a codomain")
         if f.dom != self.inl.dom or g.dom != self.inr.dom:
             raise CategoryError("copair legs do not match the coproduct summands")
-        return FinSetArrow(self.obj, f.cod, f.idx + g.idx)
+        return tuple.__new__(FinSetArrow, (self.obj, f.cod, f.idx + g.idx))
 
     def plus(self, h: FinSetArrow, k: FinSetArrow, into: CoproductData) -> FinSetArrow:
-        """h + k = [inl h, inr k] into the coproduct `into`, as one index sum."""
+        """h + k = [inl h, inr k] into the coproduct `into`: h's positions,
+        then inr's positions gathered by k."""
         # identity first: objects are mostly shared tuples out of the caches
         a, b, c, d = self.inl.dom, self.inr.dom, into.inl.dom, into.inr.dom
         if h.dom is not a and h.dom != a or k.dom is not b and k.dom != b:
             raise CategoryError("plus legs do not start at the coproduct summands")
         if h.cod is not c and h.cod != c or k.cod is not d and k.cod != d:
             raise CategoryError("plus legs do not land in the target summands")
-        shift = len(h.cod)
-        return FinSetArrow(self.obj, into.obj, h.idx + tuple([j + shift for j in k.idx]))
+        ki, inr = k.idx, into.inr.idx
+        right = itemgetter(*ki)(inr) if len(ki) > 1 else (inr[ki[0]],) if ki else ()
+        return tuple.__new__(FinSetArrow, (self.obj, into.obj, h.idx + right))
 
 
 class PullbackData:
@@ -161,15 +158,18 @@ class FinSetCategory:
     def compose(self, g: FinSetArrow, f: FinSetArrow) -> FinSetArrow:
         if f.cod is not g.dom and f.cod != g.dom:
             raise CategoryError(f"not composable: cod {f!r} != dom {g!r}")
-        gi = g.idx
-        return FinSetArrow(f.dom, g.cod, tuple([gi[i] for i in f.idx]))
+        # one gather of g.idx by f.idx; `itemgetter` returns a bare item for
+        # one position and refuses none, and a helper would cost a frame
+        fi, gi = f.idx, g.idx
+        idx = itemgetter(*fi)(gi) if len(fi) > 1 else (gi[fi[0]],) if fi else ()
+        return tuple.__new__(FinSetArrow, (f.dom, g.cod, idx))
 
     def hom(self, a, b) -> list:
         a, b = tuple(a), tuple(b)
         if len(a) > 0 and len(b) == 0:
             return []
         return [
-            FinSetArrow(a, b, idx)
+            tuple.__new__(FinSetArrow, (a, b, idx))
             for idx in itertools.product(range(len(b)), repeat=len(a))
         ]
 
@@ -290,11 +290,14 @@ def coreader_comonad(cat: FinSetCategory, s) -> ComonadData:
         return tuple(f"({e},{t})" for e in x for t in s)
 
     def parr(f: FinSetArrow) -> FinSetArrow:
-        # (x,t) goes to (f(x),t): position i*n+t maps to f.idx[i]*n+t
+        # (x,t) goes to (f(x),t): position i*n+t maps to f.idx[i]*n+t, so
+        # idx joins the gathered blocks of f.idx, each a tuple of known size
         while len(blocks) < len(f.cod):
             blocks.append(tuple(range(len(blocks) * n, len(blocks) * n + n)))
-        idx = tuple([t for j in f.idx for t in blocks[j]])
-        return FinSetArrow(pobj(f.dom), pobj(f.cod), idx)
+        fi = f.idx
+        idx = (sum(itemgetter(*fi)(blocks), ()) if len(fi) > 1
+               else blocks[fi[0]] if fi else ())
+        return tuple.__new__(FinSetArrow, (pobj(f.dom), pobj(f.cod), idx))
 
     def counit(x):
         x = tuple(x)

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,8 @@ def test_arrow_fields_cannot_be_assigned_or_deleted(field):
         setattr(f, field, ())
     with pytest.raises(AttributeError):
         delattr(f, field)
+    with pytest.raises(AttributeError):
+        setattr(f, field + "_extra", ())
     assert f == fsarrow("ab", "xy", {"a": "x", "b": "y"})
 
 
@@ -66,7 +69,11 @@ def test_arrow_equality_is_structural():
     assert len({f, g}) == 1
     # same positions, other domain labels
     assert f != FinSetArrow(("a", "c"), ("x", "y"), (1, 0))
-    assert f != (f.dom, f.cod, f.idx)
+    # never equal to the plain triple, from either side, though it hashes
+    # the same
+    t = (f.dom, f.cod, f.idx)
+    assert f != t and t != f and not (f == t) and not (t == f)
+    assert hash(f) == hash(t)
     assert f != KleisliArrow(f.dom, f.cod, f.idx)
 
 
@@ -398,6 +405,71 @@ def test_coreader_arrow_matches_closed_form(n, data):
         pf = p.functor.arr(f)
         assert pf.idx == tuple(f.idx[i] * n + t for i in range(dom_n) for t in range(n))
         assert (pf.dom, pf.cod) == (p.functor.obj(f.dom), p.functor.obj(f.cod))
+
+
+# The kernel's index formulas as list comprehensions over positions: the
+# oracle for the gathers that compute them.
+def compose_idx(g, f):
+    return tuple([g.idx[i] for i in f.idx])
+
+
+def plus_idx(h, k):
+    return h.idx + tuple([j + len(h.cod) for j in k.idx])
+
+
+def coreader_idx(f, n):
+    return tuple([j * n + t for j in f.idx for t in range(n)])
+
+
+def hom_idxs(a, b):
+    if a and not b:
+        return []
+    return list(itertools.product(range(len(b)), repeat=len(a)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s_n=st.integers(1, 3), e_n=st.integers(0, 2), data=st.data())
+def test_kernel_matches_list_formulas(s_n, e_n, data):
+    # one comonad and one monad per example, so the coreader's block table
+    # sees codomains that grow and shrink: the drawn ones, then a tail that
+    # runs through the empty and one-point domains and grows to 7 and back
+    p = coreader_comonad(C, canonical_set(s_n, "s"))
+    e = canonical_set(e_n, "e")
+    t = exception_monad(C, e)
+
+    def arrow(dom, cod):
+        idx = data.draw(st.tuples(*[st.integers(0, len(cod) - 1)] * len(dom)))
+        return FinSetArrow(dom, cod, idx)
+
+    def size(upper, below):
+        return data.draw(st.integers(0, upper)) if below else 0
+
+    drawn = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        c = data.draw(st.integers(0, 5))
+        b = size(4, c)
+        drawn.append((size(4, b), b, c, size(3, b)))
+    for sizes in [*drawn, (0, 0, 0, 0), (1, 1, 1, 1), (0, 2, 7, 1),
+                  (1, 7, 2, 0), (2, 1, 1, 1), (1, 3, 1, 2)]:
+        sa, sb, sc, sd = map(canonical_set, sizes, "abcd")
+        f, g, u = arrow(sa, sb), arrow(sb, sc), arrow(sd, sb)
+        cop_fu, cop_fg, cop_cods = (C.coproduct(sa, sd), C.coproduct(sa, sb),
+                                    C.coproduct(sb, sc))
+        results = [
+            (C.compose(g, f), FinSetArrow(sa, sc, compose_idx(g, f))),
+            (cop_fu.copair(f, u), FinSetArrow(cop_fu.obj, sb, f.idx + u.idx)),
+            (cop_fg.plus(f, g, cop_cods),
+             FinSetArrow(cop_fg.obj, cop_cods.obj, plus_idx(f, g))),
+            (p.functor.arr(f), FinSetArrow(p.functor.obj(sa), p.functor.obj(sb),
+                                           coreader_idx(f, s_n))),
+            (t.functor.arr(f), FinSetArrow(t.functor.obj(sa), t.functor.obj(sb),
+                                           plus_idx(f, C.identity(e)))),
+        ]
+        for got, want in results:
+            assert got == want and type(got.idx) is tuple
+        homs = C.hom(sa, sb)
+        assert [h.idx for h in homs] == hom_idxs(sa, sb)
+        assert all((h.dom, h.cod) == (sa, sb) for h in homs)
 
 
 # --- table backend ---------------------------------------------------------

@@ -61,9 +61,6 @@ ORACLES = {
        " witness check's"),
     "awfs.validate_awfs.ill_typed": BROKEN_AWFS,
     "fincat.KleisliArrow.__repr__": BROKEN_AWFS,
-    **dict.fromkeys([
-        "fincat.FinSetArrow.__setattr__", "fincat.FinSetArrow.__delattr__",
-    ], "failure path: only code that mutates an arrow reaches it"),
     "awfs.validate_e_functoriality":
         "law E(h'h, k'k) = E(h',k') E(h,k); recording it in `awfs check`"
         " changes the awfs_laws report that perfbench/reference.json pins by"
@@ -103,9 +100,6 @@ UNREACHED = {
      " fmt_ends(cat.dom(gf), cat.cod(gf)), fmt_ends(a, c))"):
         "failure path: the category loader refuses a compose row with"
         " the wrong endpoints, and finite sets compose correctly",
-    ("fincat.FinSetArrow.__eq__", "return NotImplemented"):
-        "failure path: only comparing an arrow with another type reaches"
-        " it; test_arrow_equality_is_structural does, and src/ never does",
     ("dg.HomologicalLali.validate", "return rep"):
         "failure path: the lali loader and the built-in fibration give"
         " g, q and xi their shapes, so only a hand-built lali reaches it",

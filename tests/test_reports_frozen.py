@@ -19,6 +19,10 @@ FROZEN = [
      "00016dbd373a11a7403454bd92a7d337"),
     ("awfs check --finset-max 2 --builtin psplitepi --comonad coreader:S=3",
      "319d8d064870e834c33f6d30acdec07d"),
+    # the awfs_laws workload of perfbench (74,112 squares), pinned equal to
+    # its seed-0 entry in perfbench/reference.json
+    ("awfs check --finset-max 3 --builtin psplitepi --comonad coreader:S=2",
+     "23dd1be4214b7a66b6f6ffde84da2d78"),
     ("weakmaps compare --A 1 --B 2 --bound 4",
      "b629c8c34f49665858aaab745a3d82ae"),
     ("weakmaps compare --A 2 --B 2 --bound 4",
