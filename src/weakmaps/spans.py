@@ -60,7 +60,7 @@ class WeakMapCategory:
             aw, cat = self.awfs, self.cat
             f = alg.arrow
             a, b = cat.dom(f), cat.cod(f)
-            e = aw.earr(cat.from_initial(b), f, cat.from_initial(a), cat.identity(b))
+            e = aw.earr(cat.from_initial(a), cat.identity(b))
             self._phi[key] = KleisliArrow(b, a, cat.compose(alg.p, e))
         return self._phi[key]
 
@@ -71,7 +71,7 @@ class WeakMapCategory:
         f = alg.arrow
         a, b = cat.dom(f), cat.cod(f)
         bang = cat.from_initial(b)
-        e = aw.earr(aw.lam(bang), f, cat.from_initial(a), aw.rho(bang))
+        e = aw.earr(cat.from_initial(a), aw.rho(bang))
         under = cat.compose(alg.p, cat.compose(e, aw.comult(bang)))
         return KleisliArrow(b, a, under)
 

@@ -10,6 +10,7 @@ from weakmaps.fincat import (
     CategoryError,
     FinSetArrow,
     FinSetCategory,
+    canonical_set,
     coreader_comonad,
     exception_monad,
     identity_comonad,
@@ -72,6 +73,7 @@ def test_e_functoriality_small():
 def test_p_split_at_identity_comonad_agrees_with_split_epi():
     rep = awfs_equal_on(SPLIT, PSplitEpiAwfs(C, identity_comonad(C)), max_size=2)
     assert rep.ok, rep.failures()[:4]
+    assert "EQ agree.e @ 249 squares : PASS" in rep.lines()
 
 
 class BrokenComult(SplitEpiAwfs):
@@ -83,6 +85,7 @@ class BrokenComult(SplitEpiAwfs):
 
 NAT = ("nat.lambda", "nat.rho", "nat.comult", "nat.mult")
 FRAG1 = fragment_arrows(C, 1)  # {} -> {}, {} -> {x0}, {x0} -> {x0}
+FRAG1_ENDS = {(f.dom, f.cod) for f in FRAG1}
 
 
 def test_broken_comult_is_reported_not_raised(family_fails):
@@ -102,11 +105,13 @@ def test_broken_comult_is_reported_not_raised(family_fails):
 
 
 class MisplacedEarr(SplitEpiAwfs):
-    # E(h, k) between two distinct arrows of FRAG1 lands in E(f), not E(g)
-    def earr(self, f, g, h, k):
-        if f != g and f in FRAG1 and g in FRAG1:
-            return C.identity(self.E(f))
-        return super().earr(f, g, h, k)
+    # E(h, k) from the ends of one arrow of FRAG1 to those of another lands
+    # in the source's E, not the target's
+    def earr(self, h, k):
+        src, dst = (h.dom, k.dom), (h.cod, k.cod)
+        if src != dst and src in FRAG1_ENDS and dst in FRAG1_ENDS:
+            return C.identity(C.coproduct(*src).obj)
+        return super().earr(h, k)
 
 
 def test_ill_typed_square_is_reported_not_raised(family_fails):
@@ -142,16 +147,43 @@ def test_validate_awfs_builds_each_coproduct_once(make):
     assert cat.coproducts and set(cat.coproducts.values()) == {1}
 
 
+def counting_earr(cls):
+    class CountingEarr(cls):
+        calls = 0
+
+        def earr(self, h, k):
+            self.calls += 1
+            return super().earr(h, k)
+    return CountingEarr
+
+
+@pytest.mark.parametrize("make", [
+    lambda: counting_earr(SplitEpiAwfs)(C),
+    lambda: counting_earr(PSplitEpiAwfs)(C, CO2),
+], ids=["splitepi", "coreader"])
+def test_validate_awfs_evaluates_e_once_per_pair(make):
+    # a work count: E(h, k) reads only h and k, so the naturality sweep
+    # evaluates E(h,k), E(h,E(h,k)) and E(E(h,k),k) once per distinct
+    # (h, k), not once per square; the per-arrow laws take 6 E-values each
+    fs = fragment_arrows(C, 2)
+    squares = [(h, k) for f in fs for g in fs for h, k in squares_between(C, f, g)]
+    assert (len(fs), len(squares), len(set(squares))) == (11, 249, 95)
+    aw = make()
+    assert validate_awfs(aw, 2).ok
+    assert aw.calls == 6 * 11 + 3 * 95
+
+
 ONE = fragment_arrows(C, 1)[-1]  # the arrow {x0} -> {x0}
 TWO = fragment_arrows(C, 2)[2]  # the arrow {} -> {x0,x1}
 
 
 class BrokenEarr(SplitEpiAwfs):
-    # reverses E(h, k) on the squares from ONE to ONE (E = {L:x0,R:x0}) and
-    # from TWO to TWO (E = {R:x0,R:x1})
-    def earr(self, f, g, h, k):
-        e = super().earr(f, g, h, k)
-        if f == g and f in (ONE, TWO):
+    # reverses E(h, k) when both its source and target ends are those of ONE
+    # (E = {L:x0,R:x0}) or both are those of TWO (E = {R:x0,R:x1})
+    def earr(self, h, k):
+        e = super().earr(h, k)
+        ends = (h.dom, k.dom)
+        if ends == (h.cod, k.cod) and ends in ((ONE.dom, ONE.cod), (TWO.dom, TWO.cod)):
             return FinSetArrow(e.dom, e.cod, e.idx[::-1])
         return e
 
@@ -171,6 +203,32 @@ def test_corrupted_earr_fails_each_square_family(family_fails):
         f"({ONE!r},{ONE!r}) then ({ONE!r},{ONE!r}): {ONE!r} -> {ONE!r} -> {ONE!r}")
     items = family_fails(awfs_equal_on(SPLIT, bad, max_size=1), "agree.e")
     assert [c.subject for c in items] == [f"({ONE!r},{ONE!r})"]
+
+
+X0, X01 = C.identity(canonical_set(1)), C.identity(canonical_set(2))
+
+
+class OnePairEarr(SplitEpiAwfs):
+    # reverses E at the one pair (1_{x0}, 1_{x0,x1}): the squares f -> f of
+    # both arrows f: {x0} -> {x0,x1} share it, so the second is a table hit
+    hits = 0
+
+    def earr(self, h, k):
+        e = super().earr(h, k)
+        if (h, k) == (X0, X01):
+            self.hits += 1
+            return FinSetArrow(e.dom, e.cod, e.idx[::-1])
+        return e
+
+
+def test_square_on_a_cached_pair_keeps_its_item(family_fails):
+    bad = OnePairEarr(C)
+    rep = validate_awfs(bad, max_size=2)
+    fs = C.hom(canonical_set(1), canonical_set(2))
+    assert [c.subject for c in family_fails(rep, "nat.lambda")] == [
+        f"({X0!r},{X01!r}): {f!r} -> {f!r}" for f in fs]
+    # the two e.id laws, then one table entry for both squares
+    assert bad.hits == 3
 
 
 # --- algebras, coalgebras, fillers -----------------------------------------
@@ -276,7 +334,7 @@ def test_right_connectedness():
     # (h,k) is a commuting square into the identity algebra and a morphism
     # of algebras: the structure maps intertwine
     assert C.compose(C.identity(C.cod(g)), h) == C.compose(k, g)
-    lhs = C.compose(ib.p, SPLIT.earr(g, ib.arrow, h, k))
+    lhs = C.compose(ib.p, SPLIT.earr(h, k))
     assert lhs == C.compose(h, alg.p)
 
 

@@ -15,6 +15,7 @@ from weakmaps.cli import main
 
 FROZEN = [
     ("awfs check --finset-max 2", "ec51ff16f7c0f0b7a95fa93271fd2843"),
+    ("awfs check --finset-max 3", "6f80beaac7e53fe18d45602918c7cfde"),
     ("awfs check --finset-max 2 --builtin psplitepi",
      "00016dbd373a11a7403454bd92a7d337"),
     ("awfs check --finset-max 2 --builtin psplitepi --comonad coreader:S=3",
