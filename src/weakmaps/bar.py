@@ -4,10 +4,10 @@ Everything here is relative to the functor T = A (x) - for a fixed
 unital dg-algebra A over the rationals.  The bar levels of a module M
 are the right-nested powers X_n = T^{n+1}M; faces multiply adjacent
 tensor slots (the last one acts on M) and degeneracies insert the unit.
-Splitting off the unit, A = Q.1 (+) Abar, every power decomposes into a
-reduced part and a degenerate part, and the truncated resolution |X|
+Splitting off the unit, A = Q.1 (+) Abar, the truncated resolution |X|
 stacks the reduced pieces A (x) Abar^{(x)n} (x) M with the level as a
-degree shift.
+degree shift, built from faces on the pieces themselves; the powers are
+only what the checks compare |X| with.
 
 Truncation at level L is explicit everywhere.  The total differential
 never raises the level, so |X| is an honest complex and almost every
@@ -24,7 +24,7 @@ levels <= n of the inputs, so both are exact under truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  chain_sides, gmap_add, gmap_compose, gmap_smul, gmap_sub,
@@ -32,7 +32,7 @@ from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
 from . import InputError
-from .ratmat import assemble, eye, mmul, nonzeros, rank
+from .ratmat import assemble, eye, mmul, nonzeros, rank, transpose
 from .report import CheckReport
 
 
@@ -382,83 +382,82 @@ def validate_bar(c: BarCalculus, report: CheckReport = None) -> CheckReport:
 class TruncatedCodescent:
     """The reduced bar stages assembled into one complex.
 
-    Level n holds A (x) Abar^{(x)n} (x) M shifted up by n.  The level
-    injections iota_n = tag_n . proj_n satisfy D(iota_n) = iota_{n-1}
-    composed with the alternating face sum; unfolding the graded
-    differential D turns that into the two block strips assembled below,
+    Level n holds A (x) Abar^{(x)n} (x) M shifted up by n, and its faces
+    act on it directly, so no map on the tower T^{n+1}M is formed.  d_0
+    multiplies the first two slots; e_n = sum_{j>=1} (-1)^j d_j on
+    Abar^{(x)n} (x) M is -(d_1 + 1 (x) e_{n-1}) with e_1 = -act, where
+    d_1 = pi.mu on two Abar slots is pi.d_0.incl one level down.  The
+    total differential has two strips,
 
-        d_tot . iota_n = iota_{n-1} . facesum  +  (-1)^n iota_n . d_X
+        d_tot . tag_n = tag_{n-1} . (d_0 + T e_n)  +  (-1)^n tag_n . d_X
 
-    and since d_tot only ever lowers or keeps the level, cutting at L
-    leaves a subcomplex and d.d = 0 holds exactly (the tensor product
-    A (x) |X| that abar is built on verifies it).  The contraction data
-    (p, q, xi) and the algebra structure abar are assembled from the
-    same strips.
+    and since it only ever lowers or keeps the level, cutting at L leaves
+    a subcomplex and d.d = 0 holds exactly.  p, q, xi and the algebra
+    structure abar act on the levels too; `validate` compares them and
+    the strips with the tower through iota_n = tag_n . proj_n.
     """
 
     def __init__(self, calc: BarCalculus):
         self.calc = calc
         self.L = L = calc.L
+        a, y = calc.alg, calc.barpow
         self.incl_n = [calc.T(calc.incl_w[n]) for n in range(L + 1)]
         self.proj_n = [calc.T(calc.proj_w[n]) for n in range(L + 1)]
         self.levels = [m.src for m in self.incl_n]
+        # the unit split of the first slot, Abar (x) Y_n <-> A (x) Y_n
+        ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
+        downs = [tensor_map(a.proj_bar, id_gmap(x)) for x in y[:L]]
 
-        drop = [None]
-        for n in range(1, L + 1):
-            drop.append(gmap_compose(
-                self.proj_n[n - 1],
-                gmap_compose(calc.facesum(n + 1), self.incl_n[n])))
-
-        dims = {}
-        offs = {}
+        dims, offs = {}, {}
         for n, lv in enumerate(self.levels):
             for m in lv.degrees():
-                k = m + n
-                offs[(k, n)] = dims.get(k, 0)
-                dims[k] = dims.get(k, 0) + lv.dim(m)
+                offs[(m + n, n)] = dims.get(m + n, 0)
+                dims[m + n] = offs[(m + n, n)] + lv.dim(m)
         terms = {}
+        first = calc.mod.act  # then pi . d_0 of the level below
         for n, lv in enumerate(self.levels):
-            for m, b in lv.d.items():
-                terms.setdefault(m + n, []).append(
-                    (b, offs[(m + n - 1, n)], offs[(m + n, n)],
-                     -1 if n % 2 else 1))
+            strips = [(n, -1 if n % 2 else 1, boundary_gmap(lv))]
             if n:
-                for m, b in drop[n].mats.items():
+                head = gmap_compose(first, ups[n - 1])
+                e = gmap_smul(-1, head if n == 1 else gmap_add(
+                    head, tensor_map(id_gmap(a.abar), e)))
+                d0 = gmap_compose(calc.mu_on(y[n - 1]), calc.T(ups[n - 1]))
+                first = gmap_compose(downs[n - 1], d0)
+                strips.append((n - 1, 1, gmap_add(d0, calc.T(e))))
+            for row, sign, f in strips:
+                for m, b in f.mats.items():
                     terms.setdefault(m + n, []).append(
-                        (b, offs[(m + n - 1, n - 1)], offs[(m + n, n)]))
+                        (b, offs[(m + n - 1, row)], offs[(m + n, n)], sign))
         self.total = ChainComplex(dims, {k: assemble(dims[k - 1], dims[k], ts)
                                          for k, ts in terms.items()})
 
-        self.tag_n = []
-        self.read_n = []
+        self.tag_n, self.read_n = [], []
         for n, lv in enumerate(self.levels):
-            tmats = {}
-            rmats = {}
-            for m in lv.degrees():
-                k = m + n
-                one = eye(lv.dim(m))
-                off = offs[(k, n)]
-                tmats[m] = assemble(dims[k], len(one), [(one, off, 0)])
-                rmats[k] = assemble(len(one), dims[k], [(one, 0, off)])
+            tmats = {m: assemble(dims[m + n], lv.dim(m),
+                                 [(eye(lv.dim(m)), offs[(m + n, n)], 0)])
+                     for m in lv.degrees()}
             self.tag_n.append(GradedMap(lv, self.total, n, tmats))
-            self.read_n.append(GradedMap(self.total, lv, -n, rmats))
+            self.read_n.append(GradedMap(self.total, lv, -n, {
+                m + n: transpose(t) for m, t in tmats.items()}))
         self._iota = {}
 
-        self.p = self.glue([calc.mod.act])
-        self.q = gmap_compose(self.iota(0), calc.degen(0, -1))
-        self.xi = self.glue([gmap_compose(self.iota(n + 1),
-                                          calc.degen(n + 1, -1))
-                             for n in range(L)])
+        # q and xi insert the unit: xi sends a0[a1|...]m to 1[a0bar|a1|...]m
+        self.p = gmap_compose(calc.mod.act, self.read_n[0])
+        self.q = gmap_compose(self.tag_n[0], unit_insert(a, calc.mod.cx))
+        self.xi = reduce(gmap_add, (gmap_compose(
+            gmap_compose(self.tag_n[n + 1], calc.T(downs[n])),
+            gmap_compose(unit_insert(a, lv), self.read_n[n]))
+            for n, lv in enumerate(self.levels[:L])))
 
-        ab = zero_gmap(tensor_complex(calc.alg.cx, self.total), self.total, 0)
-        for n in range(L + 1):
-            s = gmap_compose(
-                self.tag_n[n],
-                gmap_compose(self.proj_n[n],
-                             gmap_compose(calc.face(n + 2, 0),
-                                          calc.T(self.incl_n[n]))))
-            ab = gmap_add(ab, gmap_compose(s, calc.T(self.read_n[n])))
-        self.abar = ab
+    @cached_property
+    def abar(self) -> GradedMap:
+        """A (x) |X| -> |X| multiplying into each level's first slot.  Built
+        on first use, as A (x) |X| exists only once `cod.boundary.sq` holds."""
+        calc = self.calc
+        return reduce(gmap_add, (
+            gmap_compose(self.tag_n[n], gmap_compose(
+                calc.mu_on(calc.barpow[n]), calc.T(self.read_n[n])))
+            for n in range(self.L + 1)))
 
     def iota(self, n: int) -> GradedMap:
         """X_n -> |X|, killing the degenerate part of the stage."""

@@ -180,7 +180,8 @@ def _run_bar_resolve(ns):
     calc = mod.calculus(ns.trunc)
     validate_bar(calc, rep)
     t = TruncatedCodescent(calc)
-    t.validate(rep)
+    if not t.validate(rep).ok:
+        return cfg, rep, []  # bar_lali reads abar, built on A (x) |X|
     bar_lali(t, rep)
     table, _ = normalized_level_dims(t, rep)
     tables = [("levels", [(f"dim N(X_{n})", _fmt_dims(d))

@@ -50,6 +50,18 @@ EXTERIOR_DOWN = {
     "name": "exterior_down",
 }
 
+# a dg-algebra file whose reduced part multiplies: Q[x]/(x^3) in degree
+# 0, basis 1, x, x^2.  x.x = x^2 != 0, so the inner faces d_j, 0 < j < n,
+# of the bar levels are nonzero maps; over the built-ins, CONE and
+# EXTERIOR_DOWN, Abar.Abar = 0 and every inner face is zero
+POLY3 = {
+    "complex": {"degrees": {"0": 3}},
+    "unit": {"0": [[1], [0], [0]]},
+    "mult": {"0": [[1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0, 0, 0],
+                   [0, 0, 1, 0, 1, 0, 1, 0, 0]]},
+    "name": "poly3",
+}
+
 # a lali file whose B is two copies of the free dual-numbers module with
 # d = 1; eps0 does not vanish on the unit insertions, so the forced
 # coherent component f_1 fails lift.reduced
@@ -151,6 +163,20 @@ def direct_sum(xs):
                                    for k, n in x.dims.items()})
             for x, off in zip(xs, offs)]
     return total, incs
+
+
+def break_square_zero(x: ChainComplex) -> int:
+    """Add 1 at one entry of the top boundary d_k of x that has a
+    boundary below it, in place, so that d_{k-1}.d_k != 0; returns k.
+    Adding 1 at (i, 0) of d_k adds column i of d_{k-1} to column 0 of the
+    product, so the row i picked is one whose column in d_{k-1} is
+    nonzero."""
+    d = x.d
+    k = max(k for k in d if k - 1 in d)
+    i = next(i for i in range(len(d[k])) if any(row[i] for row in d[k - 1]))
+    d[k] = tuple(tuple(v + (r == i and c == 0) for c, v in enumerate(row))
+                 for r, row in enumerate(d[k]))
+    return k
 
 
 def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:

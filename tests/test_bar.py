@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -36,16 +38,21 @@ from weakmaps.dg import (
     ChainComplex,
     GradedMap,
     HomologicalLali,
+    boundary_gmap,
     gmap_add,
     gmap_compose,
+    gmap_smul,
     homology_ranks,
     id_gmap,
     is_chain_map,
     lunit_iso,
+    tensor_complex,
     unit_complex,
     zero_gmap,
 )
-from generators import random_complex
+from weakmaps.schemas import load_algebra
+from generators import (CONE, EXTERIOR_DOWN, POLY3, break_square_zero,
+                        random_complex)
 
 RAT = builtin_algebra("rationals")
 DUAL = builtin_algebra("dual_numbers")
@@ -195,13 +202,7 @@ def test_codescent_dual_ground_laws():
 
 def test_codescent_boundary_square_is_checked(family_fails):
     t = TruncatedCodescent(DG.calculus(3))  # not the shared cached one
-    d = t.total.d
-    # adding 1 at (i, j) of d_k adds column i of d_{k-1} to column j of
-    # d_{k-1}.d_k, so pick a row i whose column in d_{k-1} is nonzero
-    k = max(k for k in d if k - 1 in d)
-    i = next(i for i in range(len(d[k])) if any(row[i] for row in d[k - 1]))
-    d[k] = tuple(tuple(v + (r == i and c == 0) for c, v in enumerate(row))
-                 for r, row in enumerate(d[k]))
+    k = break_square_zero(t.total)
     rep = t.validate()
     lines = rep.lines()
     assert any(ln.startswith("EQ cod.boundary.sq @ dual_numbers/ground : FAIL(")
@@ -252,6 +253,112 @@ def test_rational_resolution_preserves_any_complex(seed):
     assert t.total.dims == x.dims
     assert (homology_ranks(t.total, t.total.degrees())
             == homology_ranks(x, x.degrees()))
+
+
+def tower_codescent(t):
+    """The codescent structure derived from the tower T^{n+1}M, as the
+    construction once built it: (level boundaries, p, q, xi, abar), with
+    the boundaries through the face sums, p, q and xi through glue, iota
+    and the extra degeneracy s_{-1}, and abar through the face d_0."""
+    calc, L = t.calc, t.L
+    drop = [gmap_compose(t.proj_n[n - 1],
+                         gmap_compose(calc.facesum(n + 1), t.incl_n[n]))
+            for n in range(1, L + 1)]
+    p = t.glue([calc.mod.act])
+    q = gmap_compose(t.iota(0), calc.degen(0, -1))
+    xi = t.glue([gmap_compose(t.iota(n + 1), calc.degen(n + 1, -1))
+                 for n in range(L)])
+    abar = reduce(gmap_add, (
+        gmap_compose(gmap_compose(t.tag_n[n], t.proj_n[n]), gmap_compose(
+            calc.face(n + 2, 0), calc.T(gmap_compose(t.incl_n[n], t.read_n[n]))))
+        for n in range(L + 1)))
+    return drop, p, q, xi, abar
+
+
+def assert_codescent_matches_tower(mod, L):
+    calc = BarCalculus(mod, L)
+    t = TruncatedCodescent(calc)
+    drop, p, q, xi, abar = tower_codescent(t)
+    a = mod.alg
+    dims = {}
+    for n, lv in enumerate(t.levels):
+        assert lv == tensor_complex(a.cx, calc.barpow[n])
+        induced = gmap_compose(t.proj_n[n], gmap_compose(
+            boundary_gmap(calc.pow[n + 1]), t.incl_n[n]))
+        assert boundary_gmap(lv) == induced, n
+        for m in lv.degrees():
+            dims[m + n] = dims.get(m + n, 0) + lv.dim(m)
+    assert t.total.dims == dims
+    # the tags place the levels side by side, so the two strips of each
+    # level pin the total differential down
+    d = boundary_gmap(t.total)
+    for n, lv in enumerate(t.levels):
+        want = gmap_compose(t.tag_n[n], gmap_smul((-1) ** n, boundary_gmap(lv)))
+        if n:
+            want = gmap_add(want, gmap_compose(t.tag_n[n - 1], drop[n - 1]))
+        assert gmap_compose(d, t.tag_n[n]) == want, n
+    assert (t.p, t.q, t.xi, t.abar) == (p, q, xi, abar)
+
+
+FILE_ALGEBRAS = {"cone": CONE, "exterior_down": EXTERIOR_DOWN, "poly3": POLY3}
+
+
+@pytest.mark.parametrize("kind", ["rationals", "dual_numbers", "exterior"])
+@pytest.mark.parametrize("module", ["ground", "free"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_codescent_equals_the_tower_on_builtins(kind, module, L):
+    assert_codescent_matches_tower(
+        builtin_module(builtin_algebra(kind), module), L)
+
+
+@pytest.mark.parametrize("name", FILE_ALGEBRAS)
+@pytest.mark.parametrize("module", ["ground", "free"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_codescent_equals_the_tower_on_files(name, module, L):
+    alg = load_algebra(FILE_ALGEBRAS[name])
+    assert_codescent_matches_tower(builtin_module(alg, module), L)
+
+
+def test_poly3_has_live_inner_faces():
+    # d_1 on A (x) Abar (x) Abar (x) M multiplies two Abar slots, and
+    # xbar.xbar = x^2bar in Q[x]/(x^3); on the built-ins it is zero
+    for alg, live in ((load_algebra(POLY3), True), (DUAL, False)):
+        calc = builtin_module(alg, "ground").calculus(2)
+        inner = gmap_compose(calc.proj_w[1], gmap_compose(
+            calc.face(2, 0), calc.incl_w[2]))
+        assert inner.is_zero() is not live
+
+
+class CountingCalculus(BarCalculus):
+    """A bar calculus counting the tower maps it is asked for."""
+
+    def __init__(self, mod, L):
+        super().__init__(mod, L)
+        self.calls = Counter()
+
+    def face(self, n, j):
+        self.calls["face"] += 1
+        return super().face(n, j)
+
+    def facesum(self, n):
+        self.calls["facesum"] += 1
+        return super().facesum(n)
+
+    def degen(self, n, j):
+        self.calls["degen"] += 1
+        return super().degen(n, j)
+
+
+@pytest.mark.parametrize("mod", [DF, EG], ids=["dual-free", "exterior-ground"])
+def test_codescent_builds_no_tower_map(mod):
+    # a work count: the levels, p, q, xi and abar act on the reduced
+    # levels, so only validate's comparisons reach the tower
+    calc = CountingCalculus(mod, 4)
+    t = TruncatedCodescent(calc)
+    assert t.abar is t.abar
+    assert calc.calls == Counter()
+    assert t.validate().ok
+    assert calc.calls["face"] and calc.calls["facesum"] and calc.calls["degen"]
 
 
 def test_bar_lali_dual_ground():

@@ -14,15 +14,17 @@ from pathlib import Path
 import pytest
 
 import weakmaps
+import weakmaps.bar
 import weakmaps.cli
 from weakmaps import schemas
 from weakmaps.bar import BarError
 from weakmaps.cli import build_parser, main
-from weakmaps.dg import DgError
+from weakmaps.dg import DgError, GradedMap
 from weakmaps.fincat import CategoryError
 from weakmaps.schemas import load_algebra, load_module
 
-from generators import CONE, SIDE_BROKEN_LALI, apex_shifted, kappa_swapped
+from generators import (CONE, SIDE_BROKEN_LALI, apex_shifted,
+                        break_square_zero, kappa_swapped)
 
 
 def run(capsys, *args):
@@ -216,6 +218,43 @@ def test_unit_that_is_not_a_cycle_is_reported(tmp_path, capsys, command):
     assert "EQ alg.unit.chain @ A : FAIL(lhs=deg=0 D=" in out
     assert "EQ alg.mult.chain @ A : FAIL(lhs=deg=0 D=" in out
     assert "TABLE" not in out
+
+
+def broken_total(monkeypatch):
+    # the built total complex with one boundary entry moved
+    class Broken(weakmaps.bar.TruncatedCodescent):
+        def __init__(self, calc):
+            super().__init__(calc)
+            break_square_zero(self.total)
+    monkeypatch.setattr(weakmaps.bar, "TruncatedCodescent", Broken)
+
+
+def product_unlike_the_action(monkeypatch):
+    # after the law checks, the dual numbers multiply by x.x = x while x
+    # still acts on the free module by x.x = 0: the faces the complex is
+    # built from are not associative together, and d.d != 0 on |X|
+    load = weakmaps.cli._dg_inputs
+
+    def inputs(ns):
+        cfg, alg, mod, laws = load(ns)
+        alg.mult = GradedMap(alg.mult.src, alg.cx, 0,
+                             {0: ((1, 0, 0, 0), (0, 1, 1, 1))})
+        return cfg, alg, mod, laws
+    monkeypatch.setattr(weakmaps.cli, "_dg_inputs", inputs)
+
+
+@pytest.mark.parametrize("corrupt", [broken_total, product_unlike_the_action])
+def test_bar_resolve_reports_a_broken_codescent_complex(monkeypatch, capsys,
+                                                        corrupt):
+    # A (x) |X| refuses d.d != 0 with DgError, so the run stops at the
+    # cod.boundary.sq FAIL lines before bar_lali would build abar on it
+    corrupt(monkeypatch)
+    code, out, err = run(capsys, "bar", "resolve", "--trunc", "2",
+                         "--module", "free")
+    assert code == 1 and err == ""
+    assert "EQ cod.boundary.sq @ dual_numbers/free k=" in out
+    assert "EQ cod.boundary.sq @ dual_numbers/free : FAIL(" in out
+    assert "EQ lali." not in out and "TABLE" not in out
 
 
 # the dual numbers acting on themselves, written out

@@ -106,6 +106,12 @@ UNREACHED = {
     ("bar.TruncatedCodescent.validate", "return rep"):
         "failure path: only a defect in the codescent complex reaches it;"
         " input that breaks its laws stops at the law checks before",
+    # the same text as the stop after the law checks, which runs
+    ("cli._run_bar_resolve", "return cfg, rep, []"):
+        "failure path: the stop after a failing codescent validate, before"
+        " bar_lali builds abar on A (x) |X|; only a defect in the codescent"
+        " complex reaches it, as test_bar_resolve_reports_a_broken_codescent"
+        "_complex shows",
     **dict.fromkeys([
         ("cli.main", 'print(f"input error: {e}", file=sys.stderr)'),
         ("cli.main", "return 2"),

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from generators import CONE, EXTERIOR_DOWN
+from generators import CONE, EXTERIOR_DOWN, POLY3
 from weakmaps.cli import main
 
 FROZEN = [
@@ -38,6 +38,11 @@ FROZEN = [
     ("lift lali --builtin exterior --trunc 5",
      "9810c9e0c249018cac2f790a452c7b1f"),
     ("factor ulali --trunc 3", "0fb3ad1ebd5a97c3b6cd8be96b4a667d"),
+    # the bar_resolve and codescent workloads of perfbench, the two that
+    # build the codescent complex, pinned equal to their seed-0 entries in
+    # perfbench/reference.json
+    ("bar resolve --trunc 4", "b6ca34b3602b1d3955a2a408e2c6d223"),
+    ("factor ulali --trunc 5", "0627f46f40062c34044661f91c27c692"),
 ]
 
 
@@ -50,10 +55,12 @@ def test_report_md5_frozen(capsys, args, md5):
 
 # Runs over an algebra file, for the paths the built-ins never reach: CONE
 # is the one fixture whose differential is nonzero through the tensor
-# boundary, and over EXTERIOR_DOWN the coherent levels 2..L are live.  The
-# `# config:` line prints the file's path, so each run writes it under a
-# fixed relative name in its own directory.
-FILES = {"cone.json": CONE, "exterior_down.json": EXTERIOR_DOWN}
+# boundary, over EXTERIOR_DOWN the coherent levels 2..L are live, and over
+# POLY3 the inner faces of the bar levels are nonzero.  The `# config:`
+# line prints the file's path, so each run writes it under a fixed
+# relative name in its own directory.
+FILES = {"cone.json": CONE, "exterior_down.json": EXTERIOR_DOWN,
+         "poly3.json": POLY3}
 FROZEN_FILES = [
     ("bar resolve --module ground --trunc 4 --dgalgebra cone.json",
      "dc6c546718b6fbc56e1b2120355122c4"),
@@ -63,6 +70,10 @@ FROZEN_FILES = [
      " --dgalgebra exterior_down.json", "6c8c97234c67bd18fef8e015d1109941"),
     ("lift lali --trunc 4 --dgalgebra exterior_down.json",
      "5c1ac386a53f4473c493bfa187816904"),
+    ("bar resolve --module ground --trunc 3 --dgalgebra poly3.json",
+     "aa923dcec4ca41cfd97282374e89493d"),
+    ("factor ulali --trunc 3 --dgalgebra poly3.json",
+     "171e655ab343aaebb006a6f75eeab17b"),
 ]
 
 
