@@ -6,8 +6,9 @@ are the right-nested powers X_n = T^{n+1}M; faces multiply adjacent
 tensor slots (the last one acts on M) and degeneracies insert the unit.
 Splitting off the unit, A = Q.1 (+) Abar, the truncated resolution |X|
 stacks the reduced pieces A (x) Abar^{(x)n} (x) M with the level as a
-degree shift, built from faces on the pieces themselves; the powers are
-only what the checks compare |X| with.
+degree shift, built from faces on the pieces themselves; strict maps out
+of |X| act on those levels too.  The powers are only what the checks
+compare |X| with, and where the coherent components below live.
 
 Truncation at level L is explicit everywhere.  The total differential
 never raises the level, so |X| is an honest complex and almost every
@@ -394,18 +395,16 @@ class TruncatedCodescent:
     and since it only ever lowers or keeps the level, cutting at L leaves
     a subcomplex and d.d = 0 holds exactly.  p, q, xi and the algebra
     structure abar act on the levels too; `validate` compares them and
-    the strips with the tower through iota_n = tag_n . proj_n.
+    the strips with the tower through iota_n = tag_n . T proj_w[n].
     """
 
     def __init__(self, calc: BarCalculus):
         self.calc = calc
         self.L = L = calc.L
         a, y = calc.alg, calc.barpow
-        self.incl_n = [calc.T(calc.incl_w[n]) for n in range(L + 1)]
-        self.proj_n = [calc.T(calc.proj_w[n]) for n in range(L + 1)]
-        self.levels = [m.src for m in self.incl_n]
+        self.levels = [tensor_complex(a.cx, x) for x in y[:L + 1]]
         # the unit split of the first slot, Abar (x) Y_n <-> A (x) Y_n
-        ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
+        self.ups = ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
         downs = [tensor_map(a.proj_bar, id_gmap(x)) for x in y[:L]]
 
         dims, offs = {}, {}
@@ -462,15 +461,15 @@ class TruncatedCodescent:
     def iota(self, n: int) -> GradedMap:
         """X_n -> |X|, killing the degenerate part of the stage."""
         if n not in self._iota:
-            self._iota[n] = gmap_compose(self.tag_n[n], self.proj_n[n])
+            self._iota[n] = gmap_compose(
+                self.tag_n[n], self.calc.T(self.calc.proj_w[n]))
         return self._iota[n]
 
     def glue(self, ms) -> GradedMap:
-        """The map out of |X| acting on level n by ms[n] . incl_n, for
-        maps ms[n] out of X_n of degree n + i; the sum has degree i."""
-        return reduce(gmap_add, (
-            gmap_compose(m, gmap_compose(self.incl_n[n], self.read_n[n]))
-            for n, m in enumerate(ms)))
+        """The map out of |X| acting on level n by ms[n], for maps ms[n]
+        out of levels[n] of degree n + i; the sum has degree i."""
+        return reduce(gmap_add, (gmap_compose(m, self.read_n[n])
+                                 for n, m in enumerate(ms)))
 
     def eq_below_top(self, rep: CheckReport, name: str, sub: str,
                      lhs: GradedMap, rhs: GradedMap):
@@ -504,9 +503,10 @@ class TruncatedCodescent:
 
         fam = rep.family("cod.reduced.boundary")
         for n, lv in enumerate(self.levels):
-            induced = gmap_compose(
-                self.proj_n[n],
-                gmap_compose(boundary_gmap(calc.pow[n + 1]), self.incl_n[n]))
+            # read_n . iota_n is T proj_w[n]
+            induced = gmap_compose(self.read_n[n], gmap_compose(
+                self.iota(n), gmap_compose(boundary_gmap(calc.pow[n + 1]),
+                                           calc.T(calc.incl_w[n]))))
             want = boundary_gmap(lv)
             fam.check(induced == want, f"{sub} n={n}", induced, want)
         fam.close(sub)
@@ -879,11 +879,12 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
     """Strict comparison h : |X| -> B out of the resolution, for a lali
     (g, f0, eps0) : B -> M in complexes with g a strict module map.
 
-    h is assembled from the forced stage maps h_0 = act . T f0 and
-    h_{n+1} = act . T(eps0 . h_n); the report covers the chain and
-    module-map properties, the three lali comparisons (eps0.h = h.xi
-    only below level L, exempt at L) and a uniqueness re-derivation of
-    every stage from the assembled map.
+    h acts on level n of |X| by the forced stages k_0 = act . T f0 and
+    k_n = act . T(eps0 . k_{n-1} . ups[n-1]); `factor.reduced` asks that
+    eps0 . k_{n-1} vanish on the unit insertion.  The report also covers
+    the chain and module-map properties, the three lali comparisons
+    (eps0.h = h.xi only below level L, exempt at L) and a uniqueness
+    re-derivation of every stage from the assembled map.
     """
     rep = report if report is not None else CheckReport()
     calc = t.calc
@@ -893,19 +894,23 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
     HomologicalLali(g, f0, eps0).validate(rep)
     rep.eq("factor.g.strict", sub, *calc.strict_sides(g, modB.act, modM.act))
 
-    hs = [gmap_compose(modB.act, calc.T(f0))]
+    def forced(n, prev):  # stage n of h, given stage n-1 (f0 for n = 0)
+        if n:
+            prev = gmap_compose(eps0, gmap_compose(prev, t.ups[n - 1]))
+        return gmap_compose(modB.act, calc.T(prev))
+
+    ks = [forced(0, f0)]
     for n in range(1, L + 1):
-        hs.append(gmap_compose(modB.act,
-                               calc.T(gmap_compose(eps0, hs[-1]))))
+        ks.append(forced(n, ks[-1]))
 
     fam = rep.family("factor.reduced")
     for n in range(1, L + 1):
-        for j in range(n):
-            m = gmap_compose(hs[n], calc.degen(n, j))
-            fam.check(m.is_zero(), f"{sub} n={n} j={j}", m, 0)
+        m = gmap_compose(eps0, gmap_compose(
+            ks[n - 1], unit_insert(calc.alg, calc.barpow[n - 1])))
+        fam.check(m.is_zero(), f"{sub} n={n}", m, 0)
     fam.close(sub)
 
-    h = t.glue(hs)
+    h = t.glue(ks)
 
     rep.record("factor.chain", sub, *chain_sides(h))
     rep.eq("factor.strict", sub, *calc.strict_sides(h, t.abar, modB.act))
@@ -917,12 +922,9 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
     # uniqueness: any strict chain module map with gh = p, hq = f0 and
     # eps0.h = h.xi restricts on stages to maps obeying the forcing
     # equalities below, so agreeing with them pins h down
-    stages = [gmap_compose(h, t.iota(n)) for n in range(L + 1)]
-    forced = [gmap_compose(modB.act, calc.T(gmap_compose(eps0, m)))
-              for m in stages[:-1]]
-    rep.eq("factor.unique", sub,
-           [gmap_compose(stages[0], calc.degen(0, -1))] + stages[1:],
-           [f0] + forced)
+    stages = [gmap_compose(h, t.tag_n[n]) for n in range(L + 1)]
+    rep.eq("factor.unique", sub, stages,
+           [forced(n, stages[n - 1] if n else f0) for n in range(L + 1)])
     return h, rep
 
 
@@ -933,14 +935,12 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
 def strict_to_weak(t: TruncatedCodescent, u: GradedMap,
                    dst: DgModule) -> WeakHomElement:
     """Precompose a strict map |X| -> N with the coherent unit, whose
-    components are iota_n followed by the unit insertion."""
+    component n inserts the unit into level n."""
     if u.src != t.total or u.dst != dst.cx:
         raise BarError("strict map endpoints do not match")
     calc = t.calc
-    comps = []
-    for n in range(t.L + 1):
-        full = gmap_compose(u, gmap_compose(t.iota(n), calc.degen(n, -1)))
-        comps.append(_restrict(calc, n, full))
+    comps = [gmap_compose(u, gmap_compose(t.tag_n[n], unit_insert(calc.alg, y)))
+             for n, y in enumerate(calc.barpow[:t.L + 1])]
     return WeakHomElement(calc.mod, dst, u.deg, t.L, comps)
 
 
@@ -954,6 +954,5 @@ def weak_to_strict(t: TruncatedCodescent,
         raise BarError("coherent map does not start at the resolved module")
     if not weak_differential(f).is_zero():
         raise BarError("coherent map is not chain-closed")
-    return t.glue([gmap_compose(f.dst.act, f.full(n, 1))
-                   for n in range(t.L + 1)])
+    return t.glue([gmap_compose(f.dst.act, t.calc.T(c)) for c in f.comps])
 

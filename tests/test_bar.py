@@ -50,9 +50,10 @@ from weakmaps.dg import (
     unit_complex,
     zero_gmap,
 )
-from weakmaps.schemas import load_algebra
-from generators import (CONE, EXTERIOR_DOWN, POLY3, break_square_zero,
-                        random_complex)
+from weakmaps.report import PASS
+from weakmaps.schemas import load_algebra, load_lali
+from generators import (CONE, EXTERIOR_DOWN, POLY3, SIDE_BROKEN_LALI,
+                        break_square_zero, random_complex)
 
 RAT = builtin_algebra("rationals")
 DUAL = builtin_algebra("dual_numbers")
@@ -255,22 +256,40 @@ def test_rational_resolution_preserves_any_complex(seed):
             == homology_ranks(x, x.degrees()))
 
 
+def tower_splits(t):
+    """(incl, proj): the level n of t split off the tower power
+    X_n = T^{n+1}M as T incl_w[n] and T proj_w[n]."""
+    calc = t.calc
+    return ([calc.T(w) for w in calc.incl_w[:t.L + 1]],
+            [calc.T(w) for w in calc.proj_w[:t.L + 1]])
+
+
+def tower_glue(t, ms):
+    """The map out of |X| acting on level n by ms[n] . T incl_w[n], for
+    maps ms[n] out of the tower power X_n."""
+    calc = t.calc
+    return reduce(gmap_add, (
+        gmap_compose(m, gmap_compose(calc.T(calc.incl_w[n]), t.read_n[n]))
+        for n, m in enumerate(ms)))
+
+
 def tower_codescent(t):
     """The codescent structure derived from the tower T^{n+1}M, as the
     construction once built it: (level boundaries, p, q, xi, abar), with
-    the boundaries through the face sums, p, q and xi through glue, iota
-    and the extra degeneracy s_{-1}, and abar through the face d_0."""
+    the boundaries through the face sums, p, q and xi through tower_glue,
+    iota and the extra degeneracy s_{-1}, and abar through the face d_0."""
     calc, L = t.calc, t.L
-    drop = [gmap_compose(t.proj_n[n - 1],
-                         gmap_compose(calc.facesum(n + 1), t.incl_n[n]))
+    incl, proj = tower_splits(t)
+    drop = [gmap_compose(proj[n - 1],
+                         gmap_compose(calc.facesum(n + 1), incl[n]))
             for n in range(1, L + 1)]
-    p = t.glue([calc.mod.act])
+    p = tower_glue(t, [calc.mod.act])
     q = gmap_compose(t.iota(0), calc.degen(0, -1))
-    xi = t.glue([gmap_compose(t.iota(n + 1), calc.degen(n + 1, -1))
-                 for n in range(L)])
+    xi = tower_glue(t, [gmap_compose(t.iota(n + 1), calc.degen(n + 1, -1))
+                        for n in range(L)])
     abar = reduce(gmap_add, (
-        gmap_compose(gmap_compose(t.tag_n[n], t.proj_n[n]), gmap_compose(
-            calc.face(n + 2, 0), calc.T(gmap_compose(t.incl_n[n], t.read_n[n]))))
+        gmap_compose(gmap_compose(t.tag_n[n], proj[n]), gmap_compose(
+            calc.face(n + 2, 0), calc.T(gmap_compose(incl[n], t.read_n[n]))))
         for n in range(L + 1)))
     return drop, p, q, xi, abar
 
@@ -279,12 +298,13 @@ def assert_codescent_matches_tower(mod, L):
     calc = BarCalculus(mod, L)
     t = TruncatedCodescent(calc)
     drop, p, q, xi, abar = tower_codescent(t)
+    incl, proj = tower_splits(t)
     a = mod.alg
     dims = {}
     for n, lv in enumerate(t.levels):
         assert lv == tensor_complex(a.cx, calc.barpow[n])
-        induced = gmap_compose(t.proj_n[n], gmap_compose(
-            boundary_gmap(calc.pow[n + 1]), t.incl_n[n]))
+        induced = gmap_compose(proj[n], gmap_compose(
+            boundary_gmap(calc.pow[n + 1]), incl[n]))
         assert boundary_gmap(lv) == induced, n
         for m in lv.degrees():
             dims[m + n] = dims.get(m + n, 0) + lv.dim(m)
@@ -359,6 +379,18 @@ def test_codescent_builds_no_tower_map(mod):
     assert calc.calls == Counter()
     assert t.validate().ok
     assert calc.calls["face"] and calc.calls["facesum"] and calc.calls["degen"]
+
+
+def test_strict_maps_out_of_the_resolution_build_no_tower_map():
+    # a work count: the comparison h and the strict/weak bridge act on
+    # the levels, so they ask the calculus for no face or degeneracy
+    calc = CountingCalculus(DF, 4)
+    t = TruncatedCodescent(calc)
+    modB, g, f0, eps0 = thickened_lali(DF, twist=nonequivariant_twist(DUAL))
+    h, rep = free_ulali_factor(t, modB, g, f0, eps0)
+    assert rep.ok, [c.line() for c in rep.failures()]
+    assert weak_to_strict(t, strict_to_weak(t, h, modB)) == h
+    assert calc.calls == Counter()
 
 
 def test_bar_lali_dual_ground():
@@ -501,6 +533,25 @@ def test_forget_respects_composition(seed):
 # Strict maps versus coherent maps out of the resolution
 
 
+def tower_strict_to_weak(t, u, dst):
+    """strict_to_weak through the tower: u . iota_n . s_{-1} on X_n,
+    cut down along incl_w[n] once it is seen to vanish on the unit
+    insertions."""
+    calc = t.calc
+    comps = []
+    for n in range(t.L + 1):
+        full = gmap_compose(u, gmap_compose(t.iota(n), calc.degen(n, -1)))
+        comps.append(gmap_compose(full, calc.incl_w[n]))
+        assert gmap_compose(comps[-1], calc.proj_w[n]) == full
+    return WeakHomElement(calc.mod, dst, u.deg, t.L, comps)
+
+
+def tower_weak_to_strict(t, f):
+    """weak_to_strict through the tower: act . T f_n inflated to X_n."""
+    return tower_glue(t, [gmap_compose(f.dst.act, f.full(n, 1))
+                          for n in range(t.L + 1)])
+
+
 def test_weak_to_strict_rejects_bad_input():
     t = cod(DG, 2)
     with pytest.raises(BarError):
@@ -524,6 +575,8 @@ def test_strict_weak_round_trips(seed):
     assert is_chain_map(u)
     assert strict_to_weak(t, u, DF) == g
     assert weak_to_strict(t, strict_to_weak(t, u, DF)) == u
+    assert u == tower_weak_to_strict(t, g)
+    assert strict_to_weak(t, u, DF) == tower_strict_to_weak(t, u, DF)
 
 
 def test_identity_round_trip():
@@ -532,6 +585,10 @@ def test_identity_round_trip():
     assert modX.validate().ok
     back = weak_to_strict(t, strict_to_weak(t, id_gmap(t.total), modX))
     assert back == id_gmap(t.total)
+    for u, dst in ((id_gmap(t.total), modX), (t.p, DG)):
+        w = strict_to_weak(t, u, dst)
+        assert w == tower_strict_to_weak(t, u, dst)
+        assert weak_to_strict(t, w) == tower_weak_to_strict(t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +657,78 @@ def test_factor_twisted():
         assert not h.is_zero()
 
 
+def tower_factor(t, modB, f0, eps0):
+    """free_ulali_factor on the tower, as first built: stage maps
+    hs[n] = act . T(eps0 . hs[n-1]) out of X_n = T^{n+1}M, h glued
+    through T incl_w[n], the degeneracy items hs[n] . s_j = 0 for
+    0 <= j < n, and the stages of h read back through iota_n.  Returns
+    (h, reduced, unique) with the verdicts of the two families."""
+    calc, L = t.calc, t.L
+    hs = [gmap_compose(modB.act, calc.T(f0))]
+    for _ in range(L):
+        hs.append(gmap_compose(modB.act, calc.T(gmap_compose(eps0, hs[-1]))))
+    h = tower_glue(t, hs)
+    reduced = all(gmap_compose(hs[n], calc.degen(n, j)).is_zero()
+                  for n in range(1, L + 1) for j in range(n))
+    stages = [gmap_compose(h, t.iota(n)) for n in range(L + 1)]
+    forced = [gmap_compose(modB.act, calc.T(gmap_compose(eps0, m)))
+              for m in stages[:-1]]
+    unique = ([gmap_compose(stages[0], calc.degen(0, -1))] + stages[1:]
+              == [f0] + forced)
+    return h, reduced, unique
+
+
+def verdict(rep, name):
+    """True iff the last line named `name` (a family's aggregate) PASSed."""
+    return [c.status for c in rep.checks if c.name == name][-1] == PASS
+
+
+def lalis_onto(mod):
+    """The trivial lali, the thickened one, and for a free module the
+    thickened one with the non-equivariant twist."""
+    out = [trivial_lali(mod), thickened_lali(mod)]
+    if mod.cx == mod.alg.cx:
+        out.append(thickened_lali(mod, twist=nonequivariant_twist(mod.alg)))
+    return out
+
+
+def assert_factor_matches_tower(mod, L):
+    for modB, g, f0, eps0 in lalis_onto(mod):
+        t = TruncatedCodescent(BarCalculus(mod, L))
+        h, rep = free_ulali_factor(t, modB, g, f0, eps0)
+        th, reduced, unique = tower_factor(t, modB, f0, eps0)
+        assert h == th
+        assert verdict(rep, "factor.reduced") is reduced
+        assert verdict(rep, "factor.unique") is unique
+
+
+@pytest.mark.parametrize("kind", ["rationals", "dual_numbers", "exterior"])
+@pytest.mark.parametrize("module", ["ground", "free"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_factor_equals_the_tower_on_builtins(kind, module, L):
+    assert_factor_matches_tower(
+        builtin_module(builtin_algebra(kind), module), L)
+
+
+@pytest.mark.parametrize("name", ["cone", "poly3"])
+@pytest.mark.parametrize("module", ["ground", "free"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_factor_equals_the_tower_on_files(name, module, L):
+    alg = load_algebra(FILE_ALGEBRAS[name])
+    assert_factor_matches_tower(builtin_module(alg, module), L)
+
+
+def test_side_broken_lali_fails_both_reduced_families():
+    # eps0 does not vanish after f0, so the level item n = 1 and the
+    # tower item n = 1, j = 0 both see eps0 . f0
+    modB, g, f0, eps0 = load_lali(SIDE_BROKEN_LALI, DUAL, DF)
+    t = TruncatedCodescent(BarCalculus(DF, 3))
+    h, rep = free_ulali_factor(t, modB, g, f0, eps0)
+    th, reduced, _ = tower_factor(t, modB, f0, eps0)
+    assert h == th
+    assert not verdict(rep, "factor.reduced") and not reduced
+
+
 def test_corrupted_face_fails_face_face(family_fails):
     calc = BarCalculus(DG, 2)  # a private calculus, not the module's cache
     calc._face[(2, 0)] = gmap_add(calc.face(2, 0), calc.face(2, 0))
@@ -641,12 +770,3 @@ def test_corrupted_codescent_fails_its_families(family_fails):
     items = family_fails(t.validate(), "cod.reduced.boundary")
     assert [c.subject for c in items] == ["exterior/ground n=0"]
 
-
-def test_corrupted_degeneracy_fails_factor_reduced(family_fails):
-    calc = BarCalculus(DF, 3)
-    t = TruncatedCodescent(calc)
-    modB, g, f0, eps0 = thickened_lali(DF, twist=nonequivariant_twist(DUAL))
-    calc._degen[(1, 0)] = calc.degen(1, -1)
-    _, rep = free_ulali_factor(t, modB, g, f0, eps0)
-    items = family_fails(rep, "factor.reduced")
-    assert [c.subject for c in items] == ["thick->free n=1 j=0"]

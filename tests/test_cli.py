@@ -800,6 +800,21 @@ def test_lift_side_condition_is_a_fail_not_an_input_error(tmp_path, capsys):
     assert not any(line.startswith("TABLE") for line in lines)
 
 
+def test_factor_side_condition_is_a_fail_not_an_input_error(tmp_path, capsys):
+    # the forced stage k_0 = act . T f0 restricts to f0 on the unit
+    # insertion, and eps0 . f0 is not zero
+    lali = write(tmp_path, "side.json", SIDE_BROKEN_LALI)
+    code, out, err = run(capsys, "factor", "ulali", "--trunc", "3",
+                         "--lali", lali)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines.index(
+        "EQ factor.reduced @ M->free n=1 : FAIL(lhs=GradedMap(deg=1,"
+        " {0: (0,0)=1}), rhs=0)") + 1 == lines.index(
+        "EQ factor.reduced @ M->free : FAIL(lhs=1 failing, rhs=0)")
+    assert lines[-1] == "SUMMARY: checks=20 pass=13 fail=6 exempt=1"
+
+
 def test_non_chain_gradedmap_exits_1(tmp_path, capsys):
     # a degree-0 map C -> C that does not commute with d: C_1 -> C_0
     cx = {"degrees": {"0": 1, "1": 1}, "boundary": {"1": [[1]]}}

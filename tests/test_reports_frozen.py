@@ -38,6 +38,9 @@ FROZEN = [
     ("lift lali --builtin exterior --trunc 5",
      "9810c9e0c249018cac2f790a452c7b1f"),
     ("factor ulali --trunc 3", "0fb3ad1ebd5a97c3b6cd8be96b4a667d"),
+    ("factor ulali --trunc 8", "6a55a9ab1a297235c7d86310d6b807ce"),
+    ("factor ulali --builtin exterior --trunc 6",
+     "fd6ae4c9fb760e673345d36ec1bd6c3f"),
     # the bar_resolve and codescent workloads of perfbench, the two that
     # build the codescent complex, pinned equal to their seed-0 entries in
     # perfbench/reference.json
