@@ -8,7 +8,7 @@ Splitting off the unit, A = Q.1 (+) Abar, the truncated resolution |X|
 stacks the reduced pieces A (x) Abar^{(x)n} (x) M with the level as a
 degree shift, built from faces on the pieces themselves; strict maps out
 of |X| act on those levels too.  The powers are only what the checks
-compare |X| with, and where the coherent components below live.
+compare |X| with.
 
 Truncation at level L is explicit everywhere.  The total differential
 never raises the level, so |X| is an honest complex and almost every
@@ -18,8 +18,8 @@ L+1 and is reported TRUNCATION-EXEMPT rather than approximated.
 
 A homotopy-coherent map M ~> N of degree i is a family of components
 f_n : Abar^{(x)n} (x) M -> N in degree n+i.  Composition and the
-differential follow the face calculus; level n of any output reads only
-levels <= n of the inputs, so both are exact under truncation.
+differential follow the reduced face calculus; level n of any output
+reads only levels <= n of the inputs, so both are exact under truncation.
 """
 
 from __future__ import annotations
@@ -188,6 +188,12 @@ class DgModule:
         rep.eq("mod.act.assoc", self.name, lhs, rhs)
         return rep
 
+    @cached_property
+    def ebar1(self) -> GradedMap:
+        """The action on an Abar slot, the reduced face sum ebar_1."""
+        up = tensor_map(self.alg.incl_bar, id_gmap(self.cx))
+        return gmap_compose(self.act, up)
+
     def calculus(self, L: int) -> "BarCalculus":
         if L not in self._calcs:
             self._calcs[L] = BarCalculus(self, L)
@@ -216,13 +222,15 @@ def builtin_module(alg: DgAlgebra, kind: str) -> DgModule:
 
 
 class BarCalculus:
-    """Caches the powers T^n M and their simplicial structure maps.
+    """Caches the reduced powers Y_n = Abar^{(x)n} (x) M, on which the
+    coherent maps and |X| compute through T-bar and the face sums ebar_n,
+    and the tower T^n M with its simplicial maps for the checks.
 
-    Powers run up to L+2 so the faces and degeneracies of the level L+1
-    bar stage exist.  `barpow[n]` is the fully reduced power
-    Abar^{(x)n} (x) M with the inherited quotient differential; incl_w /
-    proj_w split it off T^n M slotwise (incl_w is generally not a chain
-    map, proj_w always is).
+    `barpow[n]` is Y_n with the inherited quotient differential; ups /
+    downs split the first slot of A (x) Y_n, and incl_w / proj_w split
+    Y_n off T^n M slotwise (incl_w is generally not a chain map, proj_w
+    always is).  Powers run up to L+2 so the faces and degeneracies of
+    the level L+1 bar stage exist.
     """
 
     def __init__(self, mod: DgModule, L: int):
@@ -235,6 +243,7 @@ class BarCalculus:
         self._face = {}
         self._degen = {}
         self._facesum = {}
+        self._ebar = {1: mod.ebar1}
         self.pow = [mod.cx]
         for n in range(L + 2):
             self.pow.append(tensor_complex(self.alg.cx, self.pow[-1]))
@@ -243,12 +252,30 @@ class BarCalculus:
         for n in range(1, L + 2):
             self.incl_w.append(tensor_map(self.alg.incl_bar, self.incl_w[-1]))
             self.proj_w.append(tensor_map(self.alg.proj_bar, self.proj_w[-1]))
-        self.barpow = [m.src for m in self.incl_w]
-        self._one = id_gmap(self.alg.cx)
+        self.barpow = y = [m.src for m in self.incl_w]
+        a = self.alg
+        self.ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
+        self.downs = [tensor_map(a.proj_bar, id_gmap(x)) for x in y[:L]]
+        self._one = id_gmap(a.cx)
+        self._onebar = id_gmap(a.abar)
 
     def T(self, f: GradedMap) -> GradedMap:
         """A (x) f with the Koszul sign on the A-degree."""
         return tensor_map(self._one, f)
+
+    def Tbar(self, f: GradedMap) -> GradedMap:
+        """Abar (x) f, the reduced functor T-bar."""
+        return tensor_map(self._onebar, f)
+
+    def ebar(self, n: int) -> GradedMap:
+        """sum_{j<n} (-1)^j dbar_j : Y_n -> Y_{n-1} for n <= L, built as
+        dbar_0 - T-bar ebar_{n-1}; dbar_0 multiplies the two front slots."""
+        if n not in self._ebar:
+            d0 = gmap_compose(self.downs[n - 2], gmap_compose(
+                self.mu_on(self.barpow[n - 2]),
+                tensor_map(self.alg.incl_bar, self.ups[n - 2])))
+            self._ebar[n] = gmap_sub(d0, self.Tbar(self.ebar(n - 1)))
+        return self._ebar[n]
 
     def strict_sides(self, u: GradedMap, src_act: GradedMap,
                      dst_act: GradedMap):
@@ -384,13 +411,11 @@ class TruncatedCodescent:
     """The reduced bar stages assembled into one complex.
 
     Level n holds A (x) Abar^{(x)n} (x) M shifted up by n, and its faces
-    act on it directly, so no map on the tower T^{n+1}M is formed.  d_0
-    multiplies the first two slots; e_n = sum_{j>=1} (-1)^j d_j on
-    Abar^{(x)n} (x) M is -(d_1 + 1 (x) e_{n-1}) with e_1 = -act, where
-    d_1 = pi.mu on two Abar slots is pi.d_0.incl one level down.  The
-    total differential has two strips,
+    act on it directly, so no map on the tower T^{n+1}M is formed: d_0
+    multiplies the first two slots, and the other faces sum to -T ebar_n.
+    The total differential has two strips,
 
-        d_tot . tag_n = tag_{n-1} . (d_0 + T e_n)  +  (-1)^n tag_n . d_X
+        d_tot . tag_n = tag_{n-1} . (d_0 - T ebar_n)  +  (-1)^n tag_n . d_X
 
     and since it only ever lowers or keeps the level, cutting at L leaves
     a subcomplex and d.d = 0 holds exactly.  p, q, xi and the algebra
@@ -403,9 +428,6 @@ class TruncatedCodescent:
         self.L = L = calc.L
         a, y = calc.alg, calc.barpow
         self.levels = [tensor_complex(a.cx, x) for x in y[:L + 1]]
-        # the unit split of the first slot, Abar (x) Y_n <-> A (x) Y_n
-        self.ups = ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
-        downs = [tensor_map(a.proj_bar, id_gmap(x)) for x in y[:L]]
 
         dims, offs = {}, {}
         for n, lv in enumerate(self.levels):
@@ -413,16 +435,12 @@ class TruncatedCodescent:
                 offs[(m + n, n)] = dims.get(m + n, 0)
                 dims[m + n] = offs[(m + n, n)] + lv.dim(m)
         terms = {}
-        first = calc.mod.act  # then pi . d_0 of the level below
         for n, lv in enumerate(self.levels):
             strips = [(n, -1 if n % 2 else 1, boundary_gmap(lv))]
             if n:
-                head = gmap_compose(first, ups[n - 1])
-                e = gmap_smul(-1, head if n == 1 else gmap_add(
-                    head, tensor_map(id_gmap(a.abar), e)))
-                d0 = gmap_compose(calc.mu_on(y[n - 1]), calc.T(ups[n - 1]))
-                first = gmap_compose(downs[n - 1], d0)
-                strips.append((n - 1, 1, gmap_add(d0, calc.T(e))))
+                d0 = gmap_compose(calc.mu_on(y[n - 1]),
+                                  calc.T(calc.ups[n - 1]))
+                strips.append((n - 1, 1, gmap_sub(d0, calc.T(calc.ebar(n)))))
             for row, sign, f in strips:
                 for m, b in f.mats.items():
                     terms.setdefault(m + n, []).append(
@@ -444,7 +462,7 @@ class TruncatedCodescent:
         self.p = gmap_compose(calc.mod.act, self.read_n[0])
         self.q = gmap_compose(self.tag_n[0], unit_insert(a, calc.mod.cx))
         self.xi = reduce(gmap_add, (gmap_compose(
-            gmap_compose(self.tag_n[n + 1], calc.T(downs[n])),
+            gmap_compose(self.tag_n[n + 1], calc.T(calc.downs[n])),
             gmap_compose(unit_insert(a, lv), self.read_n[n]))
             for n, lv in enumerate(self.levels[:L])))
 
@@ -658,10 +676,9 @@ def nonequivariant_twist(alg: DgAlgebra) -> GradedMap:
 class WeakHomElement:
     """Degree-i coherent map M ~> N with reduced components.
 
-    comps[n] lives on Abar^{(x)n} (x) M in degree n+i; the inflated
-    component on the full power is comps[n] . proj_w[n] and vanishes on
-    every unit insertion by construction.  full(n, p) keeps the ladder
-    of its T-powers, each rung built once as T of the rung below.
+    comps[n] lives on Abar^{(x)n} (x) M in degree n+i, and the calculus
+    computes on these alone; rung(n, p) keeps the ladder T-bar^p comps[n],
+    each rung built once as T-bar of the rung below.
     """
 
     def __init__(self, src: DgModule, dst: DgModule, deg: int, L: int,
@@ -680,15 +697,13 @@ class WeakHomElement:
         self.L = L
         self.comps = comps
         self._calc = calc
-        self._rungs = tuple([] for _ in comps)
+        self._rungs = tuple([c] for c in comps)
 
-    def full(self, n: int, p: int = 0) -> GradedMap:
-        """T^p of component n inflated back to T^n M."""
+    def rung(self, n: int, p: int) -> GradedMap:
+        """T-bar^p of component n, on Abar^{(x)n+p} (x) M."""
         rungs = self._rungs[n]
-        if not rungs:
-            rungs.append(gmap_compose(self.comps[n], self._calc.proj_w[n]))
         while len(rungs) <= p:
-            rungs.append(self._calc.T(rungs[-1]))
+            rungs.append(self._calc.Tbar(rungs[-1]))
         return rungs[p]
 
     def is_zero(self) -> bool:
@@ -752,41 +767,27 @@ def weak_smul(c, f: WeakHomElement) -> WeakHomElement:
                           [gmap_smul(c, a) for a in f.comps])
 
 
-def _restrict(calc: BarCalculus, n: int, full: GradedMap) -> GradedMap:
-    """Cut a full-power map down to the reduced power, checking that it
-    really vanished on the unit insertions first."""
-    stored = gmap_compose(full, calc.incl_w[n])
-    if gmap_compose(stored, calc.proj_w[n]) != full:
-        raise BarError(f"level {n} fails the degeneracy side condition")
-    return stored
-
-
 def weak_differential(f: WeakHomElement) -> WeakHomElement:
-    """Componentwise differential of the coherent mapping complex.
-
-    Level n combines the graded differential of f_n with the action on
-    the outer slot of f_{n-1} and the alternating face sum of the source
-    powers; only levels n and n-1 are read, so truncation is exact.
-    """
+    """Componentwise differential of the coherent mapping complex,
+    (df)_n = D f_n + s (f_{n-1} . ebar_n - ebar_1 . T-bar f_{n-1}) with
+    s = (-1)^deg, ebar_n the source's and ebar_1 the target's.  Only
+    levels n and n-1 are read, so truncation is exact."""
     calc = f._calc
     sign = -1 if f.deg % 2 else 1
     comps = []
-    for n in range(f.L + 1):
-        out = graded_differential(f.full(n))
+    for n, c in enumerate(f.comps):
+        out = graded_differential(c)
         if n >= 1:
-            out = gmap_sub(out, gmap_smul(sign,
-                                          gmap_compose(f.dst.act,
-                                                       f.full(n - 1, 1))))
-            out = gmap_add(out, gmap_smul(sign,
-                                          gmap_compose(f.full(n - 1),
-                                                       calc.facesum(n))))
-        comps.append(_restrict(calc, n, out))
+            out = gmap_add(out, gmap_smul(sign, gmap_sub(
+                gmap_compose(f.comps[n - 1], calc.ebar(n)),
+                gmap_compose(f.dst.ebar1, f.rung(n - 1, 1)))))
+        comps.append(out)
     return WeakHomElement(f.src, f.dst, f.deg - 1, f.L, comps)
 
 
 def weak_compose(g: WeakHomElement, f: WeakHomElement) -> WeakHomElement:
-    """(g . f)_n as the convolution sum over p+q = n with the Koszul
-    sign (-1)^{p deg f} from moving f past p tensor slots."""
+    """(g . f)_n = sum_{p+q=n} g_p . T-bar^p f_q with the Koszul sign
+    (-1)^{p deg f} from moving f past p tensor slots."""
     if f.dst != g.src:
         raise BarError("weak maps are not composable")
     if f.L != g.L:
@@ -794,13 +795,13 @@ def weak_compose(g: WeakHomElement, f: WeakHomElement) -> WeakHomElement:
     calc = f._calc
     comps = []
     for n in range(f.L + 1):
-        out = zero_gmap(calc.pow[n], g.dst.cx, n + f.deg + g.deg)
+        out = zero_gmap(calc.barpow[n], g.dst.cx, n + f.deg + g.deg)
         for p in range(n + 1):
-            term = gmap_compose(g.full(p), f.full(n - p, p))
+            term = gmap_compose(g.comps[p], f.rung(n - p, p))
             if (p * f.deg) % 2:
                 term = gmap_smul(-1, term)
             out = gmap_add(out, term)
-        comps.append(_restrict(calc, n, out))
+        comps.append(out)
     return WeakHomElement(f.src, g.dst, f.deg + g.deg, f.L, comps)
 
 
@@ -822,33 +823,31 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     """Promote a lali (g, f0, eps0) : B -> A in complexes, with g a
     strict module map, to a lali in the coherent category.
 
-    Components are forced: f_n = eps0 . act . T f_{n-1} and
-    eps_n = -eps0 . act . T eps_{n-1}.  Returns (f, eps, report) where f
-    lifts f0 against Jg and eps contracts B onto the image; f and eps are
-    None when a forced component fails to vanish on the unit insertions.
+    Components are forced: f_n = eps0 . ebar_1 . T-bar f_{n-1} and
+    eps_n = -eps0 . ebar_1 . T-bar eps_{n-1}, with ebar_1 of B.  Returns
+    (f, eps, report) where f lifts f0 against Jg and eps contracts B onto
+    the image; f and eps are None when a forced component fails to vanish
+    on the unit insertions (`lift.reduced`: eps0 . c_{n-1} != 0).
     """
     rep = report if report is not None else CheckReport()
     sub = f"{modB.name}->{modA.name}"
-    calcA = modA.calculus(L)
     calcB = modB.calculus(L)
     HomologicalLali(g, f0, eps0).validate(rep)
     rep.eq("lift.g.strict", sub, *calcB.strict_sides(g, modB.act, modA.act))
 
-    fulls_f, fulls_e = [f0], [eps0]
+    comps = {"f": [f0], "eps": [eps0]}
     for _ in range(L):
-        fulls_f.append(gmap_compose(
-            eps0, gmap_compose(modB.act, calcA.T(fulls_f[-1]))))
-        fulls_e.append(gmap_smul(-1, gmap_compose(
-            eps0, gmap_compose(modB.act, calcB.T(fulls_e[-1])))))
-    # _restrict's side condition as FAIL lines; none are added if it holds
+        for nm, cs in comps.items():
+            c = gmap_compose(eps0, gmap_compose(modB.ebar1,
+                                                calcB.Tbar(cs[-1])))
+            cs.append(c if nm == "f" else gmap_smul(-1, c))
+    after = {nm: [gmap_compose(eps0, c) for c in cs]
+             for nm, cs in comps.items()}
+    # FAIL lines only; none are added if the side condition holds
     fam = rep.family("lift.reduced")
-    comps = {}
-    for nm, calc, ms in (("f", calcA, fulls_f), ("eps", calcB, fulls_e)):
-        comps[nm] = [gmap_compose(m, calc.incl_w[n])
-                     for n, m in enumerate(ms)]
-        for n, (c, m) in enumerate(zip(comps[nm], ms)):
-            back = gmap_compose(c, calc.proj_w[n])
-            fam.check(back == m, f"{sub} {nm}_{n}", back, m)
+    for nm, ms in after.items():
+        for n in range(1, L + 1):
+            fam.check(ms[n - 1].is_zero(), f"{sub} {nm}_{n}", ms[n - 1], 0)
     if fam.failed:
         fam.close(sub)
         return None, None, rep
@@ -866,8 +865,8 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
            weak_zero(modA, modB, 1, L))
     rep.eq("lift.eps_eps", sub, weak_compose(eps, eps),
            weak_zero(modB, modB, 2, L))
-    side = [f"{nm}_{n}" for nm, ms in (("f", fulls_f), ("eps", fulls_e))
-            for n, m in enumerate(ms) if not gmap_compose(eps0, m).is_zero()]
+    side = [f"{nm}_{n}" for nm, ms in after.items()
+            for n, m in enumerate(ms) if not m.is_zero()]
     rep.record("lift.side", sub, not side, f"eps0 nonzero after {side}",
                "eps0 zero after every f_n and eps_n")
     return f, eps, rep
@@ -896,7 +895,7 @@ def free_ulali_factor(t: TruncatedCodescent, modB: DgModule, g: GradedMap,
 
     def forced(n, prev):  # stage n of h, given stage n-1 (f0 for n = 0)
         if n:
-            prev = gmap_compose(eps0, gmap_compose(prev, t.ups[n - 1]))
+            prev = gmap_compose(eps0, gmap_compose(prev, calc.ups[n - 1]))
         return gmap_compose(modB.act, calc.T(prev))
 
     ks = [forced(0, f0)]

@@ -350,11 +350,19 @@ def test_poly3_has_live_inner_faces():
 
 
 class CountingCalculus(BarCalculus):
-    """A bar calculus counting the tower maps it is asked for."""
+    """A bar calculus counting the tower maps it is asked for, and the
+    reads of the tower powers and their splittings once it is built."""
+
+    TOWER = ("pow", "incl_w", "proj_w")
 
     def __init__(self, mod, L):
         super().__init__(mod, L)
         self.calls = Counter()
+
+    def __getattribute__(self, name):
+        if name in CountingCalculus.TOWER and "calls" in self.__dict__:
+            self.calls[name] += 1
+        return super().__getattribute__(name)
 
     def face(self, n, j):
         self.calls["face"] += 1
@@ -391,6 +399,25 @@ def test_strict_maps_out_of_the_resolution_build_no_tower_map():
     assert rep.ok, [c.line() for c in rep.failures()]
     assert weak_to_strict(t, strict_to_weak(t, h, modB)) == h
     assert calc.calls == Counter()
+
+
+def test_coherent_maps_build_no_tower_map():
+    # a work count: composition, the differential and the lifted
+    # components act on the reduced components, so they ask the
+    # calculus for no face or degeneracy and read no tower power
+    L = 3
+    mod = builtin_module(load_algebra(EXTERIOR_DOWN), "free")
+    calc = mod._calcs[L] = CountingCalculus(mod, L)
+    rng = random.Random(0)
+    f, g = (random_weak(rng, mod, mod, d, L) for d in (0, 1))
+    weak_differential(weak_compose(g, f))
+    modB, g, f0, eps0 = thickened_lali(
+        mod, twist=nonequivariant_twist(mod.alg))
+    calcB = modB._calcs[L] = CountingCalculus(modB, L)
+    lift, eps, rep = lift_ulali(modB, mod, g, f0, eps0, L)
+    assert rep.ok, [c.line() for c in rep.failures()]
+    assert not lift.comps[1].is_zero()
+    assert calc.calls == Counter() and calcB.calls == Counter()
 
 
 def test_bar_lali_dual_ground():
@@ -547,9 +574,12 @@ def tower_strict_to_weak(t, u, dst):
 
 
 def tower_weak_to_strict(t, f):
-    """weak_to_strict through the tower: act . T f_n inflated to X_n."""
-    return tower_glue(t, [gmap_compose(f.dst.act, f.full(n, 1))
-                          for n in range(t.L + 1)])
+    """weak_to_strict through the tower: act . T(f_n . proj_w[n]) on X_n,
+    each component inflated to T^n M here."""
+    calc = t.calc
+    return tower_glue(t, [
+        gmap_compose(f.dst.act, calc.T(gmap_compose(c, calc.proj_w[n])))
+        for n, c in enumerate(f.comps)])
 
 
 def test_weak_to_strict_rejects_bad_input():

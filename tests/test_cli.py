@@ -787,14 +787,16 @@ def test_broken_lali_file_exits_1(tmp_path, capsys):
 
 
 def test_lift_side_condition_is_a_fail_not_an_input_error(tmp_path, capsys):
+    # the forced f_1 vanishes on the unit insertion iff eps0 . f0 = 0,
+    # and eps0 . f0 is not zero
     lali = write(tmp_path, "side.json", SIDE_BROKEN_LALI)
     code, out, err = run(capsys, "lift", "lali", "--trunc", "2",
                          "--lali", lali)
     assert code == 1 and err == ""
     lines = out.splitlines()
     assert lines[-3:] == [
-        "EQ lift.reduced @ M->free f_1 : FAIL(lhs=GradedMap(deg=1, {}),"
-        " rhs=GradedMap(deg=1, {0: (0,0)=1}))",
+        "EQ lift.reduced @ M->free f_1 : FAIL(lhs=GradedMap(deg=1,"
+        " {0: (0,0)=1}), rhs=0)",
         "EQ lift.reduced @ M->free : FAIL(lhs=1 failing, rhs=0)",
         "SUMMARY: checks=11 pass=6 fail=5 exempt=0"]
     assert not any(line.startswith("TABLE") for line in lines)

@@ -1,10 +1,11 @@
 """Each check name FAILs, alone, under a data corruption of its own.
 
 A row names a check, the `weakmaps` argv that records it, and a
-corruption of the data that argv computes with: a face of the module's
-bar calculus, or a rung of the T-ladder of an element the check is fed.
-The check code itself is never patched.  The run must exit 1 with FAIL
-lines under exactly that name, each with two sides that differ.
+corruption of the data that argv computes with: the reduced face sums
+of the module's bar calculus, or a rung of the T-bar ladder of an
+element the check is fed.  The check code itself is never patched.  The
+run must exit 1 with FAIL lines under exactly that name, each with two
+sides that differ.
 
 Over the built-in algebras every coherent component above level 1
 vanishes by degree, so the `dg.assoc` row runs over `EXTERIOR_DOWN`,
@@ -39,16 +40,17 @@ def _calculus_of_inputs(monkeypatch, corrupt):
 
 def _poison(e, n, p):
     """Double rung p of level n of e's ladder, leaving the rest as built."""
-    e.full(n, p)
+    e.rung(n, p)
     e._rungs[n][p] = gmap_smul(2, e._rungs[n][p])
     return e
 
 
 def faces_over_q_times_q(monkeypatch):
-    # the faces that multiply two A slots come from x.x = x (Q x Q)
-    # instead of x.x = 0; the action, and so the last face, stays.  The
-    # faces stay unital and natural, so Leibniz holds, but the action is
-    # not associative for the new product and d.d picks that up
+    # the face sums ebar_n, n >= 2, take the faces that multiply two
+    # Abar slots from x.x = x (Q x Q) instead of x.x = 0; ebar_1, the
+    # action on an Abar slot, stays.  They still follow the face
+    # recursion, so Leibniz holds, but the action is not associative for
+    # the new product and d.d picks that up
     def corrupt(mod, calc):
         a = mod.alg
         mult = GradedMap(tensor_complex(a.cx, a.cx), a.cx, 0,
@@ -56,21 +58,21 @@ def faces_over_q_times_q(monkeypatch):
         other = DgModule(DgAlgebra(a.cx, a.unit, mult), mod.cx,
                          mod.act).calculus(calc.L)
         for n in range(2, calc.L + 1):
-            for j in range(n - 1):
-                calc._face[(n, j)] = other.face(n, j)
+            calc._ebar[n] = other.ebar(n)
     _calculus_of_inputs(monkeypatch, corrupt)
 
 
 def last_faces_from_another_action(monkeypatch):
-    # the last faces come from the lawful action where x acts by 0, while
-    # the differential's action term keeps x.1 = x: d.d = 0 still holds,
+    # the face sums ebar_n, n >= 2, take their last face from the lawful
+    # action where x acts by 0, while ebar_1, which the differential's
+    # action term also reads, keeps x.1 = x: d.d = 0 still holds,
     # Leibniz needs the two actions to agree
     def corrupt(mod, calc):
         act = GradedMap(mod.act.src, mod.act.dst, 0,
                         {0: ((1, 0, 0, 0), (0, 1, 0, 0))})
         other = DgModule(mod.alg, mod.cx, act).calculus(calc.L)
-        for n in range(1, calc.L + 1):
-            calc._face[(n, n - 1)] = other.face(n, n - 1)
+        for n in range(2, calc.L + 1):
+            calc._ebar[n] = other.ebar(n)
     _calculus_of_inputs(monkeypatch, corrupt)
 
 
@@ -86,7 +88,7 @@ def poisoned_g_rung(monkeypatch):
 
 
 def poisoned_identity(monkeypatch):
-    # T(id) doubled on the identity's ladder: only f . 1 reads it (the
+    # T-bar(id) doubled on the identity's ladder: only f . 1 reads it (the
     # other caller in bar, lift_ulali, runs under `lift lali` only)
     monkeypatch.setattr(bar, "weak_identity",
                         lambda mod, L: _poison(weak_identity(mod, L), 0, 1))

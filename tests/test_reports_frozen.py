@@ -77,6 +77,12 @@ FROZEN_FILES = [
      "aa923dcec4ca41cfd97282374e89493d"),
     ("factor ulali --trunc 3 --dgalgebra poly3.json",
      "171e655ab343aaebb006a6f75eeab17b"),
+    # the coherent calculus over the live inner faces of POLY3 and the
+    # nonzero differential of CONE
+    ("dg check --module free --trunc 4 --trials 5 --dgalgebra poly3.json",
+     "62c08ff5024afe26601ed29b3ebc29a5"),
+    ("dg check --module free --trunc 4 --trials 5 --dgalgebra cone.json",
+     "93a6e2512fbffeed160dc1dcc2e79c6b"),
 ]
 
 
