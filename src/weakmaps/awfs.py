@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .fincat import (
     CategoryError,
@@ -273,12 +274,12 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
     on the exhaustive fragment of finite sets of size <= max_size.
 
     Per-arrow equations are recorded individually; the four naturality
-    equations are aggregated over all squares with failures itemised.
-    Equations whose sides fail to compose (endpoint corruption) record a
-    failure rather than raising; an arrow whose structure maps, or a
-    square whose sides, fail to compose is a failing item of each nat.*
-    family with lhs `<ill-typed>`; the family's subject counts the squares
-    and the refused arrows apart.
+    equations are aggregated over all squares, failures itemised, each
+    side the triple (dom, cod, idx) of its composite gathered from index
+    tuples, so a passing square builds no arrow.  An equation, an arrow's
+    structure maps or a square's sides that fail to compose record a
+    failure (lhs `<ill-typed>` in each nat.* family) rather than raising;
+    the family's subject counts the squares and the refused arrows apart.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -329,50 +330,74 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
 
     nat = [rep.family(name)
            for name in ("nat.lambda", "nat.rho", "nat.comult", "nat.mult")]
-    nat_lam, nat_rho, nat_comult, nat_mult = nat
 
     def ill_typed(sub, e):
         for fam in nat:
             fam.check(False, sub, "<ill-typed>", str(e))
 
-    typed = []  # (f, lam f, rho f, comult f, mult f) where all four exist
+    def refute(square, sides, err=None):
+        """The items of a failing square (h, k, f, g), ill-typed with `err`."""
+        sub = "({!r},{!r}): {!r} -> {!r}".format(*square)
+        if err is not None:
+            return ill_typed(sub, err)
+        for fam, lhs, rhs in zip(nat, sides[::2], sides[1::2]):
+            fam.check(lhs == rhs, sub, FinSetArrow(*lhs), FinSetArrow(*rhs))
+
+    def gather(idx):
+        """X.idx -> (X . Y).idx for Y.idx = idx in C; a slice for <= 1 point."""
+        return (itemgetter(*idx) if len(idx) > 1
+                else itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0)))
+
+    typed = []  # f, lam f, rho f, comult f, mult f, a gather by each map's idx
     for f in arrows:
         try:
-            typed.append((f, awfs.lam(f), awfs.rho(f), awfs.comult(f),
-                          awfs.mult(f)))
+            maps = (awfs.lam(f), awfs.rho(f), awfs.comult(f), awfs.mult(f))
         except CategoryError as e:
             ill_typed(repr(f), e)
-    # E reads only h and k: (E(h,k), E(h,E(h,k)), E(E(h,k),k)) once per pair,
-    # by (h.idx, k.idx) in a table per g's ends, dropped as f's ends change
-    f_ends = None
-    for f, lf, rf, dl_f, mu_f in typed:
+            continue
+        typed.append((f, *maps, *(gather(m.idx) for m in maps)))
+    # E reads only h and k: one entry per (h.idx, k.idx) in a table per g's
+    # ends, dropped as f's ends change, with gathers by E(h,k), E(E(h,k),k)
+    # and h, and the ends the 8 composites X . Y join: `ends` and `joins` are
+    # equal iff every side composes.  A side is the triple (dom, cod, idx).
+    passed, f_ends = 0, None
+    for f, lf, rf, dl_f, mu_f, by_lf, by_rf, by_dlf, by_muf in typed:
         if (f.dom, f.cod) != f_ends:
             f_ends, tables = (f.dom, f.cod), {}
-        for g, lg, rg, dl_g, mu_g in typed:
+        for g, lg, rg, dl_g, mu_g, *_ in typed:
             table = tables.setdefault((g.dom, g.cod), {})
+            joins = (lf.cod, lg.dom, rg.dom, rf.cod, dl_f.cod, dl_g.dom,
+                     mu_f.cod, mu_g.dom)
             for h, k in squares_between(cat, f, g):
-                sub = lambda: f"({h!r},{k!r}): {f!r} -> {g!r}"
                 try:
                     es = table.get((h.idx, k.idx))
                     if es is None:  # an ill-typed entry raises before it is kept
-                        e_hk = awfs.earr(h, k)
+                        e = awfs.earr(h, k)
+                        el, er = awfs.earr(h, e), awfs.earr(e, k)
                         es = table[h.idx, k.idx] = (
-                            e_hk, awfs.earr(h, e_hk), awfs.earr(e_hk, k))
-                    e_hk, e_lam, e_rho = es
-                    l1, r1 = cat.compose(e_hk, lf), cat.compose(lg, h)
-                    l2, r2 = cat.compose(rg, e_hk), cat.compose(k, rf)
-                    l3 = cat.compose(e_lam, dl_f)
-                    r3 = cat.compose(dl_g, e_hk)
-                    l4 = cat.compose(e_hk, mu_f)
-                    r4 = cat.compose(mu_g, e_rho)
-                    nat_lam.check(l1 == r1, sub, l1, r1)
-                    nat_rho.check(l2 == r2, sub, l2, r2)
-                    nat_comult.check(l3 == r3, sub, l3, r3)
-                    nat_mult.check(l4 == r4, sub, l4, r4)
-                except CategoryError as e:
-                    ill_typed(sub, e)
+                            e, el, er, gather(e.idx), gather(er.idx), gather(h.idx),
+                            (e.dom, h.cod, e.cod, k.dom, el.dom, e.cod, e.dom, er.cod))
+                    e, el, er, by_e, by_er, by_h, ends = es
+                    if ends != joins:  # the first side that does not compose raises
+                        for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),
+                                     (dl_g, e), (e, mu_f), (mu_g, er)):
+                            cat.compose(x, y)
+                except CategoryError as err:
+                    refute((h, k, f, g), (), err)
+                    continue
+                l1, r1 = (lf.dom, e.cod, by_lf(e.idx)), (h.dom, lg.cod, by_h(lg.idx))
+                l2, r2 = (e.dom, rg.cod, by_e(rg.idx)), (rf.dom, k.cod, by_rf(k.idx))
+                l3 = (dl_f.dom, el.cod, by_dlf(el.idx))
+                r3 = (e.dom, dl_g.cod, by_e(dl_g.idx))
+                l4 = (mu_f.dom, e.cod, by_muf(e.idx))
+                r4 = (er.dom, mu_g.cod, by_er(mu_g.idx))
+                if l1 == r1 and l2 == r2 and l3 == r3 and l4 == r4:
+                    passed += 1
+                else:
+                    refute((h, k, f, g), (l1, r1, l2, r2, l3, r3, l4, r4))
     refused = len(arrows) - len(typed)
     for fam in nat:
+        fam.n += passed
         fam.close(f"{fam.n - refused} squares"
                   + (f", {refused} ill-typed arrows" if refused else ""))
     return rep

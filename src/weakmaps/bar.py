@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import accumulate
 
 from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  chain_sides, gmap_add, gmap_compose, gmap_smul, gmap_sub,
@@ -221,6 +222,11 @@ def builtin_module(alg: DgAlgebra, kind: str) -> DgModule:
 # The face and degeneracy calculus on powers T^n M
 
 
+def left_powers(tensor, a, x, n: int) -> list:
+    """x, a (x) x, a (x) a (x) x, ..., n factors of a at the last."""
+    return list(accumulate([a] * n, lambda y, b: tensor(b, y), initial=x))
+
+
 class BarCalculus:
     """Caches the reduced powers Y_n = Abar^{(x)n} (x) M, on which the
     coherent maps and |X| compute through T-bar and the face sums ebar_n,
@@ -230,7 +236,8 @@ class BarCalculus:
     downs split the first slot of A (x) Y_n, and incl_w / proj_w split
     Y_n off T^n M slotwise (incl_w is generally not a chain map, proj_w
     always is).  Powers run up to L+2 so the faces and degeneracies of
-    the level L+1 bar stage exist.
+    the level L+1 bar stage exist.  The tower `pow`, incl_w and proj_w
+    are built on first read: only the checks of `bar resolve` read them.
     """
 
     def __init__(self, mod: DgModule, L: int):
@@ -244,20 +251,24 @@ class BarCalculus:
         self._degen = {}
         self._facesum = {}
         self._ebar = {1: mod.ebar1}
-        self.pow = [mod.cx]
-        for n in range(L + 2):
-            self.pow.append(tensor_complex(self.alg.cx, self.pow[-1]))
-        self.incl_w = [id_gmap(mod.cx)]
-        self.proj_w = [id_gmap(mod.cx)]
-        for n in range(1, L + 2):
-            self.incl_w.append(tensor_map(self.alg.incl_bar, self.incl_w[-1]))
-            self.proj_w.append(tensor_map(self.alg.proj_bar, self.proj_w[-1]))
-        self.barpow = y = [m.src for m in self.incl_w]
         a = self.alg
+        self.barpow = y = left_powers(tensor_complex, a.abar, mod.cx, L + 1)
         self.ups = [tensor_map(a.incl_bar, id_gmap(x)) for x in y[:L]]
         self.downs = [tensor_map(a.proj_bar, id_gmap(x)) for x in y[:L]]
         self._one = id_gmap(a.cx)
         self._onebar = id_gmap(a.abar)
+
+    @cached_property
+    def pow(self) -> list:
+        return left_powers(tensor_complex, self.alg.cx, self.mod.cx, self.L + 2)
+
+    @cached_property
+    def incl_w(self) -> list:
+        return left_powers(tensor_map, self.alg.incl_bar, id_gmap(self.mod.cx), self.L + 1)
+
+    @cached_property
+    def proj_w(self) -> list:
+        return left_powers(tensor_map, self.alg.proj_bar, id_gmap(self.mod.cx), self.L + 1)
 
     def T(self, f: GradedMap) -> GradedMap:
         """A (x) f with the Koszul sign on the A-degree."""

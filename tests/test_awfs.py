@@ -42,6 +42,7 @@ from weakmaps.awfs import (
     validate_comonad_iso,
     validate_e_functoriality,
 )
+from weakmaps.report import CheckReport
 from generators import fsarrow, graph, image
 
 C = FinSetCategory()
@@ -129,22 +130,38 @@ def test_ill_typed_square_is_reported_not_raised(family_fails):
 class CountingFinSet(FinSetCategory):
     def __init__(self):
         self.coproducts = Counter()
+        self.composites = 0
 
     def coproduct(self, a, b):
         self.coproducts[(tuple(a), tuple(b))] += 1
         return super().coproduct(a, b)
 
+    def compose(self, g, f):
+        self.composites += 1
+        return super().compose(g, f)
 
-@pytest.mark.parametrize("make", [
-    SplitEpiAwfs,
-    lambda cat: PSplitEpiAwfs(cat, coreader_comonad(cat, "st")),
-], ids=["splitepi", "coreader"])
+
+MAKERS = [SplitEpiAwfs, lambda cat: PSplitEpiAwfs(cat, coreader_comonad(cat, "st"))]
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=["splitepi", "coreader"])
 def test_validate_awfs_builds_each_coproduct_once(make):
     # a work count, not a timing: E(f) = A + PB depends only on f's
     # endpoints, so each coproduct is built once however many squares use it
     cat = CountingFinSet()
     assert validate_awfs(make(cat), 2).ok
     assert cat.coproducts and set(cat.coproducts.values()) == {1}
+
+
+@pytest.mark.parametrize("make,composites", zip(MAKERS, (1010, 440)),
+                         ids=["splitepi", "coreader"])
+def test_naturality_sweep_composes_no_square(make, composites):
+    # a work count: each of the 8 sides of a square is a gather of index
+    # tuples, so `compose` runs only in the per-arrow laws and the structure
+    # maps; composing every side of the 249 squares would add 8 * 249 calls
+    cat = CountingFinSet()
+    assert validate_awfs(make(cat), 2).ok
+    assert cat.composites == composites
 
 
 def counting_earr(cls):
@@ -229,6 +246,114 @@ def test_square_on_a_cached_pair_keeps_its_item(family_fails):
         f"({X0!r},{X01!r}): {f!r} -> {f!r}" for f in fs]
     # the two e.id laws, then one table entry for both squares
     assert bad.hits == 3
+
+
+def relabel(x):
+    return tuple(f"{label}'" for label in x)
+
+
+class Retyped(SplitEpiAwfs):
+    # lawful but for one end of one structure map at ONE, which lands in or
+    # starts from a relabelled set of the same size and keeps its index
+    # tuple; squares out of or into ONE meet that end once where two sides
+    # compose (an ill-typed square) and once where two composites are
+    # compared (a failing item whose two sides have equal index tuples)
+    def __init__(self, cat, part, end):
+        super().__init__(cat)
+        self.lawful, self.part, self.end = SplitEpiAwfs(cat), part, end
+
+    def retyped(self, part, f):
+        m = getattr(self.lawful, part)(f)
+        if (part, f) != (self.part, ONE):
+            return m
+        if self.end == "dom":
+            return FinSetArrow(relabel(m.dom), m.cod, m.idx)
+        return FinSetArrow(m.dom, relabel(m.cod), m.idx)
+
+    def lam(self, f):
+        return self.retyped("lam", f)
+
+    def rho(self, f):
+        return self.retyped("rho", f)
+
+    def comult(self, f):
+        return self.retyped("comult", f)
+
+    def mult(self, f):
+        return self.retyped("mult", f)
+
+
+def reference_nat(awfs, max_size):
+    """The naturality sweep by its definition: per square, E evaluated
+    afresh, each side a `cat.compose` and each equation `FinSetArrow ==`;
+    a side that does not compose makes the square an ill-typed item."""
+    rep, cat = CheckReport(), awfs.cat
+    arrows = fragment_arrows(cat, max_size)
+    nat = [rep.family(name) for name in NAT]
+
+    def ill_typed(sub, e):
+        for fam in nat:
+            fam.check(False, sub, "<ill-typed>", str(e))
+
+    typed = []
+    for f in arrows:
+        try:
+            typed.append((f, awfs.lam(f), awfs.rho(f), awfs.comult(f), awfs.mult(f)))
+        except CategoryError as e:
+            ill_typed(repr(f), e)
+    for f, lf, rf, dl_f, mu_f in typed:
+        for g, lg, rg, dl_g, mu_g in typed:
+            for h, k in squares_between(cat, f, g):
+                sub = f"({h!r},{k!r}): {f!r} -> {g!r}"
+                try:
+                    e = awfs.earr(h, k)
+                    el, er = awfs.earr(h, e), awfs.earr(e, k)
+                    sides = [cat.compose(x, y) for x, y in (
+                        (e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f), (dl_g, e),
+                        (e, mu_f), (mu_g, er))]
+                except CategoryError as err:
+                    ill_typed(sub, err)
+                    continue
+                for fam, lhs, rhs in zip(nat, sides[::2], sides[1::2]):
+                    fam.check(lhs == rhs, sub, lhs, rhs)
+    refused = len(arrows) - len(typed)
+    for fam in nat:
+        fam.close(f"{fam.n - refused} squares"
+                  + (f", {refused} ill-typed arrows" if refused else ""))
+    return rep
+
+
+def nat_lines(rep):
+    return [(c.name, c.subject, c.status, c.lhs, c.rhs)
+            for c in rep.checks if c.name in NAT]
+
+
+RETYPED = [(part, end) for part in ("lam", "rho", "comult", "mult")
+           for end in ("dom", "cod")]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SPLIT, lambda: PSPLIT, lambda: BrokenComult(C), lambda: MisplacedEarr(C),
+    lambda: BrokenEarr(C), lambda: OnePairEarr(C),
+    *(lambda p=p, e=e: Retyped(C, p, e) for p, e in RETYPED),
+], ids=["split", "psplit", "broken-comult", "misplaced-earr", "broken-earr",
+        "one-pair-earr", *(f"retyped-{p}-{e}" for p, e in RETYPED)])
+def test_naturality_sweep_matches_the_reference(make):
+    # the sweep compares index gathers and checks the 8 joins as one tuple;
+    # every item, its order and both sides must be those of the definition
+    assert nat_lines(validate_awfs(make(), 2)) == nat_lines(reference_nat(make(), 2))
+
+
+@pytest.mark.parametrize("part,end", RETYPED)
+def test_a_retyped_structure_map_fails_on_its_ends(family_fails, part, end):
+    # the relabelled end shows up twice: as ill-typed items in the squares
+    # on the side where two sides must compose, and as failing items on the
+    # other side, where two composites with equal index tuples are compared
+    rep = validate_awfs(Retyped(C, part, end), 2)
+    items = family_fails(rep, NAT[("lam", "rho", "comult", "mult").index(part)])
+    ill = [c for c in items if c.lhs == "<ill-typed>"]
+    assert ill and all("not composable" in c.rhs for c in ill)
+    assert len(ill) < len(items)
 
 
 # --- algebras, coalgebras, fillers -----------------------------------------

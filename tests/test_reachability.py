@@ -60,6 +60,7 @@ ORACLES = {
        " stride and tests/test_spans.py checks that its verdict equals the"
        " witness check's"),
     "awfs.validate_awfs.ill_typed": BROKEN_AWFS,
+    "awfs.validate_awfs.refute": BROKEN_AWFS,
     "fincat.KleisliArrow.__repr__": BROKEN_AWFS,
     "awfs.validate_e_functoriality":
         "law E(h'h, k'k) = E(h',k') E(h,k); recording it in `awfs check`"
@@ -91,8 +92,14 @@ ORACLES = {
 # (dotted function, source text) -> why that statement of a function that
 # runs stays in src/ although no subcommand runs it
 UNREACHED = {
-    ("awfs.validate_awfs", "ill_typed(repr(f), e)"): BROKEN_AWFS,
-    ("awfs.validate_awfs", "ill_typed(sub, e)"): BROKEN_AWFS,
+    **dict.fromkeys([
+        ("awfs.validate_awfs", "ill_typed(repr(f), e)"),
+        ("awfs.validate_awfs", "continue"),
+        ("awfs.validate_awfs", "for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),"),
+        ("awfs.validate_awfs", "cat.compose(x, y)"),
+        ("awfs.validate_awfs", "refute((h, k, f, g), (), err)"),
+        ("awfs.validate_awfs", "refute((h, k, f, g), (l1, r1, l2, r2, l3, r3, l4, r4))"),
+    ], BROKEN_AWFS),
     ("awfs.validate_awfs.eq",
      'rep.record(name, sub, False, "<ill-typed>", str(e))'): BROKEN_AWFS,
     ("fincat.validate_category",

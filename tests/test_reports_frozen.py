@@ -24,6 +24,10 @@ FROZEN = [
     # its seed-0 entry in perfbench/reference.json
     ("awfs check --finset-max 3 --builtin psplitepi --comonad coreader:S=2",
      "23dd1be4214b7a66b6f6ffde84da2d78"),
+    # P = Id, the side of the SplitEpiAwfs/PSplitEpiAwfs oracle pair with
+    # the most squares
+    ("awfs check --finset-max 3 --builtin psplitepi --comonad identity",
+     "8d7b7feb81998b4f00a0abb315285e8b"),
     ("weakmaps compare --A 1 --B 2 --bound 4",
      "b629c8c34f49665858aaab745a3d82ae"),
     ("weakmaps compare --A 2 --B 2 --bound 4",
@@ -37,6 +41,9 @@ FROZEN = [
     ("lift lali --trunc 3", "13e71d0e3e86b3fcf5a67719b4ac2e46"),
     ("lift lali --builtin exterior --trunc 5",
      "9810c9e0c249018cac2f790a452c7b1f"),
+    # a size at which building the whole tower T^{L+2}M used to take most
+    # of the run, though `lift lali` reads none of it
+    ("lift lali --trunc 8", "d3889d4c794864c3eca5896309cdcbe8"),
     ("factor ulali --trunc 3", "0fb3ad1ebd5a97c3b6cd8be96b4a667d"),
     ("factor ulali --trunc 8", "6a55a9ab1a297235c7d86310d6b807ce"),
     ("factor ulali --builtin exterior --trunc 6",
