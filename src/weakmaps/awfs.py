@@ -254,13 +254,16 @@ def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:
 
 
 def squares_between(cat, f: FinSetArrow, g: FinSetArrow):
-    """All (h,k) with g.h = k.f, as arrows: k runs over hom(f.cod, g.cod)
-    in lex order, and h(i) over the fibre of g above k(f(i))."""
+    """All (h,k) with g.h = k.f, as arrows, k-major in hom(f.cod, g.cod)'s
+    lex order, and h(i) over the fibre of g above k(f(i)).  k runs only over
+    the maps that send im f into im g, which are those with an h: a point
+    of im f takes g's hit points in ascending order, any other all of g.cod."""
     over = fibres(g.idx)
-    for k_idx in itertools.product(range(len(g.cod)), repeat=len(f.cod)):
-        k = None  # built with the first h above it: a k with no h costs nothing
-        for h_idx in itertools.product(*(over.get(k_idx[j], ()) for j in f.idx)):
-            k = k or FinSetArrow(f.cod, g.cod, k_idx)
+    hit, im_f, every = sorted(over), set(f.idx), range(len(g.cod))
+    for k_idx in itertools.product(*(hit if b in im_f else every
+                                     for b in range(len(f.cod)))):
+        k = tuple.__new__(FinSetArrow, (f.cod, g.cod, k_idx))
+        for h_idx in itertools.product(*(over[k_idx[j]] for j in f.idx)):
             yield tuple.__new__(FinSetArrow, (f.dom, g.dom, h_idx)), k
 
 
@@ -276,10 +279,14 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
     Per-arrow equations are recorded individually; the four naturality
     equations are aggregated over all squares, failures itemised, each
     side the triple (dom, cod, idx) of its composite gathered from index
-    tuples, so a passing square builds no arrow.  An equation, an arrow's
-    structure maps or a square's sides that fail to compose record a
-    failure (lhs `<ill-typed>` in each nat.* family) rather than raising;
-    the family's subject counts the squares and the refused arrows apart.
+    tuples, so a passing square builds no arrow.  All of a square but rho's
+    index tuples is one verdict, cached per class pair of f and g (the values
+    of lam, comult, mult and rho's ends) and (h, k): a square whose verdict
+    holds costs a lookup and rho's two gathers, any other is checked side by
+    side.  An equation, an arrow's structure maps or a square's sides that
+    fail to compose record a failure (lhs `<ill-typed>` in each nat.*
+    family) rather than raising; the family's subject counts the squares
+    and the refused arrows apart.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -348,53 +355,66 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
         return (itemgetter(*idx) if len(idx) > 1
                 else itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0)))
 
-    typed = []  # f, lam f, rho f, comult f, mult f, a gather by each map's idx
+    def sides_of(h, k, fr, gr, es):
+        """The 8 sides l1, r1, ..., l4, r4 of the square (h, k): f -> g."""
+        _, lf, rf, dl_f, mu_f, by_lf, by_rf, by_dlf, by_muf, _ = fr
+        _, lg, rg, dl_g, mu_g, *_ = gr
+        e, el, er, by_e, by_er, by_h, *_ = es
+        return ((lf.dom, e.cod, by_lf(e.idx)), (h.dom, lg.cod, by_h(lg.idx)),
+                (e.dom, rg.cod, by_e(rg.idx)), (rf.dom, k.cod, by_rf(k.idx)),
+                (dl_f.dom, el.cod, by_dlf(el.idx)), (e.dom, dl_g.cod, by_e(dl_g.idx)),
+                (mu_f.dom, e.cod, by_muf(e.idx)), (er.dom, mu_g.cod, by_er(mu_g.idx)))
+
+    # f, lam f, rho f, comult f, mult f, a gather by each map's idx, and f's
+    # class: the int interned for (lam f, comult f, mult f, rho f's ends)
+    typed, classes = [], {}
     for f in arrows:
         try:
             maps = (awfs.lam(f), awfs.rho(f), awfs.comult(f), awfs.mult(f))
         except CategoryError as e:
             ill_typed(repr(f), e)
             continue
-        typed.append((f, *maps, *(gather(m.idx) for m in maps)))
+        lf, rf, dl_f, mu_f = maps
+        cls = classes.setdefault((lf, dl_f, mu_f, rf.dom, rf.cod), len(classes))
+        typed.append((f, *maps, *(gather(m.idx) for m in maps), cls))
     # E reads only h and k: one entry per (h.idx, k.idx) in a table per g's
-    # ends, dropped as f's ends change, with gathers by E(h,k), E(E(h,k),k)
-    # and h, and the ends the 8 composites X . Y join: `ends` and `joins` are
-    # equal iff every side composes.  A side is the triple (dom, cod, idx).
+    # ends and class pair, dropped as f's ends change, with E(h,k),
+    # E(h,E(h,k)), E(E(h,k),k), gathers by E(h,k), E(E(h,k),k) and h, the ends
+    # the 8 composites X . Y join (`ends` equals `joins` iff every side
+    # composes), or None once all of the square but rho's two idx holds.
     passed, f_ends = 0, None
-    for f, lf, rf, dl_f, mu_f, by_lf, by_rf, by_dlf, by_muf in typed:
+    for fr in typed:
+        f, lf, rf, dl_f, mu_f, _, by_rf, _, _, cf = fr
         if (f.dom, f.cod) != f_ends:
             f_ends, tables = (f.dom, f.cod), {}
-        for g, lg, rg, dl_g, mu_g, *_ in typed:
-            table = tables.setdefault((g.dom, g.cod), {})
+        for gr in typed:
+            g, lg, rg, dl_g, mu_g, *_, cg = gr
+            table = tables.setdefault((g.dom, g.cod, cf, cg), {})
             joins = (lf.cod, lg.dom, rg.dom, rf.cod, dl_f.cod, dl_g.dom,
                      mu_f.cod, mu_g.dom)
             for h, k in squares_between(cat, f, g):
+                es = table.get((h.idx, k.idx))
                 try:
-                    es = table.get((h.idx, k.idx))
                     if es is None:  # an ill-typed entry raises before it is kept
                         e = awfs.earr(h, k)
                         el, er = awfs.earr(h, e), awfs.earr(e, k)
-                        es = table[h.idx, k.idx] = (
-                            e, el, er, gather(e.idx), gather(er.idx), gather(h.idx),
-                            (e.dom, h.cod, e.cod, k.dom, el.dom, e.cod, e.dom, er.cod))
-                    e, el, er, by_e, by_er, by_h, ends = es
-                    if ends != joins:  # the first side that does not compose raises
+                        es = (e, el, er, gather(e.idx), gather(er.idx), gather(h.idx),
+                              (e.dom, h.cod, e.cod, k.dom, el.dom, e.cod, e.dom, er.cod))
+                        s = es[6] == joins and sides_of(h, k, fr, gr, es)
+                        held = s and (s[0], s[2][:2], s[4], s[6]) == (s[1], s[3][:2], s[5], s[7])
+                        es = table[h.idx, k.idx] = (*es[:6], None) if held else es
+                    if es[6] is None and es[3](rg.idx) == by_rf(k.idx):
+                        passed += 1
+                        continue
+                    e, el, er, *_, ends = es
+                    if ends and ends != joins:  # the first side that does not compose raises
                         for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),
                                      (dl_g, e), (e, mu_f), (mu_g, er)):
                             cat.compose(x, y)
                 except CategoryError as err:
                     refute((h, k, f, g), (), err)
                     continue
-                l1, r1 = (lf.dom, e.cod, by_lf(e.idx)), (h.dom, lg.cod, by_h(lg.idx))
-                l2, r2 = (e.dom, rg.cod, by_e(rg.idx)), (rf.dom, k.cod, by_rf(k.idx))
-                l3 = (dl_f.dom, el.cod, by_dlf(el.idx))
-                r3 = (e.dom, dl_g.cod, by_e(dl_g.idx))
-                l4 = (mu_f.dom, e.cod, by_muf(e.idx))
-                r4 = (er.dom, mu_g.cod, by_er(mu_g.idx))
-                if l1 == r1 and l2 == r2 and l3 == r3 and l4 == r4:
-                    passed += 1
-                else:
-                    refute((h, k, f, g), (l1, r1, l2, r2, l3, r3, l4, r4))
+                refute((h, k, f, g), sides_of(h, k, fr, gr, es))
     refused = len(arrows) - len(typed)
     for fam in nat:
         fam.n += passed

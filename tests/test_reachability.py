@@ -97,8 +97,11 @@ UNREACHED = {
         ("awfs.validate_awfs", "continue"),
         ("awfs.validate_awfs", "for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),"),
         ("awfs.validate_awfs", "cat.compose(x, y)"),
+        ("awfs.validate_awfs", "e, el, er, *_, ends = es"),
+        ("awfs.validate_awfs",
+         "if ends and ends != joins:  # the first side that does not compose raises"),
         ("awfs.validate_awfs", "refute((h, k, f, g), (), err)"),
-        ("awfs.validate_awfs", "refute((h, k, f, g), (l1, r1, l2, r2, l3, r3, l4, r4))"),
+        ("awfs.validate_awfs", "refute((h, k, f, g), sides_of(h, k, fr, gr, es))"),
     ], BROKEN_AWFS),
     ("awfs.validate_awfs.eq",
      'rep.record(name, sub, False, "<ill-typed>", str(e))'): BROKEN_AWFS,
