@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .fincat import (
@@ -32,7 +32,7 @@ from .fincat import (
     ComonadData,
     FinSetArrow,
     FunctorData,
-    MonadData,
+    Value,
     fibres,
     finset_fragment,
     fmt_ends,
@@ -129,17 +129,15 @@ class PSplitEpiAwfs:
 # Algebras and coalgebras
 
 
-@dataclass(frozen=True)
-class RAlgebraArrow:
+class RAlgebraArrow(Value, namedtuple("RAlgebraArrow", "awfs arrow witness")):
     """Arrow g: A -> B with witness sigma: PB -> A satisfying g.sigma = eps_B.
 
     The monad-algebra structure map p = [1_A, sigma]: Eg -> A is derived;
     its laws are consequences but validate() still checks them.
     """
 
-    awfs: object = field(repr=False)
-    arrow: object
-    witness: object
+    __slots__ = ()
+    _hidden = ("awfs",)
 
     @property
     def p(self):
@@ -166,13 +164,11 @@ class RAlgebraArrow:
         return rep
 
 
-@dataclass(frozen=True)
-class LCoalgebraArrow:
+class LCoalgebraArrow(Value, namedtuple("LCoalgebraArrow", "awfs arrow structure")):
     """Arrow f: A -> B with structure s: B -> Ef splitting rho(f)."""
 
-    awfs: object = field(repr=False)
-    arrow: object
-    structure: object
+    __slots__ = ()
+    _hidden = ("awfs",)
 
     def validate(self, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -534,13 +530,10 @@ def validate_comonad_iso(cat, q: ComonadData, p: ComonadData, tau, tau_inv,
 # Monad-algebra sketches
 
 
-@dataclass(frozen=True)
-class TAlgebra:
+class TAlgebra(Value, namedtuple("TAlgebra", "monad obj act")):
     """Monad algebra (A, act: TA -> A)."""
 
-    monad: MonadData
-    obj: object
-    act: object
+    __slots__ = ()
 
     def validate(self, cat, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -554,13 +547,10 @@ class TAlgebra:
         return rep
 
 
-@dataclass(frozen=True)
-class TSplitMono:
+class TSplitMono(Value, namedtuple("TSplitMono", "monad j k")):
     """j: c -> d with a Kleisli retraction k: d -> Tc, k.j = unit."""
 
-    monad: MonadData
-    j: object
-    k: object
+    __slots__ = ()
 
     def validate(self, cat, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
@@ -582,18 +572,14 @@ def sketch_canonical_lift(cat, mono: TSplitMono, alg: TAlgebra, h):
     return hbar
 
 
-@dataclass(frozen=True)
-class SketchTriangle:
+class SketchTriangle(Value, namedtuple("SketchTriangle", "mono phi")):
     """A marked triangle: split mono (j,k) with a map phi: cod(j) -> X."""
 
-    mono: TSplitMono
-    phi: object
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sketch:
-    obj: object
-    triangles: tuple
+class Sketch(Value, namedtuple("Sketch", "obj triangles")):
+    __slots__ = ()
 
 
 def sketch_is_model_square(cat, sk: Sketch, alg: TAlgebra, f) -> bool:

@@ -9,6 +9,9 @@
   coproducts are tagged unions (tags "L"/"R"), pullbacks are
   lexicographically ordered subsets of the product with a mediating-map
   solver.  It is the only backend that computes anything.
+* Value types (co-Kleisli arrows; algebras, spans, sketches in `awfs`
+  and `spans`) are C tuples, each a `Value` over a `namedtuple`; the
+  functor, comonad and monad records are plain mutable classes.
 * TableCategory: objects, arrows, identities and a composition table
   supplied explicitly, loaded by `schemas.load_category`.  It serves the
   validators only (`validate --category/--comonad/--monad`) and has no
@@ -24,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import _tuplegetter
-from dataclasses import dataclass
+from collections import _tuplegetter, namedtuple
 from operator import itemgetter
 
 from . import InputError
@@ -58,6 +60,25 @@ def fibres(values) -> dict:
     for i, v in enumerate(values):
         out.setdefault(v, []).append(i)
     return out
+
+
+class Value(tuple):
+    """Base of the immutable value types: `class Name(Value, namedtuple(
+    "Name", "field ...")): __slots__ = ()` holds no attributes, equals
+    only a value of its own class and hashes as its tuple."""
+
+    __slots__ = ()
+    _hidden = ()  # fields left out of the repr, which failing items print
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+
+    def __repr__(self):  # Name(field=value, ...)
+        shown = (f"{n}={v!r}" for n, v in zip(self._fields, self) if n not in self._hidden)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 class FinSetArrow(tuple):
@@ -241,29 +262,29 @@ class TableCategory:
 # Functor / comonad / monad data
 
 
-@dataclass
 class FunctorData:
     """An endofunctor presented by callables (tables are wrapped the same way)."""
 
-    obj: object  # obj -> obj
-    arr: object  # arrow -> arrow
-    name: str = "F"
+    def __init__(self, obj, arr, name="F"):
+        self.obj = obj  # obj -> obj
+        self.arr = arr  # arrow -> arrow
+        self.name = name
 
 
-@dataclass
 class ComonadData:
-    functor: FunctorData
-    counit: object  # obj -> arrow P(obj) -> obj
-    comult: object  # obj -> arrow P(obj) -> PP(obj)
-    name: str = "P"
+    def __init__(self, functor: FunctorData, counit, comult, name="P"):
+        self.functor = functor
+        self.counit = counit  # obj -> arrow P(obj) -> obj
+        self.comult = comult  # obj -> arrow P(obj) -> PP(obj)
+        self.name = name
 
 
-@dataclass
 class MonadData:
-    functor: FunctorData
-    unit: object  # obj -> arrow obj -> T(obj)
-    mult: object  # obj -> arrow TT(obj) -> T(obj)
-    name: str = "T"
+    def __init__(self, functor: FunctorData, unit, mult, name="T"):
+        self.functor = functor
+        self.unit = unit  # obj -> arrow obj -> T(obj)
+        self.mult = mult  # obj -> arrow TT(obj) -> T(obj)
+        self.name = name
 
 
 def identity_comonad(cat) -> ComonadData:
@@ -461,13 +482,10 @@ def validate_monad(cat, t: MonadData, objects, report=None) -> CheckReport:
 # co-Kleisli
 
 
-@dataclass(frozen=True, slots=True)
-class KleisliArrow:
+class KleisliArrow(Value, namedtuple("KleisliArrow", "dom cod under")):
     """Arrow A -> B of the co-Kleisli category, carried by `under`: PA -> B."""
 
-    dom: tuple
-    cod: tuple
-    under: object
+    __slots__ = ()
 
     def __repr__(self):
         return f"kl[{fmt_obj(self.dom)}->{fmt_obj(self.cod)}; {self.under!r}]"
@@ -509,8 +527,9 @@ class CoKleisliCategory:
                             self.base.compose(h, self.comonad.counit(a)))
 
 
+@functools.cache
 def canonical_set(n: int, prefix="x"):
-    """The n-element label set used by exhaustive FinSet fragments."""
+    """The n-element label set used by exhaustive FinSet fragments, built once."""
     return tuple(f"{prefix}{i}" for i in range(n))
 
 

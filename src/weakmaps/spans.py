@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .awfs import (
     RAlgebraArrow,
@@ -33,6 +33,7 @@ from .fincat import (
     CoKleisliCategory,
     FinSetArrow,
     KleisliArrow,
+    Value,
     canonical_set,
     fibres,
 )
@@ -55,14 +56,14 @@ class WeakMapCategory:
         Underlying arrow: Q(cod f) -> Ef -> dom f via the square from the
         empty-domain arrow into f, then the algebra structure map.
         """
-        key = (alg.arrow, alg.witness)
-        if key not in self._phi:
+        ph = self._phi.get((alg.arrow, alg.witness))
+        if ph is None:
             aw, cat = self.awfs, self.cat
             f = alg.arrow
             a, b = cat.dom(f), cat.cod(f)
             e = aw.earr(cat.from_initial(a), cat.identity(b))
-            self._phi[key] = KleisliArrow(b, a, cat.compose(alg.p, e))
-        return self._phi[key]
+            ph = self._phi[f, alg.witness] = KleisliArrow(b, a, cat.compose(alg.p, e))
+        return ph
 
     def phi_by_filler(self, alg: RAlgebraArrow) -> KleisliArrow:
         """Same map through the comultiplication route; agreement with
@@ -80,12 +81,10 @@ class WeakMapCategory:
 # Spans
 
 
-@dataclass(frozen=True)
-class ASpan:
+class ASpan(Value, namedtuple("ASpan", "left right")):
     """Span A <- X -> B with an algebra structure on the left leg."""
 
-    left: RAlgebraArrow
-    right: object
+    __slots__ = ()
 
     @property
     def apex(self):
@@ -149,14 +148,11 @@ def span_maps(s: ASpan, t: ASpan):
     return [r for r in rs if span_is_map(r, s, t)]
 
 
-@dataclass(frozen=True)
-class SpanZigzag:
+class SpanZigzag(Value, namedtuple("SpanZigzag", "spans maps dirs")):
     """Chain of span maps connecting spans[0] to spans[-1]; dirs[i] is
     "fwd" when maps[i]: spans[i] -> spans[i+1], "bwd" for the reverse."""
 
-    spans: tuple
-    maps: tuple
-    dirs: tuple
+    __slots__ = ()
 
     def verify(self) -> bool:
         for i, (r, d) in enumerate(zip(self.maps, self.dirs)):
@@ -170,10 +166,10 @@ class SpanZigzag:
         return True
 
 
-@dataclass(frozen=True)
-class SpanEquivResult:
-    kind: str  # "connected" | "not-found-within-bounds"
-    zigzag: object = None
+class SpanEquivResult(Value, namedtuple("SpanEquivResult", "kind zigzag")):
+    """kind is "connected", with its zigzag, or "not-found-within-bounds"."""
+
+    __slots__ = ()
 
     @property
     def equivalent(self):
@@ -197,28 +193,26 @@ def span_equiv(wm: WeakMapCategory, s: ASpan, t: ASpan,
         return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("fwd",)))
     for r in span_maps(t, s):
         return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("bwd",)))
-    return SpanEquivResult("not-found-within-bounds")
+    return SpanEquivResult("not-found-within-bounds", None)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive comparison of the two presentations
 
 
-@dataclass(frozen=True)
-class SpanClass:
+class SpanClass(Value, namedtuple("SpanClass", "kappa count")):
     """All bounded spans sharing one co-Kleisli image."""
 
-    kappa: tuple
-    count: int
+    __slots__ = ()
 
 
-@dataclass
 class HomComparison:
-    kleisli_count: int
-    span_count: int
-    span_class_count: int
-    classes: tuple  # of SpanClass, ordered by kappa
-    report: CheckReport
+    def __init__(self, kleisli_count, span_count, span_class_count, classes, report):
+        self.kleisli_count = kleisli_count
+        self.span_count = span_count
+        self.span_class_count = span_class_count
+        self.classes = classes  # of SpanClass, ordered by kappa
+        self.report = report
 
 
 def _sections(l, eps):
@@ -241,9 +235,10 @@ def _int_spans(a, b, eps, max_apex):
 def _api_span(awfs, a_labels, b_labels, k, l, sigma, r) -> ASpan:
     apex = canonical_set(k, "s")
     pa = awfs.comonad.functor.obj(a_labels)
-    left = FinSetArrow(apex, a_labels, l)
-    wit = FinSetArrow(pa, apex, sigma)
-    return ASpan(RAlgebraArrow(awfs, left, wit), FinSetArrow(apex, b_labels, r))
+    new = tuple.__new__  # no frame per value
+    alg = new(RAlgebraArrow, (awfs, new(FinSetArrow, (apex, a_labels, l)),
+                              new(FinSetArrow, (pa, apex, sigma))))
+    return new(ASpan, (alg, new(FinSetArrow, (apex, b_labels, r))))
 
 
 def enumerate_spans(awfs, a_labels, b_labels, max_apex):

@@ -388,21 +388,22 @@ def test_reader_closing_stdout_ends_the_run_quietly(unbuffered):
 LAYERS = {f"weakmaps.{p.stem}" for p in Path(weakmaps.__file__).parent.glob("*.py")
           if p.stem not in ("__init__", "__main__", "cli")}
 DG_STACK = {"weakmaps.bar", "weakmaps.dg", "weakmaps.ratmat"}
-# the FinSet layers, and the dataclasses module they are built with
-FINSET_STACK = {"weakmaps.fincat", "weakmaps.awfs", "weakmaps.spans",
-                "dataclasses"}
+# what no subcommand loads: `dataclasses` costs ~12 ms of start-up, most of
+# it in the `inspect` it imports
+UNUSED = {"dataclasses", "inspect"}
+FINSET_STACK = {"weakmaps.fincat", "weakmaps.awfs", "weakmaps.spans"}
 # command ("CATEGORY" stands for a category file) -> modules that a
 # `python3 -m weakmaps` process running it must not import
 NOT_IMPORTED = {
-    "--help": LAYERS | {"json", "random", "fractions", "dataclasses"},
-    "awfs check --finset-max 1": DG_STACK | {"fractions"},
-    "awfs check --builtin psplitepi --finset-max 1": DG_STACK | {"fractions"},
-    "weakmaps compare --bound 2": DG_STACK | {"fractions"},
-    "bar resolve --trunc 2": FINSET_STACK,
-    "dg check --trunc 2 --trials 1": FINSET_STACK,
-    "lift lali --trunc 2": FINSET_STACK,
-    "factor ulali --trunc 2": FINSET_STACK,
-    "validate --category CATEGORY": DG_STACK,
+    "--help": LAYERS | {"json", "random", "fractions"} | UNUSED,
+    "awfs check --finset-max 1": DG_STACK | {"fractions"} | UNUSED,
+    "awfs check --builtin psplitepi --finset-max 1": DG_STACK | {"fractions"} | UNUSED,
+    "weakmaps compare --bound 2": DG_STACK | {"fractions"} | UNUSED,
+    "bar resolve --trunc 2": FINSET_STACK | UNUSED,
+    "dg check --trunc 2 --trials 1": FINSET_STACK | UNUSED,
+    "lift lali --trunc 2": FINSET_STACK | UNUSED,
+    "factor ulali --trunc 2": FINSET_STACK | UNUSED,
+    "validate --category CATEGORY": DG_STACK | UNUSED,
 }
 
 

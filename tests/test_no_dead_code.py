@@ -54,9 +54,38 @@ def test_every_definition_has_a_reference():
     assert not unused, "no reference to: " + ", ".join(unused)
 
 
+def _calls(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def class_fields(node):
+    """(line, name) of each field that the class `node` declares: an
+    annotated class field, a `name = _tuplegetter(...)`, and each name
+    that a `namedtuple("Name", "...")` base lists."""
+    found = [(f.lineno, f.target.id) for f in node.body
+             if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    found += [(f.lineno, t.id) for f in node.body
+              if isinstance(f, ast.Assign) and _calls(f.value, "_tuplegetter")
+              for t in f.targets if isinstance(t, ast.Name)]
+    found += [(b.lineno, name) for b in node.bases if _calls(b, "namedtuple")
+              for name in b.args[1].value.split()]
+    return found
+
+
+def test_class_fields_sees_every_idiom():
+    tree = ast.parse(
+        "class A(Value, namedtuple('A', 'p q')):\n"
+        "    __slots__ = ()\n"
+        "    r = _tuplegetter(2, 'doc')\n"
+        "    s: int\n"
+        "    t = 1\n")
+    assert class_fields(tree.body[0]) == [(4, "s"), (3, "r"), (1, "p"), (1, "q")]
+
+
 def test_every_instance_attribute_is_read():
-    """An attribute that `src/` assigns on `self`, or declares as an
-    annotated class field (a dataclass field), is read somewhere by name.
+    """An attribute that `src/` assigns on `self`, or declares as a class
+    field (see `class_fields`), is read somewhere by name.
 
     Reads are attribute loads anywhere in `src/` or `tests/`; as above,
     matching by name alone is generous."""
@@ -75,10 +104,8 @@ def test_every_instance_attribute_is_read():
                     and not reads[node.attr]):
                 unread.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.attr}")
             if isinstance(node, ast.ClassDef):
-                unread += [f"{path.relative_to(ROOT)}:{f.lineno} {f.target.id}"
-                           for f in node.body if isinstance(f, ast.AnnAssign)
-                           and isinstance(f.target, ast.Name)
-                           and not reads[f.target.id]]
+                unread += [f"{path.relative_to(ROOT)}:{line} {name}"
+                           for line, name in class_fields(node) if not reads[name]]
     assert not unread, "never read: " + ", ".join(unread)
 
 

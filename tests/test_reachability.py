@@ -62,6 +62,7 @@ ORACLES = {
     "awfs.validate_awfs.ill_typed": BROKEN_AWFS,
     "awfs.validate_awfs.refute": BROKEN_AWFS,
     "fincat.KleisliArrow.__repr__": BROKEN_AWFS,
+    "fincat.Value.__repr__": BROKEN_AWFS,
     "awfs.validate_e_functoriality":
         "law E(h'h, k'k) = E(h',k') E(h,k); recording it in `awfs check`"
         " changes the awfs_laws report that perfbench/reference.json pins by"
