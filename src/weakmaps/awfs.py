@@ -15,9 +15,10 @@ E on a square (h, k): f -> g is h + P(k): A + PB -> C + PD.  E factors
 through the ends: it reads h and k, never f or g, so `earr(h, k)` takes
 just the two arrows, and the naturality sweep evaluates it once a pair.
 
-`SplitEpiAwfs` and `PSplitEpiAwfs` are deliberately independent
-implementations of the same interface; their agreement at P = Id is a
-test, not an assumption.
+`PSplitEpiAwfs` is the one implementation; `awfs check --builtin
+splitepi` builds it at P = Id.  The split-epi system written out
+directly is a test oracle (`tests/oracles.py`), checked to agree with it
+at P = Id.
 """
 
 from __future__ import annotations
@@ -37,49 +38,8 @@ from .fincat import (
     finset_fragment,
     fmt_ends,
     fmt_obj,
-    identity_comonad,
 )
 from .report import CheckReport
-
-
-class SplitEpiAwfs:
-    """Factorisation f = [f,1] . inl through A + B."""
-
-    name = "split-epi"
-
-    def __init__(self, cat):
-        self.cat = cat
-        self.comonad = identity_comonad(cat)
-        self._cop = functools.cache(cat.coproduct)  # (A, B) -> A + B
-
-    def cop(self, f):
-        return self._cop(f.dom, f.cod)
-
-    def E(self, f):
-        return self.cop(f).obj
-
-    def lam(self, f):
-        return self.cop(f).inl
-
-    def rho(self, f):
-        return self.cop(f).copair(f, self.cat.identity(self.cat.cod(f)))
-
-    def earr(self, h, k):
-        """E(h,k) = [inl h, inr k]: A + B -> C + D; E factors through the ends."""
-        into, cat = self._cop(h.cod, k.cod), self.cat
-        return self._cop(h.dom, k.dom).copair(cat.compose(into.inl, h),
-                                              cat.compose(into.inr, k))
-
-    def comult(self, f):
-        lf = self.lam(f)
-        c2 = self.cop(lf)
-        cat = self.cat
-        return self.cop(f).copair(c2.inl, cat.compose(c2.inr, self.cop(f).inr))
-
-    def mult(self, f):
-        rf = self.rho(f)
-        e = self.E(f)
-        return self.cop(rf).copair(self.cat.identity(e), self.cop(f).inr)
 
 
 class PSplitEpiAwfs:
@@ -441,27 +401,6 @@ def validate_e_functoriality(awfs, max_size=2, report=None) -> CheckReport:
                                           f" {f!r} -> {g!r} -> {e!r}",
                                   lhs, rhs)
     fam.close(f"{fam.n} composable square pairs")
-    return rep
-
-
-def awfs_equal_on(a, b, max_size=2, report=None) -> CheckReport:
-    """Componentwise agreement of two factorisation systems on a fragment."""
-    rep = report if report is not None else CheckReport()
-    cat = a.cat
-    arrows = fragment_arrows(cat, max_size)
-    for f in arrows:
-        sub = repr(f)
-        rep.eq("agree.lambda", sub, a.lam(f), b.lam(f))
-        rep.eq("agree.rho", sub, a.rho(f), b.rho(f))
-        rep.eq("agree.comult", sub, a.comult(f), b.comult(f))
-        rep.eq("agree.mult", sub, a.mult(f), b.mult(f))
-    fam = rep.family("agree.e")
-    for f in arrows:
-        for g in arrows:
-            for h, k in squares_between(cat, f, g):
-                lhs, rhs = a.earr(h, k), b.earr(h, k)
-                fam.check(lhs == rhs, lambda: f"({h!r},{k!r})", lhs, rhs)
-    fam.close(f"{fam.n} squares")
     return rep
 
 

@@ -132,20 +132,20 @@ def _run_validate(ns):
 
 def _run_awfs_check(ns):
     from . import SchemaError
-    from .awfs import PSplitEpiAwfs, SplitEpiAwfs, validate_awfs
-    from .fincat import FinSetCategory
+    from .awfs import PSplitEpiAwfs, validate_awfs
+    from .fincat import FinSetCategory, identity_comonad
     from .report import CheckReport
     rep = CheckReport()
     cat = FinSetCategory()
     cfg = {"builtin": ns.builtin, "finset-max": str(ns.finset_max)}
-    if ns.builtin == "splitepi":
+    if ns.builtin == "splitepi":  # the split-epi system is P = Id
         if ns.comonad is not None:
             raise SchemaError("--comonad: splitepi takes no comonad")
-        aw = SplitEpiAwfs(cat)
+        comonad = identity_comonad(cat)
     else:
         cfg["comonad"] = ns.comonad or "coreader:S=2"
-        aw = PSplitEpiAwfs(cat, _comonad_spec(cat, cfg["comonad"]))
-    validate_awfs(aw, ns.finset_max, rep)
+        comonad = _comonad_spec(cat, cfg["comonad"])
+    validate_awfs(PSplitEpiAwfs(cat, comonad), ns.finset_max, rep)
     return cfg, rep, []
 
 

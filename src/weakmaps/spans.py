@@ -65,17 +65,6 @@ class WeakMapCategory:
             ph = self._phi[f, alg.witness] = KleisliArrow(b, a, cat.compose(alg.p, e))
         return ph
 
-    def phi_by_filler(self, alg: RAlgebraArrow) -> KleisliArrow:
-        """Same map through the comultiplication route; agreement with
-        phi() is a counit-law consequence that stays under test."""
-        aw, cat = self.awfs, self.cat
-        f = alg.arrow
-        a, b = cat.dom(f), cat.cod(f)
-        bang = cat.from_initial(b)
-        e = aw.earr(cat.from_initial(a), aw.rho(bang))
-        under = cat.compose(alg.p, cat.compose(e, aw.comult(bang)))
-        return KleisliArrow(b, a, under)
-
 
 # ---------------------------------------------------------------------------
 # Spans
@@ -134,66 +123,6 @@ def span_is_map(r, s: ASpan, t: ASpan) -> bool:
         and cat.compose(t.right, r) == s.right
         and cat.compose(r, s.left.witness) == t.left.witness
     )
-
-
-def span_maps(s: ASpan, t: ASpan):
-    """Every span map s -> t, in cat.hom order.  r(x) ranges over the fibre
-    {y : l_t(y) = l_s(x), r_t(y) = r_s(x)} and is forced to w_t(j) at
-    w_s(j) (no map on a clash); span_is_map still checks each candidate."""
-    over = fibres(zip(t.left.arrow.idx, t.right.idx))
-    choices = [over.get(legs, []) for legs in zip(s.left.arrow.idx, s.right.idx)]
-    for x, y in zip(s.left.witness.idx, t.left.witness.idx):
-        choices[x] = [y] if y in choices[x] else []
-    rs = (FinSetArrow(s.apex, t.apex, idx) for idx in itertools.product(*choices))
-    return [r for r in rs if span_is_map(r, s, t)]
-
-
-class SpanZigzag(Value, namedtuple("SpanZigzag", "spans maps dirs")):
-    """Chain of span maps connecting spans[0] to spans[-1]; dirs[i] is
-    "fwd" when maps[i]: spans[i] -> spans[i+1], "bwd" for the reverse."""
-
-    __slots__ = ()
-
-    def verify(self) -> bool:
-        for i, (r, d) in enumerate(zip(self.maps, self.dirs)):
-            a, b = self.spans[i], self.spans[i + 1]
-            if d == "fwd":
-                ok = span_is_map(r, a, b)
-            else:
-                ok = span_is_map(r, b, a)
-            if not ok:
-                return False
-        return True
-
-
-class SpanEquivResult(Value, namedtuple("SpanEquivResult", "kind zigzag")):
-    """kind is "connected", with its zigzag, or "not-found-within-bounds"."""
-
-    __slots__ = ()
-
-    @property
-    def equivalent(self):
-        return self.kind == "connected"
-
-
-def span_equiv(wm: WeakMapCategory, s: ASpan, t: ASpan,
-               apex_bound=None, zigzag_bound=4) -> SpanEquivResult:
-    """Connect two spans by one span map, in either direction.
-
-    Acceptance test 3's oracle for the section phi that `compare_hom`
-    checks, so one step is enough.  The not-found answer claims no
-    inequivalence, as a longer zigzag may still exist.
-    `wm`, `apex_bound` and `zigzag_bound` are unused, and the result
-    keeps the general shape of a zigzag, only because acceptance test 3
-    still passes them and reads it.
-    """
-    if s.src != t.src or s.dst != t.dst:
-        raise CategoryError("spans have different boundaries")
-    for r in span_maps(s, t):
-        return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("fwd",)))
-    for r in span_maps(t, s):
-        return SpanEquivResult("connected", SpanZigzag((s, t), (r,), ("bwd",)))
-    return SpanEquivResult("not-found-within-bounds", None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from weakmaps.awfs import (
     RAlgebraArrow,
     Sketch,
     SketchTriangle,
-    SplitEpiAwfs,
     TAlgebra,
     TSplitMono,
     canonical_filler,
@@ -67,10 +66,10 @@ from weakmaps.spans import (
     compare_hom,
     enumerate_spans,
     kleisli_to_span,
-    span_equiv,
     span_is_map,
     span_to_kleisli,
 )
+from oracles import SplitEpiAwfs, span_equiv
 
 C = FinSetCategory()
 

@@ -572,8 +572,10 @@ def test_empty_coreader_spec(capsys):
 # --- exit code 2: an option the chosen run cannot use -------------------------
 
 
-def test_comonad_without_psplitepi_is_refused(capsys):
-    code, out, err = run(capsys, "awfs", "check", "--comonad", "coreader:S=5")
+@pytest.mark.parametrize("spec", ["coreader:S=5", "identity"])
+def test_comonad_without_psplitepi_is_refused(capsys, spec):
+    # splitepi is PSplitEpiAwfs at P = Id, yet takes no --comonad, identity included
+    code, out, err = run(capsys, "awfs", "check", "--comonad", spec)
     assert (code, out) == (2, "")
     assert err.startswith("schema error: --comonad: ")
 
@@ -889,7 +891,7 @@ def test_failing_compare_report_prints_no_object_address(monkeypatch, capsys):
 def test_cli_imports_only_compare_hom_from_spans():
     """The weak-map census, canonical reach included, lives in
     spans.compare_hom: cli.py takes nothing else from spans, so span
-    enumeration, canonical spans and zigzag search stay out of the CLI."""
+    enumeration and canonical spans stay out of the CLI."""
     tree = ast.parse(Path(weakmaps.cli.__file__).read_text())
     imported = []
     for node in ast.walk(tree):

@@ -23,7 +23,6 @@ from weakmaps.fincat import (
     validate_monad,
 )
 from weakmaps.awfs import (
-    SplitEpiAwfs,
     cofibrant_replacement,
     fragment_arrows,
     replacement_comparison,
@@ -31,6 +30,7 @@ from weakmaps.awfs import (
 )
 from weakmaps.schemas import SchemaError, load_category
 from generators import fsarrow, graph, image
+from oracles import SplitEpiAwfs
 
 C = FinSetCategory()
 

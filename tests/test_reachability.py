@@ -47,18 +47,6 @@ BROKEN_AWFS = ("failure path: only a custom AWFS or comonad that breaks"
 
 # dotted name -> why it stays in src/ although no subcommand runs it
 ORACLES = {
-    "spans.WeakMapCategory.phi_by_filler":
-        "oracle: phi computed through canonical fillers, compared with phi",
-    "awfs.awfs_equal_on":
-        "oracle: SplitEpiAwfs and PSplitEpiAwfs agree at P = Id",
-    "spans.SpanZigzag.verify":
-        "oracle: re-checks, map by map, a zigzag that span_equiv returned",
-    **dict.fromkeys([
-        "spans.span_equiv", "spans.span_maps", "spans.SpanEquivResult.equivalent",
-    ], "oracle: the span-map search that canonical.reach replaced by"
-       " checking the section phi; acceptance test 3 samples it on a"
-       " stride and tests/test_spans.py checks that its verdict equals the"
-       " witness check's"),
     "awfs.validate_awfs.ill_typed": BROKEN_AWFS,
     "awfs.validate_awfs.refute": BROKEN_AWFS,
     "fincat.KleisliArrow.__repr__": BROKEN_AWFS,

@@ -13,7 +13,6 @@ from weakmaps.awfs import (
     RAlgebraArrow,
     Sketch,
     SketchTriangle,
-    SplitEpiAwfs,
     TAlgebra,
     TSplitMono,
 )
@@ -25,7 +24,8 @@ from weakmaps.fincat import (
     KleisliArrow,
     MonadData,
 )
-from weakmaps.spans import ASpan, SpanClass, SpanEquivResult, SpanZigzag
+from weakmaps.spans import ASpan, SpanClass
+from oracles import SpanEquivResult, SpanZigzag, SplitEpiAwfs
 
 C = FinSetCategory()
 AW = SplitEpiAwfs(C)
