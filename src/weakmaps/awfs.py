@@ -210,17 +210,18 @@ def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:
 
 
 def squares_between(cat, f: FinSetArrow, g: FinSetArrow):
-    """All (h,k) with g.h = k.f, as arrows, k-major in hom(f.cod, g.cod)'s
-    lex order, and h(i) over the fibre of g above k(f(i)).  k runs only over
-    the maps that send im f into im g, which are those with an h: a point
-    of im f takes g's hit points in ascending order, any other all of g.cod."""
+    """All (h,k) with g.h = k.f, as index pairs (h.idx, k.idx): h is
+    FinSetArrow(f.dom, g.dom, h_idx) and k FinSetArrow(f.cod, g.cod, k_idx).
+    k-major in hom(f.cod, g.cod)'s lex order, and h(i) over the fibre of g
+    above k(f(i)).  k runs only over the maps that send im f into im g,
+    which are those with an h: a point of im f takes g's hit points in
+    ascending order, any other all of g.cod."""
     over = fibres(g.idx)
     hit, im_f, every = sorted(over), set(f.idx), range(len(g.cod))
     for k_idx in itertools.product(*(hit if b in im_f else every
                                      for b in range(len(f.cod)))):
-        k = tuple.__new__(FinSetArrow, (f.cod, g.cod, k_idx))
         for h_idx in itertools.product(*(over[k_idx[j]] for j in f.idx)):
-            yield tuple.__new__(FinSetArrow, (f.dom, g.dom, h_idx)), k
+            yield h_idx, k_idx
 
 
 def fragment_arrows(cat, max_size):
@@ -235,14 +236,16 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
     Per-arrow equations are recorded individually; the four naturality
     equations are aggregated over all squares, failures itemised, each
     side the triple (dom, cod, idx) of its composite gathered from index
-    tuples, so a passing square builds no arrow.  All of a square but rho's
-    index tuples is one verdict, cached per class pair of f and g (the values
-    of lam, comult, mult and rho's ends) and (h, k): a square whose verdict
-    holds costs a lookup and rho's two gathers, any other is checked side by
-    side.  An equation, an arrow's structure maps or a square's sides that
-    fail to compose record a failure (lhs `<ill-typed>` in each nat.*
-    family) rather than raising; the family's subject counts the squares
-    and the refused arrows apart.
+    tuples.  A square is the index pair (h.idx, k.idx) that squares_between
+    yields; h and k are built as arrows only for a new E entry or a failing
+    square.  All of a square but rho's index tuples is one verdict, cached
+    per class pair of f and g (the values of lam, comult, mult and rho's
+    ends) and that pair: a square whose verdict holds costs a dict lookup
+    and rho's two gathers, any other is checked side by side.  An equation,
+    an arrow's structure maps or a square's sides that fail to compose
+    record a failure (lhs `<ill-typed>` in each nat.* family) rather than
+    raising; the family's subject counts the squares and the refused arrows
+    apart.
     """
     rep = report if report is not None else CheckReport()
     cat = awfs.cat
@@ -306,6 +309,10 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
         for fam, lhs, rhs in zip(nat, sides[::2], sides[1::2]):
             fam.check(lhs == rhs, sub, FinSetArrow(*lhs), FinSetArrow(*rhs))
 
+    def arrows_of(hk, f, g):
+        """The arrows h, k of the square (h.idx, k.idx) = hk: f -> g."""
+        return FinSetArrow(f.dom, g.dom, hk[0]), FinSetArrow(f.cod, g.cod, hk[1])
+
     def gather(idx):
         """X.idx -> (X . Y).idx for Y.idx = idx in C; a slice for <= 1 point."""
         return (itemgetter(*idx) if len(idx) > 1
@@ -333,11 +340,12 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
         lf, rf, dl_f, mu_f = maps
         cls = classes.setdefault((lf, dl_f, mu_f, rf.dom, rf.cod), len(classes))
         typed.append((f, *maps, *(gather(m.idx) for m in maps), cls))
-    # E reads only h and k: one entry per (h.idx, k.idx) in a table per g's
-    # ends and class pair, dropped as f's ends change, with E(h,k),
-    # E(h,E(h,k)), E(E(h,k),k), gathers by E(h,k), E(E(h,k),k) and h, the ends
-    # the 8 composites X . Y join (`ends` equals `joins` iff every side
-    # composes), or None once all of the square but rho's two idx holds.
+    # E reads only h and k: one entry per yielded pair (h.idx, k.idx), its
+    # key, in a table per g's ends and class pair, dropped as f's ends
+    # change, with E(h,k), E(h,E(h,k)), E(E(h,k),k), gathers by E(h,k),
+    # E(E(h,k),k) and h, the ends the 8 composites X . Y join (`ends` equals
+    # `joins` iff every side composes), or None once all of the square but
+    # rho's two idx holds.
     passed, f_ends = 0, None
     for fr in typed:
         f, lf, rf, dl_f, mu_f, _, by_rf, _, _, cf = fr
@@ -348,20 +356,22 @@ def validate_awfs(awfs, max_size=3, report=None) -> CheckReport:
             table = tables.setdefault((g.dom, g.cod, cf, cg), {})
             joins = (lf.cod, lg.dom, rg.dom, rf.cod, dl_f.cod, dl_g.dom,
                      mu_f.cod, mu_g.dom)
-            for h, k in squares_between(cat, f, g):
-                es = table.get((h.idx, k.idx))
+            for hk in squares_between(cat, f, g):
+                es = table.get(hk)
                 try:
                     if es is None:  # an ill-typed entry raises before it is kept
+                        h, k = arrows_of(hk, f, g)
                         e = awfs.earr(h, k)
                         el, er = awfs.earr(h, e), awfs.earr(e, k)
                         es = (e, el, er, gather(e.idx), gather(er.idx), gather(h.idx),
                               (e.dom, h.cod, e.cod, k.dom, el.dom, e.cod, e.dom, er.cod))
                         s = es[6] == joins and sides_of(h, k, fr, gr, es)
                         held = s and (s[0], s[2][:2], s[4], s[6]) == (s[1], s[3][:2], s[5], s[7])
-                        es = table[h.idx, k.idx] = (*es[:6], None) if held else es
-                    if es[6] is None and es[3](rg.idx) == by_rf(k.idx):
+                        es = table[hk] = (*es[:6], None) if held else es
+                    if es[6] is None and es[3](rg.idx) == by_rf(hk[1]):
                         passed += 1
                         continue
+                    h, k = arrows_of(hk, f, g)  # the square fails
                     e, el, er, *_, ends = es
                     if ends and ends != joins:  # the first side that does not compose raises
                         for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),
@@ -387,11 +397,13 @@ def validate_e_functoriality(awfs, max_size=2, report=None) -> CheckReport:
     fam = rep.family("e.compose")
     for f in arrows:
         for g in arrows:
-            sq_fg = list(squares_between(cat, f, g))
+            sq_fg = [(FinSetArrow(f.dom, g.dom, h), FinSetArrow(f.cod, g.cod, k))
+                     for h, k in squares_between(cat, f, g)]
             if not sq_fg:
                 continue
             for e in arrows:
-                for h2, k2 in squares_between(cat, g, e):
+                for h, k in squares_between(cat, g, e):
+                    h2, k2 = FinSetArrow(g.dom, e.dom, h), FinSetArrow(g.cod, e.cod, k)
                     e2 = awfs.earr(h2, k2)
                     for h1, k1 in sq_fg:
                         lhs = awfs.earr(cat.compose(h2, h1), cat.compose(k2, k1))

@@ -36,15 +36,17 @@ def _fmt_dims(d) -> str:
 
 def _comonad_spec(cat, spec):
     import re
-    from . import SchemaError, schemas
-    from .fincat import canonical_set
+    from . import SchemaError
+    from .fincat import canonical_set, coreader_comonad, identity_comonad
     m = re.fullmatch(r"identity|coreader:S=(\d+)", spec)
     if not m:
         raise SchemaError(
             f"--comonad: unknown spec {spec!r} (expected identity or coreader:S=N)")
-    data = ({"kind": "identity"} if spec == "identity" else
-            {"kind": "coreader", "S": list(canonical_set(int(m.group(1)), "s"))})
-    return schemas.load_comonad(data, cat, "--comonad")
+    if spec == "identity":
+        return identity_comonad(cat)
+    if not int(m.group(1)):
+        raise SchemaError("--comonad.S: expected a nonempty string list")
+    return coreader_comonad(cat, canonical_set(int(m.group(1)), "s"))
 
 
 def _dg_inputs(ns):

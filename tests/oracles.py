@@ -80,7 +80,8 @@ def awfs_equal_on(a, b, max_size=2, report=None) -> CheckReport:
     fam = rep.family("agree.e")
     for f in arrows:
         for g in arrows:
-            for h, k in squares_between(cat, f, g):
+            for h_idx, k_idx in squares_between(cat, f, g):
+                h, k = FinSetArrow(f.dom, g.dom, h_idx), FinSetArrow(f.cod, g.cod, k_idx)
                 lhs, rhs = a.earr(h, k), b.earr(h, k)
                 fam.check(lhs == rhs, lambda: f"({h!r},{k!r})", lhs, rhs)
     fam.close(f"{fam.n} squares")

@@ -406,7 +406,9 @@ def test_8_fillers_and_sketches():
         algs = list(_algebras(aw, arrows))
         for coalg in coalgs:
             for alg in algs:
-                for h, k in squares_between(C, coalg.arrow, alg.arrow):
+                for h, k in ((FinSetArrow(coalg.arrow.dom, alg.arrow.dom, hi),
+                              FinSetArrow(coalg.arrow.cod, alg.arrow.cod, ki))
+                             for hi, ki in squares_between(C, coalg.arrow, alg.arrow)):
                     try:
                         j = canonical_filler(coalg, alg, h, k)
                     except CategoryError as err:

@@ -212,9 +212,12 @@ def counting_earr(cls):
 def test_validate_awfs_evaluates_e_once_per_pair(make):
     # a work count: E(h, k) reads only h and k, so the naturality sweep
     # evaluates E(h,k), E(h,E(h,k)) and E(E(h,k),k) once per distinct
-    # (h, k), not once per square; the per-arrow laws take 6 E-values each
+    # (h, k), not once per square; the per-arrow laws take 6 E-values each.
+    # (h, k) is its index pair keyed with its ends: one pair can repeat
+    # across ends
     fs = fragment_arrows(C, 2)
-    squares = [(h, k) for f in fs for g in fs for h, k in squares_between(C, f, g)]
+    squares = [(f.dom, g.dom, f.cod, g.cod, hk)
+               for f in fs for g in fs for hk in squares_between(C, f, g)]
     assert (len(fs), len(squares), len(set(squares))) == (11, 249, 95)
     aw = make()
     assert validate_awfs(aw, 2).ok
@@ -353,7 +356,8 @@ def reference_nat(awfs, max_size):
             ill_typed(repr(f), e)
     for f, lf, rf, dl_f, mu_f in typed:
         for g, lg, rg, dl_g, mu_g in typed:
-            for h, k in squares_between(cat, f, g):
+            for h_idx, k_idx in squares_between(cat, f, g):
+                h, k = FinSetArrow(f.dom, g.dom, h_idx), FinSetArrow(f.cod, g.cod, k_idx)
                 sub = f"({h!r},{k!r}): {f!r} -> {g!r}"
                 try:
                     e = awfs.earr(h, k)
@@ -697,7 +701,7 @@ def test_squares_between_matches_bruteforce():
     # every pair of the size <= 2 fragment
     fs = fragment_arrows(C, 2)
     for f, g in itertools.product(fs, repeat=2):
-        slow = [(h, k) for k in C.hom(f.cod, g.cod) for h in C.hom(f.dom, g.dom)
+        slow = [(h.idx, k.idx) for k in C.hom(f.cod, g.cod) for h in C.hom(f.dom, g.dom)
                 if C.compose(g, h) == C.compose(k, f)]
         assert list(squares_between(C, f, g)) == slow, (f, g)
     assert len(fs) ** 2 == 121

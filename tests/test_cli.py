@@ -396,9 +396,10 @@ FINSET_STACK = {"weakmaps.fincat", "weakmaps.awfs", "weakmaps.spans"}
 # `python3 -m weakmaps` process running it must not import
 NOT_IMPORTED = {
     "--help": LAYERS | {"json", "random", "fractions"} | UNUSED,
-    "awfs check --finset-max 1": DG_STACK | {"fractions"} | UNUSED,
-    "awfs check --builtin psplitepi --finset-max 1": DG_STACK | {"fractions"} | UNUSED,
-    "weakmaps compare --bound 2": DG_STACK | {"fractions"} | UNUSED,
+    "awfs check --finset-max 1": DG_STACK | {"fractions", "weakmaps.schemas"} | UNUSED,
+    "awfs check --builtin psplitepi --finset-max 1":
+        DG_STACK | {"fractions", "weakmaps.schemas"} | UNUSED,
+    "weakmaps compare --bound 2": DG_STACK | {"fractions", "weakmaps.schemas"} | UNUSED,
     "bar resolve --trunc 2": FINSET_STACK | UNUSED,
     "dg check --trunc 2 --trials 1": FINSET_STACK | UNUSED,
     "lift lali --trunc 2": FINSET_STACK | UNUSED,

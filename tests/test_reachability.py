@@ -86,6 +86,7 @@ UNREACHED = {
         ("awfs.validate_awfs", "continue"),
         ("awfs.validate_awfs", "for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),"),
         ("awfs.validate_awfs", "cat.compose(x, y)"),
+        ("awfs.validate_awfs", "h, k = arrows_of(hk, f, g)"),
         ("awfs.validate_awfs", "e, el, er, *_, ends = es"),
         ("awfs.validate_awfs",
          "if ends and ends != joins:  # the first side that does not compose raises"),
@@ -284,6 +285,8 @@ def subcommand_runs(tmp_path) -> list:
         (0, ["awfs", "check", "--finset-max", "1"]),
         (0, ["awfs", "check", "--builtin", "psplitepi", "--comonad", "coreader:S=1",
              "--finset-max", "1", "--format", "json"]),
+        (0, ["awfs", "check", "--builtin", "psplitepi", "--comonad", "identity",
+             "--finset-max", "1"]),
         (0, ["weakmaps", "compare", "--A", "1", "--B", "1", "--bound", "2",
              "--zigzag", "2"]),
         (0, ["weakmaps", "compare", "--A", "1", "--B", "1", "--bound", "1"]),

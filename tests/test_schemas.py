@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from weakmaps.awfs import fragment_arrows
+from weakmaps.cli import _comonad_spec
 from weakmaps.dg import is_chain_map
-from weakmaps.fincat import FinSetCategory, validate_category
+from weakmaps.fincat import FinSetCategory, finset_fragment, validate_category
 from weakmaps.schemas import (
     SchemaError,
     load_algebra,
@@ -243,18 +245,30 @@ def test_builtin_effects_respect_direction():
         load_comonad({"kind": "exception", "E": ["e"]}, FIN)
 
 
-def test_builtin_effects_are_built_only_by_the_loader():
+def test_comonad_spec_builds_what_the_loader_builds():
     """coreader_comonad(...) and exception_monad(...) are called in src/
-    only from schemas.py, so a builtin effect named on the command line
-    and one read from a file go through one loader."""
+    only from schemas.py and once from cli.py, where `--comonad SPEC`
+    builds its comonad without loading schemas.py.  The spec must build
+    what the loader builds from the same builtin: the same name, objects,
+    arrows, counit and comultiplication on the size <= 2 fragment."""
     src = Path(__file__).resolve().parents[1] / "src"
-    calls = [f"{path.name}:{node.lineno}"
+    calls = [path.name
              for path in sorted(src.rglob("*.py")) if path.name != "schemas.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)
              and {"coreader_comonad", "exception_monad"} & {
                  getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
-    assert not calls, "builtin effect built outside schemas.py at " + ", ".join(calls)
+    assert calls == ["cli.py"], calls
+    for spec, data in [("identity", {"kind": "identity"}),
+                       ("coreader:S=1", {"kind": "coreader", "S": ["s0"]}),
+                       ("coreader:S=3", {"kind": "coreader", "S": ["s0", "s1", "s2"]})]:
+        p, q = _comonad_spec(FIN, spec), load_comonad(data, FIN)
+        assert p.name == q.name, spec
+        for o in finset_fragment(2):
+            assert (p.functor.obj(o), p.counit(o), p.comult(o)) == (
+                q.functor.obj(o), q.counit(o), q.comult(o)), (spec, o)
+        for f in fragment_arrows(FIN, 2):
+            assert p.functor.arr(f) == q.functor.arr(f), (spec, f)
 
 
 def test_builtin_effects_need_computed_sets():
