@@ -34,7 +34,8 @@ from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
 from . import InputError
-from .ratmat import assemble, eye, mmul, nonzeros, rank, transpose
+from .ratmat import (assemble, entries, eye, mat, mmul, nonzeros, rank,
+                     transpose)
 from .report import CheckReport
 
 
@@ -69,10 +70,9 @@ class DgAlgebra:
         self.mult = mult
         self.name = name
 
-        uvec = [row[0] for row in unit.mats.get(0, ())]
-        piv = next((i for i, v in enumerate(uvec) if v), None)
-        if piv is None:
+        if 0 not in unit.mats:
             raise BarError("unit vector is zero")
+        piv, _, upiv = next(entries(unit.mats[0]))
         n0 = cx.dim(0)
         keep = [j for j in range(n0) if j != piv]
         imats = {k: eye(cx.dim(k)) for k in cx.degrees() if k != 0}
@@ -83,11 +83,10 @@ class DgAlgebra:
             rest = n0 - 1 - piv
             imats[0] = assemble(n0, n0 - 1, [(eye(piv), 0, 0),
                                               (eye(rest), piv + 1, piv)])
-            ratio = tuple((Fraction(uvec[j]) / Fraction(uvec[piv]),)
-                          for j in keep)
-            pmats[0] = assemble(n0 - 1, n0, [(eye(piv), 0, 0),
-                                              (eye(rest), piv, piv + 1),
-                                              (ratio, 0, piv, -1)])
+            ukeep = mmul(transpose(imats[0]), unit.mats[0])
+            pmats[0] = assemble(n0 - 1, n0, [
+                (eye(piv), 0, 0), (eye(rest), piv, piv + 1),
+                (ukeep, 0, piv, -1 / Fraction(upiv))])
         bdims = {k: cx.dim(k) for k in cx.degrees() if k != 0}
         if keep:
             bdims[0] = len(keep)
@@ -99,7 +98,7 @@ class DgAlgebra:
         self.abar = ChainComplex(bdims, bd)
         self.incl_bar = GradedMap(self.abar, cx, 0, imats)
         self.proj_bar = GradedMap(cx, self.abar, 0, pmats)
-        prow = assemble(1, n0, [(((1 / Fraction(uvec[piv]),),), 0, piv)])
+        prow = assemble(1, n0, [(eye(1), 0, piv, 1 / Fraction(upiv))])
         self.pivot = GradedMap(cx, unit_complex(), 0, {0: prow})
 
     def validate(self, report: CheckReport = None) -> CheckReport:
@@ -141,22 +140,22 @@ def builtin_algebra(kind: str) -> DgAlgebra:
     """'rationals', 'dual_numbers' or 'exterior' (degree-1 generator)."""
     if kind == "rationals":
         cx = ChainComplex({0: 1}, {})
-        unit = GradedMap(unit_complex(), cx, 0, {0: ((1,),)})
-        mult = GradedMap(tensor_complex(cx, cx), cx, 0, {0: ((1,),)})
+        unit = GradedMap(unit_complex(), cx, 0, {0: mat([[1]])})
+        mult = GradedMap(tensor_complex(cx, cx), cx, 0, {0: mat([[1]])})
         return DgAlgebra(cx, unit, mult, name="rationals")
     if kind == "dual_numbers":
         # basis 1, x with x.x = 0, both in degree 0
         cx = ChainComplex({0: 2}, {})
-        unit = GradedMap(unit_complex(), cx, 0, {0: ((1,), (0,))})
+        unit = GradedMap(unit_complex(), cx, 0, {0: mat([[1], [0]])})
         mult = GradedMap(tensor_complex(cx, cx), cx, 0,
-                         {0: ((1, 0, 0, 0), (0, 1, 1, 0))})
+                         {0: mat([[1, 0, 0, 0], [0, 1, 1, 0]])})
         return DgAlgebra(cx, unit, mult, name="dual_numbers")
     if kind == "exterior":
         # basis 1 in degree 0, e in degree 1, e.e = 0
         cx = ChainComplex({0: 1, 1: 1}, {})
-        unit = GradedMap(unit_complex(), cx, 0, {0: ((1,),)})
+        unit = GradedMap(unit_complex(), cx, 0, {0: mat([[1]])})
         mult = GradedMap(tensor_complex(cx, cx), cx, 0,
-                         {0: ((1,),), 1: ((1, 1),)})
+                         {0: mat([[1]]), 1: mat([[1, 1]])})
         return DgAlgebra(cx, unit, mult, name="exterior")
     raise BarError(f"unknown algebra kind: {kind!r}")
 
@@ -651,12 +650,12 @@ def thickened_lali(mod: DgModule, twist: GradedMap = None):
     nonzero.  Returns (modB, g, f0, eps0).
     """
     alg = mod.alg
-    disk = ChainComplex({0: 2, 1: 1}, {1: ((0,), (1,))})
+    disk = ChainComplex({0: 2, 1: 1}, {1: mat([[0], [1]])})
     uc = unit_complex()
-    gd = GradedMap(disk, uc, 0, {0: ((1, 0),)})
-    qd = GradedMap(uc, disk, 0, {0: ((1,), (0,))})
-    xid = GradedMap(disk, disk, 1, {0: ((0, 1),)})
-    e1 = GradedMap(uc, disk, 0, {0: ((0,), (1,))})
+    gd = GradedMap(disk, uc, 0, {0: mat([[1, 0]])})
+    qd = GradedMap(uc, disk, 0, {0: mat([[1], [0]])})
+    xid = GradedMap(disk, disk, 1, {0: mat([[0, 1]])})
+    e1 = GradedMap(uc, disk, 0, {0: mat([[0], [1]])})
     act = gmap_compose(tensor_map(mod.act, id_gmap(disk)),
                        signed_perm_inverse(assoc_iso(alg.cx, mod.cx, disk)))
     modB = DgModule(alg, act.dst, act, name="thick")

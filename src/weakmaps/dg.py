@@ -4,8 +4,8 @@ Complexes have finite support; a graded map of degree n is a family of
 matrix blocks X_k -> Y_{k+n}, stored only where both ends are nonzero
 and the block is not zero.  An absent block or boundary is zero, and no
 operation builds one: composites, sums, tensor maps and the tensor
-boundary walk the stored blocks only.  `block()` and `boundary()` read a
-dense matrix out for callers that want one.
+boundary walk the stored blocks only.  `block()` and `boundary()` give
+a zero matrix of the right shape for an absent one.
 
 The differential of a map is the graded commutator
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 
 from . import InputError
-from .ratmat import (assemble, eye, is_zero, madd, mmul, nonzeros, rank,
-                     shape, smul, transpose, zeros)
+from .ratmat import (assemble, eye, is_zero, madd, mat, mmul, nonzeros,
+                     rank, shape, smul, transpose, zeros)
 from .report import CheckReport
 
 
@@ -65,9 +65,7 @@ class ChainComplex:
         return self.dims.get(k, 0)
 
     def boundary(self, k):
-        if k in self.d:
-            return self.d[k]
-        return zeros(self.dim(k - 1), self.dim(k))
+        return self.d[k] if k in self.d else zeros(self.dim(k - 1), self.dim(k))
 
     def degrees(self):
         return sorted(self.dims)
@@ -321,13 +319,8 @@ class HomologicalLali:
 
 def homology_ranks(x: ChainComplex, degrees):
     """Betti numbers dim ker - dim im in `degrees`, by exact rank."""
-    out = {}
-    for k in degrees:
-        n = x.dim(k)
-        r_in = rank(x.boundary(k + 1)) if x.dim(k + 1) else 0
-        r_out = rank(x.boundary(k)) if x.dim(k - 1) else 0
-        out[k] = n - r_in - r_out
-    return out
+    return {k: x.dim(k) - rank(x.boundary(k + 1)) - rank(x.boundary(k))
+            for k in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +332,6 @@ def random_gmap(rng, src: ChainComplex, dst: ChainComplex,
     mats = {}
     for k in src.degrees():
         if dst.dim(k + deg):
-            mats[k] = tuple(
-                tuple(rng.randrange(-3, 4) for _ in range(src.dim(k)))
-                for _ in range(dst.dim(k + deg)))
+            mats[k] = mat([[rng.randrange(-3, 4) for _ in range(src.dim(k))]
+                           for _ in range(dst.dim(k + deg))])
     return GradedMap(src, dst, deg, mats)

@@ -1,93 +1,112 @@
-"""Small matrices over exact rational scalars.
+"""Sparse matrices over exact rational scalars.
 
-A matrix is a tuple of row tuples whose entries are Python ints or
-fractions.Fraction; mixed arithmetic stays exact.  A 0-row or 0-column
-matrix cannot carry its other dimension, so `assemble` takes the shape
-and is the one constructor of placed blocks, and the graded-map layer
-only stores blocks whose shapes are nonzero on both sides.
-
-Storage is dense but the products are not: `mmul` and `assemble`
-multiply nonzero entries only.  Leaving out products with a zero factor
-gives an equal exact sum, so results compare and hash as the dense
-formulas would.
+A matrix is a `Mat`, the tuple of its rows with the column count `cols`
+beside it.  Row i holds its nonzero entries (j, v) in ascending column
+j, v an int when integral and a fractions.Fraction otherwise, so equal
+matrices store equal rows whatever built them, and compare and hash
+equal.  `mat` reads dense rows and `assemble` places blocks; every
+operation touches nonzero entries only.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 
 
+class Mat(tuple):
+    """The rows of a matrix with its column count `cols`."""
+
+    def __new__(cls, rows, cols):
+        m = super().__new__(cls, rows)
+        m.cols = cols
+        return m
+
+    def __eq__(self, other):
+        return (isinstance(other, Mat) and self.cols == other.cols
+                and tuple.__eq__(self, other))
+
+    __ne__ = object.__ne__  # the negated __eq__, not tuple's row comparison
+    __hash__ = tuple.__hash__
+
+
+def _row(acc):
+    """The stored row of the dict column -> value `acc`."""
+    return tuple([(j, v if type(v) is int or v.denominator != 1
+                   else v.numerator) for j, v in sorted(acc.items()) if v])
+
+
+def mat(rows):
+    """The matrix with the dense rows `rows`, all of one length."""
+    return Mat([_row(dict(enumerate(r))) for r in rows],
+               len(rows[0]) if rows else 0)
+
+
 def zeros(r, c):
-    return tuple((0,) * c for _ in range(r))
+    return Mat(((),) * r, c)
 
 
 def eye(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return Mat([((i, 1),) for i in range(n)], n)
 
 
 def shape(a):
-    return (len(a), len(a[0]) if a else 0)
+    return len(a), a.cols
 
 
 def transpose(a):
-    return tuple(zip(*a))
+    cols = [{} for _ in range(a.cols)]
+    for i, j, v in entries(a):
+        cols[j][i] = v
+    return Mat(map(_row, cols), len(a))
 
 
 def mmul(a, b):
-    if a and len(a[0]) != len(b):
+    """a . b: row i of it sums x * (row k of b) over row i's (k, x)."""
+    if a.cols != len(b):
         raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    c = len(b[0]) if b else 0
-    bnz = {}  # k -> nonzero (j, b[k][j]), built when row k of b is first hit
     out = []
     for row in a:
-        acc = [0] * c
-        if any(row):
-            for k, x in enumerate(row):
-                if x:
-                    nz = bnz.get(k)
-                    if nz is None:
-                        nz = bnz[k] = [(j, y) for j, y in enumerate(b[k]) if y]
-                    for j, y in nz:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+        acc = {}
+        for k, x in row:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(_row(acc))
+    return Mat(out, b.cols)
 
 
 def madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return assemble(*shape(a), [(a, 0, 0), (b, 0, 0)])
 
 
 def smul(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+    return Mat([_row({j: c * v for j, v in row}) for row in a], a.cols)
 
 
 def is_zero(a):
-    return all(x == 0 for row in a for x in row)
+    return not any(a)
+
+
+def entries(a):
+    """The nonzero entries (i, j, v) of `a`, row by row."""
+    return ((i, j, v) for i, row in enumerate(a) for j, v in row)
 
 
 def nonzeros(a) -> str:
     """The nonzero entries of `a` as `(i,j)=v ...`, for report sides."""
-    return " ".join(f"({i},{j})={v}" for i, row in enumerate(a)
-                    for j, v in enumerate(row) if v)
+    return " ".join(f"({i},{j})={v}" for i, j, v in entries(a))
 
 
-def _place(out, a, r0, c0, sign=1, b=((1,),)):
-    """Add sign * (a (x) b) into the list of lists `out` at (r0, c0).
-
-    Only products of two nonzero entries are touched.  Returns `out`.
-    """
-    br, bc = len(b), len(b[0]) if b else 0
-    bnz = [(p, [(q, sign * y) for q, y in enumerate(brow) if y])
-           for p, brow in enumerate(b)]
+def _place(out, a, r0, c0, sign=1, b=eye(1)):
+    """Add sign * (a (x) b) into the row dicts (column -> value) `out`
+    at (r0, c0), forming products of nonzero entries only; returns `out`."""
+    br, bc = len(b), b.cols
+    bnz = [(p, [(q, sign * y) for q, y in brow]) for p, brow in enumerate(b)]
     for i, arow in enumerate(a):
         rbase = r0 + i * br
-        for k, x in enumerate(arow):
-            if x:
-                cbase = c0 + k * bc
-                for p, brow in bnz:
-                    orow = out[rbase + p]
-                    for q, y in brow:
-                        orow[cbase + q] += x * y
+        for k, x in arow:
+            cbase = c0 + k * bc
+            for p, brow in bnz:
+                orow = out[rbase + p]
+                for q, y in brow:
+                    orow[cbase + q] = orow.get(cbase + q, 0) + x * y
     return out
 
 
@@ -97,39 +116,27 @@ def assemble(rows, cols, terms):
 
     Entry (i*rows(b)+p, k*cols(b)+q) of a (x) b is a[i][k] * b[p][q].
     """
-    out = [[0] * cols for _ in range(rows)]
+    out = [{} for _ in range(rows)]
     for term in terms:
         _place(out, *term)
-    return tuple(map(tuple, out))
-
-
-def _rref(a):
-    """Gauss-Jordan over the rationals; exact, no pivot tolerance.
-
-    Returns the nonzero rows of the reduced row echelon form of `a`, as
-    lists of Fractions with the pivot rows first, and the rank.
-    """
-    rows = [[Fraction(x) for x in row] for row in a if any(x != 0 for x in row)]
-    r = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[col]
-        rows[r] = [v * inv for v in prow]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-    return rows, r
+    return Mat(map(_row, out), cols)
 
 
 def rank(a):
-    return _rref(a)[1]
-
+    """Exact rank by sparse row elimination: each row is reduced by the
+    pivot rows so far, and what is left becomes one, scaled to lead with 1."""
+    pivots = {}  # leading column -> the rest of its pivot row
+    for row in a:
+        r = dict(row)
+        while r:
+            lead = min(r)
+            x = r.pop(lead)
+            if not x:  # cancelled by an earlier reduction
+                continue
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = _row({j: Fraction(v, x) for j, v in r.items()})
+                break
+            for j, v in p:
+                r[j] = r.get(j, 0) - x * v
+    return len(pivots)

@@ -92,22 +92,23 @@ def _matrix(rows, where):
     width = {len(r) for r in rows}
     if len(width) > 1:
         raise SchemaError(f"{where}: ragged rows")
-    return tuple(
-        tuple(_fraction(v, f"{where}[{i}][{j}]") for j, v in enumerate(r))
-        for i, r in enumerate(rows))
+    from .ratmat import mat
+    return mat([[_fraction(v, f"{where}[{i}][{j}]") for j, v in enumerate(r)]
+                for i, r in enumerate(rows)])
 
 
-def _mats(data, where, shape):
-    """Blocks keyed by degree; shape(k) is the (rows, cols) of degree k,
+def _mats(data, where, shape_of):
+    """Blocks keyed by degree; shape_of(k) is the (rows, cols) of degree k,
     and a degree with a zero side is outside the support."""
+    from .ratmat import shape
     out = {}
     for k, rows in _dict(data, where).items():
         deg = _degree(k, where)
         m = _matrix(rows, f"{where}.{k}")
-        want = shape(deg)
+        want = shape_of(deg)
         if 0 in want:
             raise SchemaError(f"{where}.{k}: degree {deg} is outside the support")
-        got = (len(m), len(m[0]) if m else 0)
+        got = shape(m)
         if got != want:
             raise SchemaError(f"{where}.{k}: block has the wrong shape"
                               f" {got[0]}x{got[1]}, expected {want[0]}x{want[1]}")

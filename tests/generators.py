@@ -9,6 +9,7 @@ pinned by `test_dg.py::test_seeded_instances_pinned`.
 
 import functools
 import random
+from fractions import Fraction
 
 from weakmaps.dg import (
     ChainComplex,
@@ -24,7 +25,7 @@ from weakmaps.dg import (
     zero_gmap,
 )
 from weakmaps.fincat import FinSetArrow
-from weakmaps.ratmat import _rref, assemble, eye, mmul, transpose
+from weakmaps.ratmat import assemble, entries, eye, madd, mat, mmul
 
 # ---------------------------------------------------------------------------
 # Instance files
@@ -137,13 +138,32 @@ def total_dim(x: ChainComplex):
     return sum(x.dims.values())
 
 
+def dense(m):
+    """The rows of the matrix `m` written out, zeros included."""
+    rows = [[0] * m.cols for _ in m]
+    for i, j, v in entries(m):
+        rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
 def inverse(a):
-    """Exact inverse of a square matrix: the right half of rref[a | 1]."""
+    """Exact inverse of a square matrix: Gauss-Jordan on the dense rows
+    of [a | 1], the right half of the result."""
     n = len(a)
-    rows, _ = _rref([(*row, *e) for row, e in zip(a, eye(n))])
-    if any(rows[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    rows = [[Fraction(v) for v in row] + [Fraction(i == j) for j in range(n)]
+            for i, row in enumerate(dense(a))]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        p = rows[c][c]
+        rows[c] = [v / p for v in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
+    return mat([row[n:] for row in rows])
 
 
 def direct_sum(xs):
@@ -173,9 +193,8 @@ def break_square_zero(x: ChainComplex) -> int:
     nonzero."""
     d = x.d
     k = max(k for k in d if k - 1 in d)
-    i = next(i for i in range(len(d[k])) if any(row[i] for row in d[k - 1]))
-    d[k] = tuple(tuple(v + (r == i and c == 0) for c, v in enumerate(row))
-                 for r, row in enumerate(d[k]))
+    i = min(j for _, j, _ in entries(d[k - 1]))
+    d[k] = madd(d[k], assemble(len(d[k]), d[k].cols, [(eye(1), i, 0)]))
     return k
 
 
@@ -194,8 +213,9 @@ def symmetry_iso(x: ChainComplex, y: ChainComplex) -> GradedMap:
         sign = -1 if (p * q) % 2 else 1
         one = eye(yd)
         terms.setdefault(p + q, []).extend(
-            (one, dst.off[q, p], off + i * yd, sign, transpose((e_i,)))
-            for i, e_i in enumerate(eye(x.dim(p))))
+            (one, dst.off[q, p], off + i * yd, sign,
+             assemble(x.dim(p), 1, [(eye(1), i, 0)]))
+            for i in range(x.dim(p)))
     return GradedMap(src, dst, 0, {n: assemble(dst.dim(n), src.dim(n), ts)
                                    for n, ts in terms.items()})
 
@@ -253,7 +273,7 @@ def _unimodular(rng: random.Random, n):
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
-        m = mmul(assemble(n, n, [(eye(n), 0, 0), (((c,),), i, j)]), m)
+        m = mmul(assemble(n, n, [(eye(n), 0, 0), (mat([[c]]), i, j)]), m)
     return m
 
 
@@ -278,7 +298,7 @@ def random_complex(rng: random.Random, max_deg=3, max_cells=4) -> ChainComplex:
     # disk boundaries are drawn degree by degree, in order of first use
     draws = {k: iter([rng.choice([1, -1, 2]) for j, disk in cells if disk and j == k])
              for k in dict.fromkeys(k for k, disk in cells if disk)}
-    parts = [ChainComplex({k: 1, k - 1: 1}, {k: ((next(draws[k]),),)}) if disk
+    parts = [ChainComplex({k: 1, k - 1: 1}, {k: mat([[next(draws[k])]])}) if disk
              else ChainComplex({k: 1}, {}) for k, disk in cells]
     return _conjugate(rng, direct_sum(parts)[0])[0]
 
@@ -288,11 +308,11 @@ def random_lali(rng: random.Random, max_deg=3, base: ChainComplex = None) -> Lal
     total space; the structure maps are transported along it."""
     b = base if base is not None else random_complex(rng, max_deg)
     disks = [rng.randrange(0, max_deg + 1) for _ in range(rng.randrange(1, 3))]
-    cells = [ChainComplex({k: 1, k - 1: 1}, {k: ((1,),)}) for k in disks]
+    cells = [ChainComplex({k: 1, k - 1: 1}, {k: mat([[1]])}) for k in disks]
     a, (q, *incs) = direct_sum([b, *cells])
     g = signed_perm_inverse(q)
     xi = functools.reduce(gmap_add, (
-        gmap_compose(i, gmap_compose(GradedMap(c, c, 1, {k - 1: ((1,),)}),
+        gmap_compose(i, gmap_compose(GradedMap(c, c, 1, {k - 1: mat([[1]])}),
                                      signed_perm_inverse(i)))
         for i, c, k in zip(incs, cells, disks)))
     _, u, uinv = _conjugate(rng, a)

@@ -50,6 +50,7 @@ from weakmaps.dg import (
     unit_complex,
     zero_gmap,
 )
+from weakmaps.ratmat import mat
 from weakmaps.report import PASS
 from weakmaps.schemas import load_algebra, load_lali
 from generators import (CONE, EXTERIOR_DOWN, POLY3, SIDE_BROKEN_LALI,
@@ -113,8 +114,7 @@ def test_algebra_rejects_bad_shapes():
 
 
 def test_algebra_validation_flags_broken_mult():
-    bad = GradedMap(DUAL.mult.src, DUAL.cx, 0, {0: ((1, 0, 0, 0),
-                                                    (0, 1, 0, 0))})
+    bad = GradedMap(DUAL.mult.src, DUAL.cx, 0, {0: mat([[1, 0, 0, 0], [0, 1, 0, 0]])})
     rep = DgAlgebra(DUAL.cx, DUAL.unit, bad).validate()
     assert not rep.ok
     assert "alg.unit.right" in {c.name for c in rep.failures()}
@@ -535,7 +535,7 @@ def test_weak_leibniz(seed):
 
 def test_strict_inclusion_is_functorial():
     aug = DUAL.pivot
-    rx = GradedMap(DUAL.cx, DUAL.cx, 0, {0: ((0, 0), (1, 0))})
+    rx = GradedMap(DUAL.cx, DUAL.cx, 0, {0: mat([[0, 0], [1, 0]])})
     # right multiplication commutes with the left action, so both are
     # strict; their images compose on the nose
     ja = weak_from_strict(aug, DF, DG, 3)
@@ -796,7 +796,7 @@ def test_corrupted_codescent_fails_its_families(family_fails):
     assert [c.subject for c in items] == ["dual_numbers/free n=1 j=0"]
     # a level complex whose boundary is not the one its stage induces
     t = TruncatedCodescent(BarCalculus(EG, 2))
-    t.levels[0] = ChainComplex({0: 1, 1: 1}, {1: ((1,),)})
+    t.levels[0] = ChainComplex({0: 1, 1: 1}, {1: mat([[1]])})
     items = family_fails(t.validate(), "cod.reduced.boundary")
     assert [c.subject for c in items] == ["exterior/ground n=0"]
 

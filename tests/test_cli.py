@@ -21,6 +21,7 @@ from weakmaps.bar import BarError
 from weakmaps.cli import build_parser, main
 from weakmaps.dg import DgError, GradedMap
 from weakmaps.fincat import CategoryError
+from weakmaps.ratmat import mat
 from weakmaps.schemas import load_algebra, load_module
 
 from generators import (CONE, SIDE_BROKEN_LALI, apex_shifted,
@@ -135,7 +136,7 @@ def test_table_comonad_and_monad_pass(tmp_path, capsys):
 
 
 def test_dgalgebra_with_differential_has_reduced_differential():
-    assert load_algebra(CONE).abar.d == {1: ((1,),)}
+    assert load_algebra(CONE).abar.d == {1: mat([[1]])}
 
 
 @pytest.mark.parametrize("args", [
@@ -238,7 +239,7 @@ def product_unlike_the_action(monkeypatch):
     def inputs(ns):
         cfg, alg, mod, laws = load(ns)
         alg.mult = GradedMap(alg.mult.src, alg.cx, 0,
-                             {0: ((1, 0, 0, 0), (0, 1, 1, 1))})
+                             {0: mat([[1, 0, 0, 0], [0, 1, 1, 1]])})
         return cfg, alg, mod, laws
     monkeypatch.setattr(weakmaps.cli, "_dg_inputs", inputs)
 

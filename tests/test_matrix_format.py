@@ -1,12 +1,15 @@
 """Only `ratmat` knows how a matrix is stored.
 
-Every other module builds matrices through `ratmat` (`assemble`, `eye`,
-`zeros`, the products) instead of allocating zero-filled rows and
-writing entries by position, so a change of storage touches one module.
-The scan flags, outside `ratmat.py`:
+A matrix is a `ratmat.Mat`: sparse rows of nonzero (column, value)
+pairs.  Every other module builds matrices through `ratmat` (`mat` from
+dense rows, `assemble`, `eye`, `zeros`, the products) and reads them
+through it (`shape`, `entries`, `nonzeros`), instead of allocating
+zero-filled rows and writing entries by position, so the layout is
+private to one module.  The scan flags, outside `ratmat.py`:
 
 * a zero-filled row allocation: `[0] * n` or `(0,) * n`, either order;
-* a positional matrix write: `m[i][j] = ...` or `m[i][j] += ...`.
+* a positional matrix write: `m[i][j] = ...` or `m[i][j] += ...`;
+* a use of the layout: the class `Mat` or an attribute `.cols`.
 """
 
 import ast
@@ -30,10 +33,13 @@ def _targets(node):
 
 
 def sites(tree):
-    """(line, what) of every zero-row allocation and positional write,
-    in line order."""
+    """(line, what) of every zero-row allocation, positional write and
+    use of the layout, in line order."""
     found = []
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "Mat"
+                or isinstance(node, ast.Attribute) and node.attr == "cols"):
+            found.append((node.lineno, "layout"))
         if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
                 and (_zero_row(node.left) or _zero_row(node.right))):
             found.append((node.lineno, "zero-filled row"))
@@ -45,8 +51,9 @@ def sites(tree):
 
 def test_scan_sees_every_form():
     src = ("a = [0] * n\nb = n * (0,)\nm[i][j] = 1\nm[i][j] += x\n"
-           "t[i][j][k] = 1\nok = [1] * n\nd[k] = v\nrow[j] += 1\n")
-    assert [line for line, _ in sites(ast.parse(src))] == [1, 2, 3, 4, 5]
+           "t[i][j][k] = 1\nc = m.cols\nn = Mat(r, 2)\n"
+           "ok = [1] * n\nd[k] = v\nrow[j] += 1\ncols = shape(m)[1]\n")
+    assert [line for line, _ in sites(ast.parse(src))] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_matrices_are_built_through_ratmat():

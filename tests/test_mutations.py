@@ -21,6 +21,7 @@ import weakmaps.bar as bar
 import weakmaps.cli as cli
 from weakmaps.bar import DgAlgebra, DgModule, random_weak, weak_identity
 from weakmaps.dg import GradedMap, gmap_smul, tensor_complex
+from weakmaps.ratmat import mat
 from weakmaps.report import FAIL
 
 from generators import EXTERIOR_DOWN
@@ -54,7 +55,7 @@ def faces_over_q_times_q(monkeypatch):
     def corrupt(mod, calc):
         a = mod.alg
         mult = GradedMap(tensor_complex(a.cx, a.cx), a.cx, 0,
-                         {0: ((1, 0, 0, 0), (0, 1, 1, 1))})
+                         {0: mat([[1, 0, 0, 0], [0, 1, 1, 1]])})
         other = DgModule(DgAlgebra(a.cx, a.unit, mult), mod.cx,
                          mod.act).calculus(calc.L)
         for n in range(2, calc.L + 1):
@@ -69,7 +70,7 @@ def last_faces_from_another_action(monkeypatch):
     # Leibniz needs the two actions to agree
     def corrupt(mod, calc):
         act = GradedMap(mod.act.src, mod.act.dst, 0,
-                        {0: ((1, 0, 0, 0), (0, 1, 0, 0))})
+                        {0: mat([[1, 0, 0, 0], [0, 1, 0, 0]])})
         other = DgModule(mod.alg, mod.cx, act).calculus(calc.L)
         for n in range(2, calc.L + 1):
             calc._ebar[n] = other.ebar(n)

@@ -12,8 +12,11 @@ Two gates read the same lines:
   when any line of its body ran; one that did not fails the test unless
   `ORACLES` names it with the reason it may stay;
 * a statement in a function body must run, be a `raise`, lie in an
-  `ORACLES` function, or be named in `UNREACHED`, by its function and
-  its stripped source text, with the reason it may stay.
+  `ORACLES` function, or be named in `UNREACHED`, by its function, its
+  stripped source text and its ordinal among the statements of that
+  text in that function, with the reason it may stay.  An entry covers
+  exactly one statement: an unreached twin of an exempt or a reached
+  statement has an ordinal of its own, which no entry names.
 
 An `ORACLES` or `UNREACHED` entry that runs, or no longer exists, fails
 the test as well.
@@ -26,6 +29,7 @@ import inspect
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,49 +82,54 @@ ORACLES = {
 }
 
 
-# (dotted function, source text) -> why that statement of a function that
-# runs stays in src/ although no subcommand runs it
+# (dotted function, source text, ordinal among the statements of that text
+# in that function, in source order) -> why that statement of a function
+# that runs stays in src/ although no subcommand runs it
 UNREACHED = {
     **dict.fromkeys([
-        ("awfs.validate_awfs", "ill_typed(repr(f), e)"),
-        ("awfs.validate_awfs", "continue"),
-        ("awfs.validate_awfs", "for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),"),
-        ("awfs.validate_awfs", "cat.compose(x, y)"),
-        ("awfs.validate_awfs", "h, k = arrows_of(hk, f, g)"),
-        ("awfs.validate_awfs", "e, el, er, *_, ends = es"),
+        ("awfs.validate_awfs", "ill_typed(repr(f), e)", 0),
+        # the stops after an ill-typed arrow (0) and after a square whose
+        # sides do not compose (2); the one after a passing square runs
+        ("awfs.validate_awfs", "continue", 0),
+        ("awfs.validate_awfs", "continue", 2),
+        ("awfs.validate_awfs", "for x, y in ((e, lf), (lg, h), (rg, e), (k, rf), (el, dl_f),", 0),
+        ("awfs.validate_awfs", "cat.compose(x, y)", 0),
+        # the failing square's; its twin on the new-entry path runs
+        ("awfs.validate_awfs", "h, k = arrows_of(hk, f, g)", 1),
+        ("awfs.validate_awfs", "e, el, er, *_, ends = es", 0),
         ("awfs.validate_awfs",
-         "if ends and ends != joins:  # the first side that does not compose raises"),
-        ("awfs.validate_awfs", "refute((h, k, f, g), (), err)"),
-        ("awfs.validate_awfs", "refute((h, k, f, g), sides_of(h, k, fr, gr, es))"),
+         "if ends and ends != joins:  # the first side that does not compose raises", 0),
+        ("awfs.validate_awfs", "refute((h, k, f, g), (), err)", 0),
+        ("awfs.validate_awfs", "refute((h, k, f, g), sides_of(h, k, fr, gr, es))", 0),
     ], BROKEN_AWFS),
     ("awfs.validate_awfs.eq",
-     'rep.record(name, sub, False, "<ill-typed>", str(e))'): BROKEN_AWFS,
+     'rep.record(name, sub, False, "<ill-typed>", str(e))', 0): BROKEN_AWFS,
     ("fincat.validate_category",
      'rep.record("compose.endpoints", f"{g!r} . {f!r}", False,'
-     " fmt_ends(cat.dom(gf), cat.cod(gf)), fmt_ends(a, c))"):
+     " fmt_ends(cat.dom(gf), cat.cod(gf)), fmt_ends(a, c))", 0):
         "failure path: the category loader refuses a compose row with"
         " the wrong endpoints, and finite sets compose correctly",
-    ("dg.HomologicalLali.validate", "return rep"):
+    ("dg.HomologicalLali.validate", "return rep", 0):
         "failure path: the lali loader and the built-in fibration give"
         " g, q and xi their shapes, so only a hand-built lali reaches it",
-    ("bar.TruncatedCodescent.validate", "return rep"):
+    ("bar.TruncatedCodescent.validate", "return rep", 0):
         "failure path: only a defect in the codescent complex reaches it;"
         " input that breaks its laws stops at the law checks before",
-    # the same text as the stop after the law checks, which runs
-    ("cli._run_bar_resolve", "return cfg, rep, []"):
+    # the stop after the law checks, the same text, runs
+    ("cli._run_bar_resolve", "return cfg, rep, []", 1):
         "failure path: the stop after a failing codescent validate, before"
         " bar_lali builds abar on A (x) |X|; only a defect in the codescent"
         " complex reaches it, as test_bar_resolve_reports_a_broken_codescent"
         "_complex shows",
     **dict.fromkeys([
-        ("cli.main", 'print(f"input error: {e}", file=sys.stderr)'),
-        ("cli.main", "return 2"),
+        ("cli.main", 'print(f"input error: {e}", file=sys.stderr)', 0),
+        ("cli.main", "return 2", 1),
     ], "failure path: an error raised while a run computes; the loaders"
        " refuse bad input as schema errors, an algebra whose unit is not"
        " a cycle gets alg.unit.chain FAIL lines, and a lali whose lift"
        " fails its side condition gets lift.reduced FAIL lines, so only a defect"
        " in the program reaches it (ROADMAP item 13)"),
-    ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
+    ("cli.main", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", 0):
         "failure path: only a reader that closes stdout early reaches it;"
         " test_reader_closing_stdout_ends_the_run_quietly runs that in a"
         " subprocess, as it replaces the process's stdout",
@@ -210,10 +219,12 @@ def unreached(run, paths, modules, oracles=()) -> tuple:
 
     * the sorted dotted names of the definitions no line of whose body
       ran;
-    * the sorted (dotted function, `source_text`) of the statements in
-      function bodies none of whose lines ran, leaving out docstrings,
-      `raise` statements and every statement of a function that
-      `oracles` names or that is nested in one.
+    * the sorted (dotted function, `source_text`, ordinal) of the
+      statements in function bodies none of whose lines ran, leaving out
+      docstrings, `raise` statements and every statement of a function
+      that `oracles` names or that is nested in one.  The ordinal counts
+      the earlier statements of the same text in that function, run or
+      not, so that twins are told apart.
     """
     _clear_caches(modules)
     ran = lines_run(run, paths)
@@ -228,12 +239,22 @@ def unreached(run, paths, modules, oracles=()) -> tuple:
             if any(name == o or name.startswith(o + ".") for o in oracles):
                 continue
             doc = fn.body[0] if ast.get_docstring(fn) is not None else None
-            stmts += [(name, source_text(source, s)) for s in statements(fn)
-                      if s is not doc
-                      and not isinstance(s, ast.Raise)
-                      and not any((str(path), n) in ran
-                                  for n in range(s.lineno, s.end_lineno + 1))]
+            twins = Counter()
+            for s in statements(fn):
+                text = source_text(source, s)
+                twins[text] += 1
+                if (s is not doc and not isinstance(s, ast.Raise)
+                        and not any((str(path), n) in ran
+                                    for n in range(s.lineno, s.end_lineno + 1))):
+                    stmts.append((name, text, twins[text] - 1))
     return sorted(defs), sorted(stmts)
+
+
+def stale(missing, exempt) -> tuple:
+    """(the unreached items `exempt` does not name, the items of `exempt`
+    that ran or are gone); a passing gate reads ([], [])."""
+    return ([m for m in missing if m not in exempt],
+            [e for e in exempt if e not in missing])
 
 
 # --- the runs ---------------------------------------------------------------
@@ -293,6 +314,9 @@ def subcommand_runs(tmp_path) -> list:
         (0, ["bar", "resolve", "--trunc", "2"]),
         (0, ["bar", "resolve", "--trunc", "2", "--builtin", "exterior"]),
         (0, ["bar", "resolve", "--trunc", "2", "--dgalgebra", f("cone.json", CONE)]),
+        # the first size at which `rank` reduces a row by a pivot row: the
+        # faces and degeneracies have one nonzero per column
+        (0, ["bar", "resolve", "--trunc", "3", "--dgalgebra", f("cone.json", CONE)]),
         (0, ["bar", "resolve", "--trunc", "2",
              "--dgmodule", f("dmod.json", DUAL_ON_ITSELF)]),
         (0, ["dg", "check", "--trunc", "2", "--trials", "1"]),
@@ -354,16 +378,16 @@ def reach(tmp_path_factory):
 
 def test_every_definition_runs_under_a_subcommand(reach):
     missing, _ = reach
-    assert [n for n in missing if n not in ORACLES] == []
-    assert [n for n in ORACLES if n not in missing] == [], \
-        "runs under a subcommand or is gone: drop it from ORACLES"
+    unlisted, ran = stale(missing, ORACLES)
+    assert unlisted == []
+    assert ran == [], "runs under a subcommand or is gone: drop it from ORACLES"
 
 
 def test_every_statement_runs_under_a_subcommand(reach):
     _, missing = reach
-    assert [s for s in missing if s not in UNREACHED] == []
-    assert [s for s in UNREACHED if s not in missing] == [], \
-        "runs under a subcommand or is gone: drop it from UNREACHED"
+    unlisted, ran = stale(missing, UNREACHED)
+    assert unlisted == []
+    assert ran == [], "runs under a subcommand or is gone: drop it from UNREACHED"
 
 
 def _probe(tmp_path, source):
@@ -389,7 +413,7 @@ def test_collector_reports_an_unreached_function(tmp_path):
         "    return 2\n")
     probe.cached()  # the collector must empty this cache to see the body run
     assert unreached(lambda: probe.K().used(), [path], [probe]) == (
-        ["reach_probe.extra"], [("reach_probe.extra", "return 2")])
+        ["reach_probe.extra"], [("reach_probe.extra", "return 2", 0)])
 
 
 def test_collector_reports_an_unreached_statement(tmp_path):
@@ -405,4 +429,30 @@ def test_collector_reports_an_unreached_statement(tmp_path):
         "             + 1)\n"
         "    return 1 if total else 0\n")
     assert unreached(lambda: probe.sign(0), [path], [probe]) == (
-        [], [("reach_probe.sign", "return -1")])
+        [], [("reach_probe.sign", "return -1", 0)])
+
+
+
+def walk_source(planted_at=None):
+    """`walk`, whose `continue` under `x is None` never runs and whose
+    `continue` under `x < 0` runs, with a planted `continue` that never
+    runs inserted at position `planted_at` of its loop body."""
+    body = ["        if x is None:\n", "            continue\n",
+            "        if x < 0:\n", "            continue\n"]
+    if planted_at is not None:
+        body.insert(planted_at, "        if x == 'planted':\n            continue\n")
+    return "def walk(xs):\n    for x in xs:\n" + "".join(body) + "    return 0\n"
+
+
+@pytest.mark.parametrize("planted_at,ordinal", [(0, 1), (2, 1), (4, 2)])
+def test_an_exemption_covers_exactly_one_statement(tmp_path, planted_at, ordinal):
+    # the `continue` under `x is None` is exempt; a planted twin of it
+    # fails the gate before it, between it and its reached twin, or last
+    exempt = {("reach_probe.walk", "continue", 0): "xs holds no None"}
+    path, probe = _probe(tmp_path, walk_source())
+    missing = unreached(lambda: probe.walk([1, -1]), [path], [probe])[1]
+    assert stale(missing, exempt) == ([], [])
+    path, probe = _probe(tmp_path, walk_source(planted_at))
+    missing = unreached(lambda: probe.walk([1, -1]), [path], [probe])[1]
+    assert len(missing) == 2
+    assert stale(missing, exempt)[0] == [("reach_probe.walk", "continue", ordinal)]

@@ -53,6 +53,8 @@ FROZEN = [
     # perfbench/reference.json
     ("bar resolve --trunc 4", "b6ca34b3602b1d3955a2a408e2c6d223"),
     ("factor ulali --trunc 5", "0627f46f40062c34044661f91c27c692"),
+    # the tower at a depth where its blocks run to 512 x 256
+    ("bar resolve --trunc 6", "078b79993ed00bf3454be8f5abca9c33"),
 ]
 
 
@@ -82,6 +84,10 @@ FROZEN_FILES = [
      "5c1ac386a53f4473c493bfa187816904"),
     ("bar resolve --module ground --trunc 3 --dgalgebra poly3.json",
      "aa923dcec4ca41cfd97282374e89493d"),
+    # POLY3, whose entries the loader reads as Fractions, with live inner
+    # faces on every level up to 4
+    ("bar resolve --module ground --trunc 4 --dgalgebra poly3.json",
+     "96471362a6c569f6f8d8c1dc87125003"),
     ("factor ulali --trunc 3 --dgalgebra poly3.json",
      "171e655ab343aaebb006a6f75eeab17b"),
     # the coherent calculus over the live inner faces of POLY3 and the

@@ -11,6 +11,7 @@ from weakmaps.awfs import fragment_arrows
 from weakmaps.cli import _comonad_spec
 from weakmaps.dg import is_chain_map
 from weakmaps.fincat import FinSetCategory, finset_fragment, validate_category
+from weakmaps.ratmat import mat
 from weakmaps.schemas import (
     SchemaError,
     load_algebra,
@@ -38,7 +39,7 @@ def test_complex_happy_path():
     cx = load_complex({"degrees": {"0": 2, "1": 1},
                        "boundary": {"1": [["1/2"], [3]]}})
     assert cx.dims == {0: 2, 1: 1}
-    assert cx.boundary(1) == ((Fraction(1, 2),), (Fraction(3),))
+    assert cx.boundary(1) == mat([[Fraction(1, 2)], [Fraction(3)]])
 
 
 def test_complex_rejects_boundary_square():
@@ -130,7 +131,7 @@ def test_aliased_degree_keys_are_rejected(key):
 
 def test_canonical_negative_degree_keys_load():
     cx = load_complex({"degrees": {"-1": 1, "0": 1}, "boundary": {"0": [[2]]}})
-    assert cx.dims == {-1: 1, 0: 1} and cx.boundary(0) == ((2,),)
+    assert cx.dims == {-1: 1, 0: 1} and cx.boundary(0) == mat([[2]])
 
 
 # --- algebras, modules, lalis -----------------------------------------------
