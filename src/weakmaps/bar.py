@@ -25,11 +25,11 @@ reads only levels <= n of the inputs, so both are exact under truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
 
 from .dg import (ChainComplex, GradedMap, assoc_iso, boundary_gmap,
-                 chain_sides, gmap_add, gmap_compose, gmap_smul, gmap_sub,
+                 chain_sides, differential_terms, gmap_compose, gmap_sum,
                  graded_differential, HomologicalLali, id_gmap, lunit_iso,
                  random_gmap, runit_iso, signed_perm_inverse, tensor_complex,
                  tensor_map, unit_complex, zero_gmap)
@@ -120,8 +120,8 @@ class DgAlgebra:
                gmap_compose(self.proj_bar, self.incl_bar), id_gmap(self.abar))
         rep.eq("alg.split.pivot", self.name,
                gmap_compose(self.pivot, self.unit), id_gmap(unit_complex()))
-        recover = gmap_add(gmap_compose(self.incl_bar, self.proj_bar),
-                           gmap_compose(self.unit, self.pivot))
+        recover = gmap_sum(a, a, 0, [(1, self.incl_bar, self.proj_bar),
+                                     (1, self.unit, self.pivot)])
         rep.eq("alg.split.recover", self.name, recover, one)
         return rep
 
@@ -281,10 +281,10 @@ class BarCalculus:
         """sum_{j<n} (-1)^j dbar_j : Y_n -> Y_{n-1} for n <= L, built as
         dbar_0 - T-bar ebar_{n-1}; dbar_0 multiplies the two front slots."""
         if n not in self._ebar:
-            d0 = gmap_compose(self.downs[n - 2], gmap_compose(
-                self.mu_on(self.barpow[n - 2]),
-                tensor_map(self.alg.incl_bar, self.ups[n - 2])))
-            self._ebar[n] = gmap_sub(d0, self.Tbar(self.ebar(n - 1)))
+            mu = gmap_compose(self.mu_on(self.barpow[n - 2]),
+                              tensor_map(self.alg.incl_bar, self.ups[n - 2]))
+            self._ebar[n] = gmap_sum(self.barpow[n], self.barpow[n - 1], 0, [
+                (1, self.downs[n - 2], mu), (-1, self.Tbar(self.ebar(n - 1)))])
         return self._ebar[n]
 
     def strict_sides(self, u: GradedMap, src_act: GradedMap,
@@ -337,12 +337,8 @@ class BarCalculus:
     def facesum(self, n: int) -> GradedMap:
         """Alternating sum of all faces out of T^n M."""
         if n not in self._facesum:
-            total = zero_gmap(self.pow[n], self.pow[n - 1], 0)
-            for j in range(n):
-                term = self.face(n, j)
-                total = gmap_add(total,
-                                 term if j % 2 == 0 else gmap_smul(-1, term))
-            self._facesum[n] = total
+            self._facesum[n] = gmap_sum(self.pow[n], self.pow[n - 1], 0, [
+                (-1 if j % 2 else 1, self.face(n, j)) for j in range(n)])
         return self._facesum[n]
 
 
@@ -448,9 +444,9 @@ class TruncatedCodescent:
         for n, lv in enumerate(self.levels):
             strips = [(n, -1 if n % 2 else 1, boundary_gmap(lv))]
             if n:
-                d0 = gmap_compose(calc.mu_on(y[n - 1]),
-                                  calc.T(calc.ups[n - 1]))
-                strips.append((n - 1, 1, gmap_sub(d0, calc.T(calc.ebar(n)))))
+                strips.append((n - 1, 1, gmap_sum(lv, self.levels[n - 1], 0, [
+                    (1, calc.mu_on(y[n - 1]), calc.T(calc.ups[n - 1])),
+                    (-1, calc.T(calc.ebar(n)))])))
             for row, sign, f in strips:
                 for m, b in f.mats.items():
                     terms.setdefault(m + n, []).append(
@@ -471,20 +467,20 @@ class TruncatedCodescent:
         # q and xi insert the unit: xi sends a0[a1|...]m to 1[a0bar|a1|...]m
         self.p = gmap_compose(calc.mod.act, self.read_n[0])
         self.q = gmap_compose(self.tag_n[0], unit_insert(a, calc.mod.cx))
-        self.xi = reduce(gmap_add, (gmap_compose(
-            gmap_compose(self.tag_n[n + 1], calc.T(calc.downs[n])),
-            gmap_compose(unit_insert(a, lv), self.read_n[n]))
-            for n, lv in enumerate(self.levels[:L])))
+        self.xi = gmap_sum(self.total, self.total, 1, [
+            (1, gmap_compose(self.tag_n[n + 1], calc.T(calc.downs[n])),
+             gmap_compose(unit_insert(a, lv), self.read_n[n]))
+            for n, lv in enumerate(self.levels[:L])])
 
     @cached_property
     def abar(self) -> GradedMap:
         """A (x) |X| -> |X| multiplying into each level's first slot.  Built
         on first use, as A (x) |X| exists only once `cod.boundary.sq` holds."""
         calc = self.calc
-        return reduce(gmap_add, (
-            gmap_compose(self.tag_n[n], gmap_compose(
-                calc.mu_on(calc.barpow[n]), calc.T(self.read_n[n])))
-            for n in range(self.L + 1)))
+        return gmap_sum(tensor_complex(calc.alg.cx, self.total), self.total,
+                        0, [(1, self.tag_n[n], gmap_compose(
+                            calc.mu_on(calc.barpow[n]), calc.T(self.read_n[n])))
+                            for n in range(self.L + 1)])
 
     def iota(self, n: int) -> GradedMap:
         """X_n -> |X|, killing the degenerate part of the stage."""
@@ -496,8 +492,8 @@ class TruncatedCodescent:
     def glue(self, ms) -> GradedMap:
         """The map out of |X| acting on level n by ms[n], for maps ms[n]
         out of levels[n] of degree n + i; the sum has degree i."""
-        return reduce(gmap_add, (gmap_compose(m, self.read_n[n])
-                                 for n, m in enumerate(ms)))
+        return gmap_sum(self.total, ms[0].dst, ms[0].deg,
+                        [(1, m, self.read_n[n]) for n, m in enumerate(ms)])
 
     def eq_below_top(self, rep: CheckReport, name: str, sub: str,
                      lhs: GradedMap, rhs: GradedMap):
@@ -596,7 +592,8 @@ def bar_lali(t: TruncatedCodescent,
     rep.eq("lali.xixi", sub, gmap_compose(t.xi, t.xi),
            zero_gmap(t.total, t.total, 2))
     t.eq_below_top(rep, "lali.homotopy", sub, graded_differential(t.xi),
-                   gmap_sub(id_gmap(t.total), gmap_compose(t.q, t.p)))
+                   gmap_sum(t.total, t.total, 0,
+                            [(1, id_gmap(t.total)), (-1, t.q, t.p)]))
     rep.eq("lali.p.strict", sub,
            *calc.strict_sides(t.p, t.abar, calc.mod.act))
     return lali, rep
@@ -668,8 +665,9 @@ def thickened_lali(mod: DgModule, twist: GradedMap = None):
         if twist.src != mod.cx or twist.dst != mod.cx or twist.deg != 0:
             raise BarError("twist must be a degree-0 endomap of the module")
         n = gmap_compose(tensor_map(twist, e1), rinv)
-        f0 = gmap_add(f0, n)
-        eps0 = gmap_sub(eps0, gmap_compose(eps0, gmap_compose(n, g)))
+        f0 = gmap_sum(f0.src, f0.dst, 0, [(1, f0), (1, n)])
+        eps0 = gmap_sum(eps0.src, eps0.dst, 1,
+                        [(1, eps0), (-1, eps0, gmap_compose(n, g))])
     return modB, g, f0, eps0
 
 
@@ -757,62 +755,52 @@ def weak_forget(f: WeakHomElement) -> GradedMap:
     return f.comps[0]
 
 
-def _same_shape(f: WeakHomElement, g: WeakHomElement):
-    if (f.src != g.src or f.dst != g.dst or f.deg != g.deg or f.L != g.L):
+def weak_sum(terms) -> WeakHomElement:
+    """sum c * f over the terms (c, f), all of one shape; at least one."""
+    f = terms[0][1]
+    if any((g.src, g.dst, g.deg, g.L) != (f.src, f.dst, f.deg, f.L)
+           for _, g in terms):
         raise BarError("weak maps have different shapes")
-
-
-def weak_add(f: WeakHomElement, g: WeakHomElement) -> WeakHomElement:
-    _same_shape(f, g)
-    return WeakHomElement(f.src, f.dst, f.deg, f.L,
-                          [gmap_add(a, b) for a, b in zip(f.comps, g.comps)])
-
-
-def weak_sub(f: WeakHomElement, g: WeakHomElement) -> WeakHomElement:
-    return weak_add(f, weak_smul(-1, g))
-
-
-def weak_smul(c, f: WeakHomElement) -> WeakHomElement:
-    return WeakHomElement(f.src, f.dst, f.deg, f.L,
-                          [gmap_smul(c, a) for a in f.comps])
+    calc = f._calc
+    return WeakHomElement(f.src, f.dst, f.deg, f.L, [
+        gmap_sum(calc.barpow[n], f.dst.cx, n + f.deg,
+                 [(c, g.comps[n]) for c, g in terms])
+        for n in range(f.L + 1)])
 
 
 def weak_differential(f: WeakHomElement) -> WeakHomElement:
     """Componentwise differential of the coherent mapping complex,
     (df)_n = D f_n + s (f_{n-1} . ebar_n - ebar_1 . T-bar f_{n-1}) with
     s = (-1)^deg, ebar_n the source's and ebar_1 the target's.  Only
-    levels n and n-1 are read, so truncation is exact."""
+    levels n and n-1 are read, so truncation is exact; ebar_n and the
+    rung are not read when f_{n-1} stores no block."""
     calc = f._calc
     sign = -1 if f.deg % 2 else 1
     comps = []
     for n, c in enumerate(f.comps):
-        out = graded_differential(c)
-        if n >= 1:
-            out = gmap_add(out, gmap_smul(sign, gmap_sub(
-                gmap_compose(f.comps[n - 1], calc.ebar(n)),
-                gmap_compose(f.dst.ebar1, f.rung(n - 1, 1)))))
-        comps.append(out)
+        terms = differential_terms(c)
+        if n and not f.comps[n - 1].is_zero():
+            terms += [(sign, f.comps[n - 1], calc.ebar(n)),
+                      (-sign, f.dst.ebar1, f.rung(n - 1, 1))]
+        comps.append(gmap_sum(c.src, c.dst, c.deg - 1, terms))
     return WeakHomElement(f.src, f.dst, f.deg - 1, f.L, comps)
 
 
 def weak_compose(g: WeakHomElement, f: WeakHomElement) -> WeakHomElement:
     """(g . f)_n = sum_{p+q=n} g_p . T-bar^p f_q with the Koszul sign
-    (-1)^{p deg f} from moving f past p tensor slots."""
+    (-1)^{p deg f} from moving f past p tensor slots.  A term with a
+    factor that stores no block is skipped, so its rung is not built."""
     if f.dst != g.src:
         raise BarError("weak maps are not composable")
     if f.L != g.L:
         raise BarError("weak maps have different truncation levels")
     calc = f._calc
-    comps = []
-    for n in range(f.L + 1):
-        out = zero_gmap(calc.barpow[n], g.dst.cx, n + f.deg + g.deg)
-        for p in range(n + 1):
-            term = gmap_compose(g.comps[p], f.rung(n - p, p))
-            if (p * f.deg) % 2:
-                term = gmap_smul(-1, term)
-            out = gmap_add(out, term)
-        comps.append(out)
-    return WeakHomElement(f.src, g.dst, f.deg + g.deg, f.L, comps)
+    return WeakHomElement(f.src, g.dst, f.deg + g.deg, f.L, [gmap_sum(
+        calc.barpow[n], g.dst.cx, n + f.deg + g.deg,
+        [(-1 if (p * f.deg) % 2 else 1, g.comps[p], f.rung(n - p, p))
+         for p in range(n + 1)
+         if not (g.comps[p].is_zero() or f.comps[n - p].is_zero())])
+        for n in range(f.L + 1)])
 
 
 def random_weak(rng, src: DgModule, dst: DgModule, deg: int,
@@ -848,9 +836,9 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     comps = {"f": [f0], "eps": [eps0]}
     for _ in range(L):
         for nm, cs in comps.items():
-            c = gmap_compose(eps0, gmap_compose(modB.ebar1,
-                                                calcB.Tbar(cs[-1])))
-            cs.append(c if nm == "f" else gmap_smul(-1, c))
+            c = gmap_compose(modB.ebar1, calcB.Tbar(cs[-1]))
+            cs.append(gmap_sum(c.src, eps0.dst, c.deg + eps0.deg,
+                               [(1 if nm == "f" else -1, eps0, c)]))
     after = {nm: [gmap_compose(eps0, c) for c in cs]
              for nm, cs in comps.items()}
     # FAIL lines only; none are added if the side condition holds
@@ -868,7 +856,7 @@ def lift_ulali(modB: DgModule, modA: DgModule, g: GradedMap, f0: GradedMap,
     rep.eq("lift.forget", sub, (weak_forget(f), weak_forget(eps)), (f0, eps0))
     rep.eq("lift.retract", sub, weak_compose(jg, f), weak_identity(modA, L))
     rep.eq("lift.homotopy", sub, weak_differential(eps),
-           weak_sub(weak_identity(modB, L), weak_compose(f, jg)))
+           weak_sum([(1, weak_identity(modB, L)), (-1, weak_compose(f, jg))]))
     rep.eq("lift.g_eps", sub, weak_compose(jg, eps),
            weak_zero(modB, modA, 1, L))
     rep.eq("lift.eps_f", sub, weak_compose(eps, f),

@@ -53,21 +53,23 @@ def _dg_inputs(ns):
     """(config, algebra, module, laws) from --dgalgebra/--builtin,
     --dgmodule/--module and --trunc; `laws` holds the algebra and module
     law checks.  A run over input that breaks them reports their FAIL
-    lines and stops there."""
-    from . import schemas
+    lines and stops there.  `schemas` loads only to read a file."""
+    from .bar import builtin_algebra, builtin_module
     cfg = {"trunc": str(ns.trunc)}
     if ns.dgalgebra:
+        from . import schemas
         cfg["dgalgebra"] = ns.dgalgebra
         alg = schemas.load_algebra(schemas.load_file(ns.dgalgebra))
     else:
         cfg["builtin"] = ns.builtin
-        alg = schemas.load_algebra({"kind": ns.builtin}, "--builtin")
+        alg = builtin_algebra(ns.builtin)
     if ns.dgmodule:
+        from . import schemas
         cfg["dgmodule"] = ns.dgmodule
         mod = schemas.load_module(schemas.load_file(ns.dgmodule), alg)
     else:
         cfg["module"] = ns.module
-        mod = schemas.load_module({"kind": ns.module}, alg, "--module")
+        mod = builtin_module(alg, ns.module)
     laws = mod.validate(alg.validate())
     return cfg, alg, mod, laws
 
@@ -197,8 +199,8 @@ def _run_bar_resolve(ns):
 
 def _run_dg_check(ns):
     import random
-    from .bar import (random_weak, weak_add, weak_compose, weak_differential,
-                      weak_identity, weak_smul)
+    from .bar import (random_weak, weak_compose, weak_differential,
+                      weak_identity, weak_sum)
     cfg, alg, mod, rep = _dg_inputs(ns)
     cfg["trials"] = str(ns.trials)
     if not rep.ok:
@@ -215,9 +217,9 @@ def _run_dg_check(ns):
         dd = weak_differential(weak_differential(f))
         rep.record("dg.ddzero", sub, dd.is_zero(), dd, 0)
         lhs = weak_differential(weak_compose(g, f))
-        rhs = weak_add(weak_compose(weak_differential(g), f),
-                       weak_smul((-1) ** (g.deg % 2),
-                                 weak_compose(g, weak_differential(f))))
+        rhs = weak_sum([(1, weak_compose(weak_differential(g), f)),
+                        ((-1) ** (g.deg % 2),
+                         weak_compose(g, weak_differential(f)))])
         rep.eq("dg.leibniz", sub, lhs, rhs)
         rep.eq("dg.assoc", sub,
                weak_compose(h, weak_compose(g, f)),
@@ -243,10 +245,10 @@ def _load_lali(ns):
     """(config, M, (B, g, f0, eps0), laws) for a lali B -> M; `laws`
     holds the law checks of the algebra, M and B.  B is checked and the
     demo lali built only if the algebra and M pass; else parts may be None."""
-    from . import schemas
     cfg, alg, mod, laws = _dg_inputs(ns)
     parts = None
     if ns.lali:
+        from . import schemas
         cfg["lali"] = ns.lali
         parts = schemas.load_lali(schemas.load_file(ns.lali), alg, mod)
     elif laws.ok:

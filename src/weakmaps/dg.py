@@ -5,7 +5,9 @@ matrix blocks X_k -> Y_{k+n}, stored only where both ends are nonzero
 and the block is not zero.  An absent block or boundary is zero, and no
 operation builds one: composites, sums, tensor maps and the tensor
 boundary walk the stored blocks only.  `block()` and `boundary()` give
-a zero matrix of the right shape for an absent one.
+a zero matrix of the right shape for an absent one.  Every linear
+combination of graded maps, a composite and the differential included,
+is one `gmap_sum`: one `ratmat.msum` per source degree, one GradedMap.
 
 The differential of a map is the graded commutator
 
@@ -29,8 +31,8 @@ from __future__ import annotations
 import functools
 
 from . import InputError
-from .ratmat import (assemble, eye, is_zero, madd, mat, mmul, nonzeros,
-                     rank, shape, smul, transpose, zeros)
+from .ratmat import (assemble, eye, is_zero, mat, mmul, msum, nonzeros,
+                     rank, shape, transpose, zeros)
 from .report import CheckReport
 
 
@@ -129,44 +131,45 @@ def id_gmap(x: ChainComplex) -> GradedMap:
     return GradedMap(x, x, 0, {k: eye(n) for k, n in x.dims.items()})
 
 
+def gmap_sum(src: ChainComplex, dst: ChainComplex, deg: int,
+             terms) -> GradedMap:
+    """sum c * (g . f) over the terms (c, g, f), and c * f over the terms
+    (c, f), each a map src -> dst of degree deg: one msum per source
+    degree, fed no block of f whose g stores none at its target."""
+    parts = {}
+    for t in terms:
+        c, g, f = t if len(t) == 3 else (t[0], None, t[1])
+        if g is not None and g.src != f.dst:
+            raise DgError("graded maps are not composable")
+        ends = (f.dst, f.deg) if g is None else (g.dst, f.deg + g.deg)
+        if (f.src, *ends) != (src, dst, deg):
+            raise DgError("graded maps are not addable")
+        for k, fk in f.mats.items():
+            a = fk if g is None else g.mats.get(k + f.deg)
+            if a is not None:
+                parts.setdefault(k, []).append(
+                    (c, a, eye(src.dims[k]) if g is None else fk))
+    return GradedMap(src, dst, deg, {k: msum(dst.dim(k + deg), src.dims[k], ts)
+                                     for k, ts in parts.items()})
+
+
 def gmap_compose(g: GradedMap, f: GradedMap) -> GradedMap:
-    if g.src != f.dst:
-        raise DgError("graded maps are not composable")
-    mats = {}
-    for k, fk in f.mats.items():
-        gm = g.mats.get(k + f.deg)
-        if gm is not None:
-            mats[k] = mmul(gm, fk)
-    return GradedMap(f.src, g.dst, f.deg + g.deg, mats)
-
-
-def gmap_add(f: GradedMap, g: GradedMap) -> GradedMap:
-    if f.src != g.src or f.dst != g.dst or f.deg != g.deg:
-        raise DgError("graded maps are not addable")
-    mats = dict(f.mats)
-    for k, m in g.mats.items():
-        mats[k] = madd(mats[k], m) if k in mats else m
-    return GradedMap(f.src, f.dst, f.deg, mats)
-
-
-def gmap_sub(f: GradedMap, g: GradedMap) -> GradedMap:
-    return gmap_add(f, gmap_smul(-1, g))
-
-
-def gmap_smul(c, f: GradedMap) -> GradedMap:
-    return GradedMap(f.src, f.dst, f.deg, {k: smul(c, m) for k, m in f.mats.items()})
+    return gmap_sum(f.src, g.dst, f.deg + g.deg, ((1, g, f),))
 
 
 def boundary_gmap(x: ChainComplex) -> GradedMap:
     return GradedMap(x, x, -1, dict(x.d))
 
 
+def differential_terms(f: GradedMap) -> list:
+    """The two terms of Df = d.f - (-1)^deg f.d, for gmap_sum."""
+    return [(1, boundary_gmap(f.dst), f),
+            (1 if f.deg % 2 else -1, f, boundary_gmap(f.src))]
+
+
 def graded_differential(f: GradedMap) -> GradedMap:
     """Df = d.f - (-1)^deg f.d, degree deg-1."""
-    sign = -1 if f.deg % 2 else 1
-    left = gmap_compose(boundary_gmap(f.dst), f)
-    right = gmap_compose(f, boundary_gmap(f.src))
-    return gmap_sub(left, gmap_smul(sign, right))
+    return gmap_sum(f.src, f.dst, f.deg - 1, differential_terms(f))
 
 
 def chain_sides(f: GradedMap) -> tuple[bool, str, str]:
@@ -305,7 +308,7 @@ class HomologicalLali:
         rep.record("lali.g.chain", sub, *chain_sides(g))
         rep.record("lali.q.chain", sub, *chain_sides(q))
         rep.eq("lali.section", sub, gmap_compose(g, q), id_gmap(g.dst))
-        want = gmap_sub(id_gmap(g.src), gmap_compose(q, g))
+        want = gmap_sum(g.src, g.src, 0, [(1, id_gmap(g.src)), (-1, q, g)])
         rep.eq("lali.homotopy", sub, graded_differential(xi), want)
         rep.eq("lali.gxi", sub, gmap_compose(g, xi), zero_gmap(g.src, g.dst, 1))
         rep.eq("lali.xiq", sub, gmap_compose(xi, q), zero_gmap(q.src, g.src, 1))

@@ -4,7 +4,8 @@ A matrix is a `Mat`, the tuple of its rows with the column count `cols`
 beside it.  Row i holds its nonzero entries (j, v) in ascending column
 j, v an int when integral and a fractions.Fraction otherwise, so equal
 matrices store equal rows whatever built them, and compare and hash
-equal.  `mat` reads dense rows and `assemble` places blocks; every
+equal.  `mat` reads dense rows, `assemble` places blocks, and `msum`,
+sum c * (a . b), is every product and linear combination; every
 operation touches nonzero entries only.
 """
 
@@ -58,26 +59,27 @@ def transpose(a):
     return Mat(map(_row, cols), len(a))
 
 
+def msum(rows, cols, terms):
+    """The rows x cols matrix sum of c * (a . b) over the terms (c, a, b):
+    row i sums c * x * (row k of b) over row i's (k, x) in a, so a
+    product forms only where both factors are nonzero."""
+    out = [{} for _ in range(rows)]
+    for c, a, b in terms:
+        if len(a) != rows or a.cols != len(b) or b.cols != cols:
+            raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}"
+                             f" in a {rows} x {cols} sum")
+        for acc, row in zip(out, a):
+            for k, x in row:
+                if c != 1:
+                    x = c * x
+                for j, y in b[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+    return Mat(map(_row, out), cols)
+
+
 def mmul(a, b):
-    """a . b: row i of it sums x * (row k of b) over row i's (k, x)."""
-    if a.cols != len(b):
-        raise ValueError(f"shape mismatch: {shape(a)} * {shape(b)}")
-    out = []
-    for row in a:
-        acc = {}
-        for k, x in row:
-            for j, y in b[k]:
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(_row(acc))
-    return Mat(out, b.cols)
-
-
-def madd(a, b):
-    return assemble(*shape(a), [(a, 0, 0), (b, 0, 0)])
-
-
-def smul(c, a):
-    return Mat([_row({j: c * v for j, v in row}) for row in a], a.cols)
+    """a . b, the one-term `msum`."""
+    return msum(len(a), b.cols, ((1, a, b),))
 
 
 def is_zero(a):

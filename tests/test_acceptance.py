@@ -42,11 +42,10 @@ from weakmaps.bar import (
     random_weak,
     strict_to_weak,
     thickened_lali,
-    weak_add,
     weak_compose,
     weak_differential,
     weak_identity,
-    weak_smul,
+    weak_sum,
     weak_to_strict,
 )
 from weakmaps.cli import main
@@ -245,10 +244,9 @@ def test_4_coherent_map_sign_algebra():
         h = random_weak(rng, m2, m3, rng.randrange(-1, 2), L)
         dd = weak_differential(weak_differential(f)).is_zero()
         lhs = weak_differential(weak_compose(g, f))
-        rhs = weak_add(
-            weak_compose(weak_differential(g), f),
-            weak_smul((-1) ** (g.deg % 2),
-                      weak_compose(g, weak_differential(f))))
+        rhs = weak_sum([
+            (1, weak_compose(weak_differential(g), f)),
+            ((-1) ** (g.deg % 2), weak_compose(g, weak_differential(f)))])
         leibniz = lhs == rhs
         assoc = (weak_compose(h, weak_compose(g, f))
                  == weak_compose(weak_compose(h, g), f))

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -24,13 +23,12 @@ from weakmaps.bar import (
     strict_to_weak,
     thickened_lali,
     validate_bar,
-    weak_add,
     weak_compose,
     weak_differential,
     weak_forget,
     weak_from_strict,
     weak_identity,
-    weak_smul,
+    weak_sum,
     weak_to_strict,
     weak_zero,
 )
@@ -39,9 +37,8 @@ from weakmaps.dg import (
     GradedMap,
     HomologicalLali,
     boundary_gmap,
-    gmap_add,
     gmap_compose,
-    gmap_smul,
+    gmap_sum,
     homology_ranks,
     id_gmap,
     is_chain_map,
@@ -95,8 +92,8 @@ def test_unit_complement_dims():
 
 def test_split_recovers_algebra():
     for alg in (DUAL, EXT):
-        back = gmap_add(gmap_compose(alg.incl_bar, alg.proj_bar),
-                        gmap_compose(alg.unit, alg.pivot))
+        back = gmap_sum(alg.cx, alg.cx, 0, [(1, alg.incl_bar, alg.proj_bar),
+                                            (1, alg.unit, alg.pivot)])
         assert back == id_gmap(alg.cx)
 
 
@@ -268,9 +265,9 @@ def tower_glue(t, ms):
     """The map out of |X| acting on level n by ms[n] . T incl_w[n], for
     maps ms[n] out of the tower power X_n."""
     calc = t.calc
-    return reduce(gmap_add, (
-        gmap_compose(m, gmap_compose(calc.T(calc.incl_w[n]), t.read_n[n]))
-        for n, m in enumerate(ms)))
+    return gmap_sum(t.total, ms[0].dst, ms[0].deg, [
+        (1, m, gmap_compose(calc.T(calc.incl_w[n]), t.read_n[n]))
+        for n, m in enumerate(ms)])
 
 
 def tower_codescent(t):
@@ -287,10 +284,10 @@ def tower_codescent(t):
     q = gmap_compose(t.iota(0), calc.degen(0, -1))
     xi = tower_glue(t, [gmap_compose(t.iota(n + 1), calc.degen(n + 1, -1))
                         for n in range(L)])
-    abar = reduce(gmap_add, (
-        gmap_compose(gmap_compose(t.tag_n[n], proj[n]), gmap_compose(
+    abar = gmap_sum(tensor_complex(calc.alg.cx, t.total), t.total, 0, [
+        (1, gmap_compose(t.tag_n[n], proj[n]), gmap_compose(
             calc.face(n + 2, 0), calc.T(gmap_compose(incl[n], t.read_n[n]))))
-        for n in range(L + 1)))
+        for n in range(L + 1)])
     return drop, p, q, xi, abar
 
 
@@ -313,10 +310,10 @@ def assert_codescent_matches_tower(mod, L):
     # level pin the total differential down
     d = boundary_gmap(t.total)
     for n, lv in enumerate(t.levels):
-        want = gmap_compose(t.tag_n[n], gmap_smul((-1) ** n, boundary_gmap(lv)))
+        terms = [((-1) ** n, t.tag_n[n], boundary_gmap(lv))]
         if n:
-            want = gmap_add(want, gmap_compose(t.tag_n[n - 1], drop[n - 1]))
-        assert gmap_compose(d, t.tag_n[n]) == want, n
+            terms.append((1, t.tag_n[n - 1], drop[n - 1]))
+        assert gmap_compose(d, t.tag_n[n]) == gmap_sum(lv, t.total, n - 1, terms), n
     assert (t.p, t.q, t.xi, t.abar) == (p, q, xi, abar)
 
 
@@ -495,6 +492,16 @@ def test_weak_composition_associative(seed):
         weak_compose(h, g), f)
 
 
+def test_weak_sum_rejects_maps_of_other_shapes():
+    rng = random.Random(0)
+    f = random_weak(rng, DG, DF, 0, 2)
+    assert weak_sum([(2, f), (-1, f)]) == f
+    for g in (random_weak(rng, DG, DF, 1, 2), random_weak(rng, DG, DF, 0, 3),
+              random_weak(rng, DF, DF, 0, 2), random_weak(rng, DG, DG, 0, 2)):
+        with pytest.raises(BarError, match="different shapes"):
+            weak_sum([(1, f), (1, g)])
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_weak_composition_bilinear(seed):
@@ -502,10 +509,10 @@ def test_weak_composition_bilinear(seed):
     f = random_weak(rng, DG, DF, 1, 2)
     g1 = random_weak(rng, DF, DG, 0, 2)
     g2 = random_weak(rng, DF, DG, 0, 2)
-    assert weak_compose(weak_add(g1, g2), f) == weak_add(
-        weak_compose(g1, f), weak_compose(g2, f))
-    assert weak_compose(weak_smul(3, g1), f) == weak_smul(
-        3, weak_compose(g1, f))
+    assert weak_compose(weak_sum([(1, g1), (1, g2)]), f) == weak_sum(
+        [(1, weak_compose(g1, f)), (1, weak_compose(g2, f))])
+    assert weak_compose(weak_sum([(3, g1)]), f) == weak_sum(
+        [(3, weak_compose(g1, f))])
 
 
 @settings(max_examples=10, deadline=None)
@@ -527,9 +534,9 @@ def test_weak_leibniz(seed):
         f = random_weak(rng, src, mid, rng.randrange(-1, 2), 2)
         g = random_weak(rng, mid, dst, rng.randrange(-1, 2), 2)
         lhs = weak_differential(weak_compose(g, f))
-        rhs = weak_add(weak_compose(weak_differential(g), f),
-                       weak_smul((-1) ** (g.deg % 2),
-                                 weak_compose(g, weak_differential(f))))
+        rhs = weak_sum([(1, weak_compose(weak_differential(g), f)),
+                        ((-1) ** (g.deg % 2),
+                         weak_compose(g, weak_differential(f)))])
         assert lhs == rhs
 
 
@@ -761,7 +768,8 @@ def test_side_broken_lali_fails_both_reduced_families():
 
 def test_corrupted_face_fails_face_face(family_fails):
     calc = BarCalculus(DG, 2)  # a private calculus, not the module's cache
-    calc._face[(2, 0)] = gmap_add(calc.face(2, 0), calc.face(2, 0))
+    f = calc.face(2, 0)
+    calc._face[(2, 0)] = gmap_sum(f.src, f.dst, f.deg, [(2, f)])
     rep = validate_bar(calc)
     items = family_fails(rep, "bar.face_face")
     assert [c.subject for c in items] == ["dual_numbers/ground n=2 i=0 j=1",
@@ -774,7 +782,8 @@ def test_corrupted_face_fails_face_face(family_fails):
 
 def test_corrupted_degeneracy_and_degree_fail_their_families(family_fails):
     calc = BarCalculus(EG, 2)
-    calc._degen[(1, 0)] = gmap_add(calc.degen(1, 0), calc.degen(1, 0))
+    s = calc.degen(1, 0)
+    calc._degen[(1, 0)] = gmap_sum(s.src, s.dst, s.deg, [(2, s)])
     f = calc.face(1, 0)
     calc._face[(1, 0)] = zero_gmap(f.src, f.dst, 1)  # the wrong degree
     rep = validate_bar(calc)

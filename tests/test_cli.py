@@ -401,10 +401,10 @@ NOT_IMPORTED = {
     "awfs check --builtin psplitepi --finset-max 1":
         DG_STACK | {"fractions", "weakmaps.schemas"} | UNUSED,
     "weakmaps compare --bound 2": DG_STACK | {"fractions", "weakmaps.schemas"} | UNUSED,
-    "bar resolve --trunc 2": FINSET_STACK | UNUSED,
-    "dg check --trunc 2 --trials 1": FINSET_STACK | UNUSED,
-    "lift lali --trunc 2": FINSET_STACK | UNUSED,
-    "factor ulali --trunc 2": FINSET_STACK | UNUSED,
+    "bar resolve --trunc 2": FINSET_STACK | {"weakmaps.schemas"} | UNUSED,
+    "dg check --trunc 2 --trials 1": FINSET_STACK | {"weakmaps.schemas"} | UNUSED,
+    "lift lali --trunc 2": FINSET_STACK | {"weakmaps.schemas"} | UNUSED,
+    "factor ulali --trunc 2": FINSET_STACK | {"weakmaps.schemas"} | UNUSED,
     "validate --category CATEGORY": DG_STACK | UNUSED,
 }
 

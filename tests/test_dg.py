@@ -17,9 +17,8 @@ from weakmaps.dg import (
     assoc_iso,
     boundary_gmap,
     chain_sides,
-    gmap_add,
     gmap_compose,
-    gmap_smul,
+    gmap_sum,
     graded_differential,
     homology_ranks,
     id_gmap,
@@ -33,8 +32,9 @@ from weakmaps.dg import (
     zero_gmap,
 )
 from weakmaps.ratmat import assemble, eye, mat, rank, zeros
-from generators import (compose_lali, dense, identity_lali, lali_morphism_ok,
-                        random_complex, random_lali, symmetry_iso, total_dim)
+from generators import (compose_lali, dense, dense_gmap_sum, identity_lali,
+                        lali_morphism_ok, random_complex, random_lali,
+                        symmetry_iso, total_dim)
 
 
 def test_kron_index_convention():
@@ -146,8 +146,8 @@ def test_leibniz_for_composition(seed, da, db):
     f = random_gmap(rng, x, y, da)
     g = random_gmap(rng, y, z, db)
     lhs = graded_differential(gmap_compose(g, f))
-    rhs = gmap_add(gmap_compose(graded_differential(g), f),
-                   gmap_smul((-1) ** (db % 2), gmap_compose(g, graded_differential(f))))
+    rhs = gmap_sum(x, z, da + db - 1, [(1, graded_differential(g), f),
+                                       ((-1) ** (db % 2), g, graded_differential(f))])
     assert lhs == rhs
 
 
@@ -157,6 +157,43 @@ def test_differential_squares_to_zero(seed, deg):
     rng, (x, y) = _seeded_complexes(seed)
     f = random_gmap(rng, x, y, deg)
     assert graded_differential(graded_differential(f)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9), da=st.integers(-1, 1), db=st.integers(-1, 1),
+       coeffs=st.lists(st.sampled_from([0, 1, -1, 2, Fraction(-1, 2)]),
+                       min_size=0, max_size=5))
+def test_gmap_sum_matches_the_dense_sum(seed, da, db, coeffs):
+    # composites and plain multiples mixed, zero coefficients and
+    # zero maps included
+    rng, (x, y) = _seeded_complexes(seed)
+    z = random_complex(rng, 2, 3)
+    terms = []
+    for i, c in enumerate(coeffs):
+        g = random_gmap(rng, y, z, db) if i % 3 else zero_gmap(y, z, db)
+        f = random_gmap(rng, x, y, da)
+        terms.append((c, g, f) if i % 2 else (c, gmap_compose(g, f)))
+    got = gmap_sum(x, z, da + db, terms)
+    assert got == dense_gmap_sum(x, z, da + db, terms)
+
+
+def test_gmap_sum_rejects_a_term_of_the_wrong_type():
+    x, y = (ChainComplex({0: 1, 1: 1}, {1: mat([[v]])}) for v in (1, 2))
+    z = ChainComplex({0: 2}, {})
+    f = GradedMap(x, y, 0, {0: mat([[1]])})
+    g = GradedMap(y, y, 1, {0: mat([[1]])})
+    assert gmap_sum(x, y, 1, [(1, g, f), (2, gmap_compose(g, f))]).mats == {
+        0: mat([[3]])}
+    for terms in ([(1, f, g)],                      # g ends in y, f starts at x
+                  [(1, GradedMap(z, z, 0, {}), f)]):
+        with pytest.raises(DgError, match="not composable"):
+            gmap_sum(x, y, 1, terms)
+    for terms in ([(1, f)],                         # degree 0, not 1
+                  [(1, g, f), (1, GradedMap(x, z, 1, {}))],
+                  [(1, g)],                         # source y, not x
+                  [(1, id_gmap(y), gmap_compose(g, f)), (1, g, g)]):
+        with pytest.raises(DgError, match="not addable"):
+            gmap_sum(x, y, 1, terms)
 
 
 # frozen pair used by the tensor tests
@@ -183,7 +220,7 @@ def test_tensor_boundary_decomposition():
     t = tensor_complex(X, Y)
     left = tensor_map(boundary_gmap(X), id_gmap(Y))
     right = tensor_map(id_gmap(X), boundary_gmap(Y))
-    assert gmap_add(left, right) == boundary_gmap(t)
+    assert gmap_sum(t, t, -1, [(1, left), (1, right)]) == boundary_gmap(t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,8 +232,9 @@ def test_tensor_leibniz(seed, da, db):
     f = random_gmap(rng, x, x2, da)
     g = random_gmap(rng, y, y2, db)
     lhs = graded_differential(tensor_map(f, g))
-    rhs = gmap_add(tensor_map(graded_differential(f), g),
-                   gmap_smul((-1) ** (da % 2), tensor_map(f, graded_differential(g))))
+    rhs = gmap_sum(lhs.src, lhs.dst, lhs.deg, [
+        (1, tensor_map(graded_differential(f), g)),
+        ((-1) ** (da % 2), tensor_map(f, graded_differential(g)))])
     assert lhs == rhs
 
 
@@ -215,8 +253,9 @@ def test_tensor_interchange_sign(seed, degs):
     outer = tensor_map(f2, g2)
     inner = tensor_map(f, g)
     lhs = gmap_compose(outer, inner)
-    rhs = gmap_smul((-1) ** ((da * dd) % 2),
-                    tensor_map(gmap_compose(f2, f), gmap_compose(g2, g)))
+    rhs = gmap_sum(lhs.src, lhs.dst, lhs.deg, [
+        ((-1) ** ((da * dd) % 2),
+         tensor_map(gmap_compose(f2, f), gmap_compose(g2, g)))])
     assert lhs == rhs
 
 
@@ -339,7 +378,7 @@ def test_lali_frozen_small():
     rep = lali.validate()
     assert rep.ok, rep.failures()
     # breaking the side condition xi.xi = 0 must be caught
-    bad = HomologicalLali(g, q, gmap_add(xi, zero_gmap(a, a, 1)))
+    bad = HomologicalLali(g, q, gmap_sum(a, a, 1, [(1, xi), (1, zero_gmap(a, a, 1))]))
     assert bad.validate().ok  # adding zero changes nothing
     worse = HomologicalLali(g, GradedMap(b, a, 0, {0: mat([[1], [1]])}), xi)
     assert not worse.validate().ok

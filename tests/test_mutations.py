@@ -20,7 +20,7 @@ import pytest
 import weakmaps.bar as bar
 import weakmaps.cli as cli
 from weakmaps.bar import DgAlgebra, DgModule, random_weak, weak_identity
-from weakmaps.dg import GradedMap, gmap_smul, tensor_complex
+from weakmaps.dg import GradedMap, gmap_sum, tensor_complex
 from weakmaps.ratmat import mat
 from weakmaps.report import FAIL
 
@@ -41,8 +41,8 @@ def _calculus_of_inputs(monkeypatch, corrupt):
 
 def _poison(e, n, p):
     """Double rung p of level n of e's ladder, leaving the rest as built."""
-    e.rung(n, p)
-    e._rungs[n][p] = gmap_smul(2, e._rungs[n][p])
+    r = e.rung(n, p)
+    e._rungs[n][p] = gmap_sum(r.src, r.dst, r.deg, [(2, r)])
     return e
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from weakmaps import bar
 from weakmaps.ratmat import (Mat, _place, assemble, entries, eye, is_zero,
-                             madd, mat, mmul, nonzeros, rank, shape, smul,
+                             mat, mmul, msum, nonzeros, rank, shape,
                              transpose, zeros)
 from generators import _unimodular, dense, inverse
 
@@ -25,6 +25,15 @@ def dense_mmul(a, b):
         return tuple(() for _ in a)
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def dense_msum(rows, cols, terms):
+    out = [[0] * cols for _ in range(rows)]
+    for c, a, b in terms:
+        for i, row in enumerate(out):
+            for j in range(cols):
+                row[j] += c * sum(a[i][t] * b[t][j] for t in range(len(b)))
+    return tuple(map(tuple, out))
 
 
 def dense_kron(a, b):
@@ -93,6 +102,58 @@ def test_mmul_matches_dense(seed, density, fractions):
         assert_stored(got)
         assert dense(got) == want
         assert got == mat(want) and hash(got) == hash(mat(want))
+
+
+def as_mat(rows, r, c):
+    """The r x c matrix with the dense rows `rows`, r or c possibly 0."""
+    return mat(rows) if r else zeros(0, c)
+
+
+@pytest.mark.parametrize("seed,density,fractions", CASES)
+def test_msum_matches_dense(seed, density, fractions):
+    # up to four terms, each with its own inner dimension (0 included)
+    # and a coefficient that may be 0
+    rng = random.Random(600 + seed)
+    for _ in range(5):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            k = rng.randint(0, 5)
+            terms.append((rng.choice([0, 1, -1, 2, Fraction(-2, 3)]),
+                          rand_mat(rng, rows, k, density, fractions),
+                          rand_mat(rng, k, cols, density, fractions)))
+        got = msum(rows, cols, [(c, as_mat(a, rows, len(b)), as_mat(b, len(b), cols))
+                                for c, a, b in terms])
+        want = dense_msum(rows, cols, terms)
+        assert_stored(got)
+        assert shape(got) == (rows, cols) and dense(got) == want
+        assert got == as_mat(want, rows, cols)
+        assert hash(got) == hash(as_mat(want, rows, cols))
+
+
+def test_msum_zero_coefficients_and_empty_operands():
+    a, b = mat([[1, 2], [0, 3]]), mat([[4], [5]])
+    assert msum(2, 1, []) == zeros(2, 1) == msum(2, 1, [(0, a, b)])
+    assert msum(2, 1, [(1, a, b), (-1, a, b)]) == zeros(2, 1)
+    assert msum(2, 1, [(Fraction(1, 2), a, b), (0, a, b)]) == mat([[7], [Fraction(15, 2)]])
+    assert msum(0, 3, [(1, zeros(0, 2), zeros(2, 3))]) == zeros(0, 3)
+    assert msum(2, 3, [(1, zeros(2, 0), zeros(0, 3))]) == zeros(2, 3)
+    assert msum(2, 0, [(1, a, mat([[], []]))]) == zeros(2, 0)
+    assert mmul(a, b) == msum(2, 1, [(1, a, b)])
+
+
+@pytest.mark.parametrize("rows,cols,a,b", [
+    (1, 1, mat([[1, 2]]), mat([[1, 2]])),   # inner dimensions differ
+    (1, 1, mat([[1]]), zeros(0, 1)),
+    (2, 1, mat([[1]]), mat([[1]])),         # the rows of a are not the sum's
+    (1, 2, mat([[1]]), mat([[1]])),         # the columns of b are not the sum's
+])
+def test_msum_shape_mismatch_raises(rows, cols, a, b):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        msum(rows, cols, [(1, a, b)])
+    # a zero coefficient does not excuse a term of the wrong shape
+    with pytest.raises(ValueError, match="shape mismatch"):
+        msum(rows, cols, [(0, a, b)])
 
 
 @pytest.mark.parametrize("seed,density,fractions", CASES)
@@ -330,8 +391,12 @@ def test_public_functions_stay_exact(data):
         "mat": (A, a),
         "mmul": (mmul(A, B), [[sum(a[i][t] * b[t][j] for t in range(k))
                                for j in range(n)] for i in range(r)]),
-        "madd": (madd(A, C), [[x + y for x, y in zip(u, v)] for u, v in zip(a, c)]),
-        "smul": (smul(s, A), [[s * x for x in u] for u in a]),
+        "msum": (msum(r, n, [(s, A, B), (1, C, B), (0, C, B)]),
+                 [[sum((s * a[i][t] + c[i][t]) * b[t][j] for t in range(k))
+                   for j in range(n)] for i in range(r)]),
+        "sum": (msum(r, k, [(1, A, eye(k)), (1, C, eye(k))]),
+                [[x + y for x, y in zip(u, v)] for u, v in zip(a, c)]),
+        "multiple": (msum(r, k, [(s, A, eye(k))]), [[s * x for x in u] for u in a]),
         "transpose": (transpose(A), [list(col) for col in zip(*a)]),
         "assemble": (assemble(r + 1, 2 * k, [(A, 1, k, s), (C, 0, 0)]),
                      [[0] * k + [0] * k] + [[0] * 2 * k for _ in a]),
@@ -352,9 +417,12 @@ def test_public_functions_stay_exact(data):
     assert nonzeros(A) == " ".join(f"({i},{j})={v}" for i, j, v in entries(A))
     assert rank(A) == sympy.Matrix(r, k, [x for u in a for x in u]).rank()
     # equal matrices built along different paths
-    for other in (mmul(A, eye(k)), mmul(eye(r), A), madd(A, zeros(r, k)),
-                  smul(1, A), transpose(transpose(A)), mat(dense(A)),
-                  assemble(r, k, [(A, 0, 0)]), smul(Fraction(1, 2), smul(2, A)),
-                  madd(smul(Fraction(1, 3), A), smul(Fraction(2, 3), A))):
+    for other in (mmul(A, eye(k)), mmul(eye(r), A), msum(r, k, [(1, A, eye(k))]),
+                  transpose(transpose(A)), mat(dense(A)),
+                  assemble(r, k, [(A, 0, 0)]),
+                  msum(r, k, [(Fraction(1, 2), mmul(A, eye(k)), eye(k)),
+                              (Fraction(1, 2), eye(r), A)]),
+                  msum(r, k, [(Fraction(1, 3), A, eye(k)),
+                              (Fraction(2, 3), eye(r), A)])):
         assert_stored(other)
         assert other == A and hash(other) == hash(A) and not other != A

@@ -17,6 +17,7 @@ import pytest
 
 from weakmaps.bar import (
     BarCalculus,
+    WeakHomElement,
     builtin_algebra,
     builtin_module,
     lift_ulali,
@@ -25,12 +26,13 @@ from weakmaps.bar import (
     thickened_lali,
     weak_compose,
     weak_differential,
+    weak_from_strict,
+    weak_zero,
 )
-from weakmaps.dg import (gmap_add, gmap_compose, gmap_smul, gmap_sub,
-                         graded_differential, zero_gmap)
+from weakmaps.dg import boundary_gmap, gmap_compose
 from weakmaps.schemas import load_algebra
 
-from generators import CONE, EXTERIOR_DOWN, POLY3
+from generators import CONE, EXTERIOR_DOWN, POLY3, dense_gmap_sum
 
 ALGEBRAS = ("rationals", "dual_numbers", "exterior")
 FILES = {"exterior_down": EXTERIOR_DOWN, "poly3": POLY3, "cone": CONE}
@@ -68,27 +70,29 @@ def reference_rung(f, n, p):
 
 
 def reference_compose(g, f, n):
-    """Level n of g . f on the full power, every T-power built afresh."""
+    """Level n of g . f on the full power, every T-power built afresh and
+    every term kept, summed densely."""
     calc = f.src.calculus(f.L)
-    out = zero_gmap(calc.pow[n], g.dst.cx, n + f.deg + g.deg)
-    for p in range(n + 1):
-        term = gmap_compose(reference_full(g, p), reference_full(f, n - p, p))
-        out = gmap_add(out, gmap_smul(-1, term) if (p * f.deg) % 2 else term)
-    return restrict(calc, n, out)
+    return restrict(calc, n, dense_gmap_sum(
+        calc.pow[n], g.dst.cx, n + f.deg + g.deg,
+        [(-1 if (p * f.deg) % 2 else 1, reference_full(g, p),
+          reference_full(f, n - p, p)) for p in range(n + 1)]))
 
 
 def reference_differential(f, n):
-    """Level n of df on the full power: the target action on T f_{n-1}
-    and the alternating sum of the tower faces."""
+    """Level n of df on the full power, summed densely: D of the inflated
+    component, the target action on T f_{n-1} and each tower face."""
     calc = f.src.calculus(f.L)
     sign = -1 if f.deg % 2 else 1
-    out = graded_differential(reference_full(f, n))
+    full = reference_full(f, n)
+    terms = [(1, boundary_gmap(full.dst), full),
+             (-1 if full.deg % 2 == 0 else 1, full, boundary_gmap(full.src))]
     if n:
-        out = gmap_sub(out, gmap_smul(sign, gmap_compose(
-            f.dst.act, reference_full(f, n - 1, 1))))
-        out = gmap_add(out, gmap_smul(sign, gmap_compose(
-            reference_full(f, n - 1), calc.facesum(n))))
-    return restrict(calc, n, out)
+        terms.append((-sign, f.dst.act, reference_full(f, n - 1, 1)))
+        terms += [(sign * (-1) ** j, reference_full(f, n - 1), calc.face(n, j))
+                  for j in range(n)]
+    return restrict(calc, n, dense_gmap_sum(full.src, full.dst, full.deg - 1,
+                                            terms))
 
 
 def reference_lift(modB, modA, f0, eps0, L):
@@ -99,8 +103,9 @@ def reference_lift(modB, modA, f0, eps0, L):
         calc = mod.calculus(L)
         fulls = [c]
         for _ in range(L):
-            fulls.append(gmap_smul(sign, gmap_compose(
-                eps0, gmap_compose(modB.act, calc.T(fulls[-1])))))
+            inner = gmap_compose(modB.act, calc.T(fulls[-1]))
+            fulls.append(dense_gmap_sum(inner.src, eps0.dst, inner.deg + 1,
+                                        [(sign, eps0, inner)]))
         comps.append([restrict(calc, n, m) for n, m in enumerate(fulls)])
     return comps
 
@@ -167,19 +172,56 @@ class CountingCalculus(BarCalculus):
         return super().Tbar(f)
 
 
+def live(w):
+    return [n for n, c in enumerate(w.comps) if not c.is_zero()]
+
+
+def ladder_tops(g, f):
+    """The top rung of each ladder that weak_compose(g, f) reads: for
+    each live f_q, the highest p <= L - q with g_p live (0 if none)."""
+    return {q: max([p for p in live(g) if p <= f.L - q], default=0)
+            for q in live(f)}
+
+
 @pytest.mark.parametrize("L", range(2, 6))
 @pytest.mark.parametrize("alg", ("exterior", "exterior_down"))
 def test_compose_applies_T_once_per_rung(alg, L):
-    # a work count: level q of f needs rungs 1..L-q, so L(L+1)/2 in all;
-    # rebuilding T-bar^p f_q per term would take L(L+1)(L+2)/6
+    # a work count: each ladder climbs once, to the top rung a live term
+    # reads, so a composite costs the rungs above those already built;
+    # all of them is L(L+1)/2, where rebuilding T-bar^p f_q per term
+    # would take L(L+1)(L+2)/6
     mod = module(alg, "free")
     calc = mod._calcs[L] = CountingCalculus(mod, L)
     rng = random.Random(L)
     f, g, h = (random_weak(rng, mod, mod, d, L) for d in (-1, 0, 1))
-    before = calc.tbar_calls
-    weak_compose(g, f)
-    assert 0 < calc.tbar_calls - before <= L * (L + 1) // 2
-    before = calc.tbar_calls
-    # f's ladder is built; g's and h's rung 0 cost no T-bar
-    weak_compose(h, f)
-    assert calc.tbar_calls == before
+    built = dict.fromkeys(range(L + 1), 0)
+    for outer in (g, h, g, h):
+        tops = ladder_tops(outer, f)
+        need = sum(max(0, top - built[q]) for q, top in tops.items())
+        before = calc.tbar_calls
+        weak_compose(outer, f)
+        assert calc.tbar_calls - before == need
+        built.update({q: max(built[q], top) for q, top in tops.items()})
+    assert sum(built.values()) <= L * (L + 1) // 2
+    # over exterior, g of degree 0 is live at level 0 only and reads no
+    # rung; over exterior_down every level is live
+    assert live(g) == ([0] if alg == "exterior" else list(range(L + 1)))
+
+
+def test_compose_builds_no_rung_for_a_g_p_with_no_block():
+    L = 4
+    mod = module("exterior_down", "free")
+    calc = mod._calcs[L] = CountingCalculus(mod, L)
+    rng = random.Random(0)
+    f, g = (random_weak(rng, mod, mod, 0, L) for _ in range(2))
+    assert live(f) == live(g) == list(range(L + 1))
+    # g kept at level 2 alone: only the ladders of f_0, f_1 and f_2 climb,
+    # each to rung 2
+    z = weak_zero(mod, mod, 0, L)
+    only2 = WeakHomElement(mod, mod, 0, L, z.comps[:2] + g.comps[2:3] + z.comps[3:])
+    weak_compose(weak_from_strict(g.comps[0], mod, mod, L), f)
+    assert calc.tbar_calls == 0
+    assert [len(r) for r in f._rungs] == [1] * (L + 1)
+    weak_compose(only2, f)
+    assert calc.tbar_calls == 6
+    assert [len(r) for r in f._rungs] == [3, 3, 3, 1, 1]
