@@ -62,7 +62,7 @@ class PSplitEpiAwfs:
         return self.cop(f).inl
 
     def rho(self, f):
-        return self.cop(f).copair(f, self.comonad.counit(self.cat.cod(f)))
+        return self.cop(f).copair(f, self.comonad.counit(f.cod))
 
     def earr(self, h, k):
         """E(h,k) = h + P(k): A + PB -> C + PD; E factors through the ends."""
@@ -75,9 +75,8 @@ class PSplitEpiAwfs:
         lf = self.lam(f)
         c2 = self.cop(lf)
         cat = self.cat
-        b = cat.cod(f)
         p_inr = self.comonad.functor.arr(self.cop(f).inr)
-        leg = cat.compose(c2.inr, cat.compose(p_inr, self.comonad.comult(b)))
+        leg = cat.compose(c2.inr, cat.compose(p_inr, self.comonad.comult(f.cod)))
         return self.cop(f).copair(c2.inl, leg)
 
     def mult(self, f):
@@ -101,17 +100,17 @@ class RAlgebraArrow(Value, namedtuple("RAlgebraArrow", "awfs arrow witness")):
 
     @property
     def p(self):
-        a = self.awfs.cat.dom(self.arrow)
-        return self.awfs.cop(self.arrow).copair(self.awfs.cat.identity(a), self.witness)
+        return self.awfs.cop(self.arrow).copair(self.awfs.cat.identity(self.arrow.dom),
+                                                self.witness)
 
     def validate(self, report=None) -> CheckReport:
         rep = report if report is not None else CheckReport()
         cat, aw = self.awfs.cat, self.awfs
         g = self.arrow
-        a, b = cat.dom(g), cat.cod(g)
+        a, b = g.dom, g.cod
         sub = repr(g)
         pb = aw.comonad.functor.obj(b)
-        ends = (cat.dom(self.witness), cat.cod(self.witness))
+        ends = (self.witness.dom, self.witness.cod)
         if not rep.record("ralg.witness.endpoints", sub, ends == (pb, a),
                           fmt_ends(*ends), fmt_ends(pb, a)):
             return rep
@@ -134,9 +133,9 @@ class LCoalgebraArrow(Value, namedtuple("LCoalgebraArrow", "awfs arrow structure
         rep = report if report is not None else CheckReport()
         cat, aw = self.awfs.cat, self.awfs
         f, s = self.arrow, self.structure
-        a, b = cat.dom(f), cat.cod(f)
+        a, b = f.dom, f.cod
         sub = repr(f)
-        ends = (cat.dom(s), cat.cod(s))
+        ends = (s.dom, s.cod)
         if not rep.record("lcoalg.structure.endpoints", sub,
                           ends == (b, aw.E(f)), fmt_ends(*ends),
                           fmt_ends(b, aw.E(f))):
@@ -183,12 +182,11 @@ def r_algebra_compose(outer: RAlgebraArrow, inner: RAlgebraArrow) -> RAlgebraArr
     aw = outer.awfs
     cat = aw.cat
     g, f = outer.arrow, inner.arrow
-    if cat.cod(f) != cat.dom(g):
+    if f.cod != g.dom:
         raise CategoryError("algebras are not composable")
-    c = cat.cod(g)
     w = cat.compose(
         inner.witness,
-        cat.compose(aw.comonad.functor.arr(outer.witness), aw.comonad.comult(c)),
+        cat.compose(aw.comonad.functor.arr(outer.witness), aw.comonad.comult(g.cod)),
     )
     return RAlgebraArrow(aw, cat.compose(g, f), w)
 
@@ -200,9 +198,8 @@ def cartesian_lift(alg: RAlgebraArrow, pb) -> RAlgebraArrow:
     aw = alg.awfs
     if pb.g != alg.arrow:
         raise CategoryError("pullback is not taken along the algebra's arrow")
-    b = aw.cat.dom(pb.f)
     over = aw.cat.compose(alg.witness, aw.comonad.functor.arr(pb.f))
-    return RAlgebraArrow(aw, pb.p1, pb.mediate(aw.comonad.counit(b), over))
+    return RAlgebraArrow(aw, pb.p1, pb.mediate(aw.comonad.counit(pb.f.dom), over))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Finite categories with computable structure.
 
 * FinSetCategory: objects are tuples of distinct element labels, arrows
-  are tabulated total functions (`FinSetArrow`, the immutable tuple
-  (dom, cod, idx), equal only to another arrow: a dict key).  Arrows are
-  built by `tuple.__new__`, with no Python frame, and every composite
-  index tuple is one C-level `itemgetter` gather.
+  are tabulated total functions (`FinSetArrow` (dom, cod, idx), equal
+  only to another arrow: a dict key).  Arrows are built by
+  `tuple.__new__`, with no Python frame, and every composite index
+  tuple is one C-level `itemgetter` gather.
   Hom-sets enumerate in lexicographic order of function graphs,
   coproducts are tagged unions (tags "L"/"R"), pullbacks are
   lexicographically ordered subsets of the product with a mediating-map
   solver.  It is the only backend that computes anything.
-* Value types (co-Kleisli arrows; algebras, spans, sketches in `awfs`
-  and `spans`) are C tuples, each a `Value` over a `namedtuple`; the
-  functor, comonad and monad records are plain mutable classes.
+* Value types: every immutable record of the FinSet layers is a C tuple,
+  a `Value` over a `namedtuple`.  Here: arrows, coproduct and pullback
+  data, co-Kleisli arrows; in `awfs` and `spans`: algebras, spans,
+  sketches and census results.  The functor, comonad and monad records
+  stay plain mutable classes, since a tracer rebinds their callables.
 * TableCategory: objects, arrows, identities and a composition table
   supplied explicitly, loaded by `schemas.load_category`.  It serves the
   validators only (`validate --category/--comonad/--monad`) and has no
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import _tuplegetter, namedtuple
+from collections import namedtuple
 from operator import itemgetter
 
 from . import InputError
@@ -81,39 +83,24 @@ class Value(tuple):
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
-class FinSetArrow(tuple):
-    """Total function between label tuples, as the immutable tuple
-    (dom, cod, idx); idx[i] is the cod-position of dom[i].  It equals only
-    another FinSetArrow, never the plain tuple it hashes like.  Hot paths
-    build it with `tuple.__new__(FinSetArrow, (dom, cod, idx))`: no frame.
+class FinSetArrow(Value, namedtuple("FinSetArrow", "dom cod idx")):
+    """Total function between label tuples, as the `Value` (dom, cod, idx);
+    idx[i] is the cod-position of dom[i].  It equals only another
+    FinSetArrow, never the plain tuple it hashes like.  Hot paths build it
+    with `tuple.__new__(FinSetArrow, (dom, cod, idx))`: no frame.
     """
 
     __slots__ = ()
-    dom = _tuplegetter(0, "domain labels")
-    cod = _tuplegetter(1, "codomain labels")
-    idx = _tuplegetter(2, "codomain position of each domain point")
-
-    def __new__(cls, dom: tuple, cod: tuple, idx: tuple):
-        return tuple.__new__(cls, (dom, cod, idx))
-
-    def __eq__(self, other):
-        return other.__class__ is FinSetArrow and tuple.__eq__(self, other)
-
-    __ne__ = object.__ne__
-    __hash__ = tuple.__hash__
 
     def __repr__(self):
         imgs = ",".join(self.cod[i] for i in self.idx)
         return f"{fmt_obj(self.dom)}->{fmt_obj(self.cod)}[{imgs}]"
 
 
-class CoproductData:
+class CoproductData(Value, namedtuple("CoproductData", "obj inl inr")):
     """Chosen coproduct: tagged union object, injections, copair and sum."""
 
-    def __init__(self, obj, inl, inr):
-        self.obj = obj
-        self.inl = inl
-        self.inr = inr
+    __slots__ = ()
 
     def copair(self, f: FinSetArrow, g: FinSetArrow) -> FinSetArrow:
         if f.cod != g.cod:
@@ -136,15 +123,10 @@ class CoproductData:
         return tuple.__new__(FinSetArrow, (self.obj, into.obj, h.idx + right))
 
 
-class PullbackData:
+class PullbackData(Value, namedtuple("PullbackData", "f g obj p1 p2")):
     """Chosen pullback of a cospan f, g: subset of the product, lex ordered."""
 
-    def __init__(self, f, g, obj, p1, p2):
-        self.f = f
-        self.g = g
-        self.obj = obj
-        self.p1 = p1
-        self.p2 = p2
+    __slots__ = ()
 
     def mediate(self, u: FinSetArrow, v: FinSetArrow) -> FinSetArrow:
         """The unique k with p1 k = u and p2 k = v; raises if the cone fails."""
@@ -533,5 +515,5 @@ def canonical_set(n: int, prefix="x"):
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def finset_fragment(max_size: int, prefix="x"):
-    return [canonical_set(n, prefix) for n in range(max_size + 1)]
+def finset_fragment(max_size: int):
+    return [canonical_set(n) for n in range(max_size + 1)]

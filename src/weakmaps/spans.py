@@ -60,7 +60,7 @@ class WeakMapCategory:
         if ph is None:
             aw, cat = self.awfs, self.cat
             f = alg.arrow
-            a, b = cat.dom(f), cat.cod(f)
+            a, b = f.dom, f.cod
             e = aw.earr(cat.from_initial(a), cat.identity(b))
             ph = self._phi[f, alg.witness] = KleisliArrow(b, a, cat.compose(alg.p, e))
         return ph
@@ -77,15 +77,15 @@ class ASpan(Value, namedtuple("ASpan", "left right")):
 
     @property
     def apex(self):
-        return self.left.awfs.cat.dom(self.left.arrow)
+        return self.left.arrow.dom
 
     @property
     def src(self):
-        return self.left.awfs.cat.cod(self.left.arrow)
+        return self.left.arrow.cod
 
     @property
     def dst(self):
-        return self.left.awfs.cat.cod(self.right)
+        return self.right.cod
 
 
 def identity_span(awfs, a) -> ASpan:
@@ -135,13 +135,12 @@ class SpanClass(Value, namedtuple("SpanClass", "kappa count")):
     __slots__ = ()
 
 
-class HomComparison:
-    def __init__(self, kleisli_count, span_count, span_class_count, classes, report):
-        self.kleisli_count = kleisli_count
-        self.span_count = span_count
-        self.span_class_count = span_class_count
-        self.classes = classes  # of SpanClass, ordered by kappa
-        self.report = report
+class HomComparison(Value, namedtuple(
+        "HomComparison", "kleisli_count span_count span_class_count classes report")):
+    """Census of one hom: counts, the SpanClasses ordered by kappa, checks."""
+
+    __slots__ = ()
+    _hidden = ("report",)  # a CheckReport prints its address
 
 
 def _sections(l, eps):

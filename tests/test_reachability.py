@@ -65,8 +65,7 @@ ORACLES = {
         "fincat.CoKleisliCategory.cod", "fincat.CoKleisliCategory.compose",
         "fincat.CoKleisliCategory.cofree",
         "awfs.identity_algebra", "awfs.r_algebra_compose", "awfs.cartesian_lift",
-        "fincat.FinSetCategory.pullback", "fincat.PullbackData.__init__",
-        "fincat.PullbackData.mediate",
+        "fincat.FinSetCategory.pullback", "fincat.PullbackData.mediate",
     ], SPAN_CATEGORY),
     **dict.fromkeys([
         "awfs.cofibrant_replacement.counit", "awfs.cofibrant_replacement.comult",

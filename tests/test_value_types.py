@@ -1,9 +1,11 @@
 """The immutable value types of the FinSet layers are tuples, each a
-`fincat.Value` over a `namedtuple`.  Each equals only a value of its own
-class, equal values hash alike, no attribute can be set, and the repr is
-the `Name(field=value, ...)` format that failing report items print.
-Each expected repr below is the string its frozen dataclass printed
-before the types became tuples.  The functor, comonad and monad records
+`fincat.Value` over a `namedtuple`: arrows, coproduct and pullback data,
+co-Kleisli arrows, algebras, spans, sketches and census results.  Each
+equals only a value of its own class, equal values hash alike, no
+attribute can be set, and the repr is the `Name(field=value, ...)` format
+that failing report items print, or the type's own (an arrow prints its
+graph).  Each expected repr of a former frozen dataclass below is the
+string the dataclass printed.  The functor, comonad and monad records
 stay mutable, since a tracer rebinds their callables."""
 
 import pytest
@@ -18,13 +20,16 @@ from weakmaps.awfs import (
 )
 from weakmaps.fincat import (
     ComonadData,
+    CoproductData,
     FinSetArrow,
     FinSetCategory,
     FunctorData,
     KleisliArrow,
     MonadData,
+    PullbackData,
 )
-from weakmaps.spans import ASpan, SpanClass
+from weakmaps.report import CheckReport
+from weakmaps.spans import ASpan, HomComparison, SpanClass
 from oracles import SpanEquivResult, SpanZigzag, SplitEpiAwfs
 
 C = FinSetCategory()
@@ -32,6 +37,9 @@ AW = SplitEpiAwfs(C)
 A, B = ("a0",), ("b0", "b1")
 F = FinSetArrow(A, B, (1,))
 ONE_A = C.identity(A)
+COP = C.coproduct(A, B)  # cached: each row below rebuilds it from its fields
+# a report compares by identity, so equal census results share one
+REPORT = CheckReport()
 # a MonadData prints the addresses of its callables; the value types
 # print whatever their fields hold, so a stand-in keeps the repr fixed
 MONAD = "T"
@@ -41,6 +49,8 @@ SPAN = f"ASpan(left={ALG}, right={{a0}}->{{b0,b1}}[b1])"
 ZIGZAG = f"SpanZigzag(spans=({SPAN}, {SPAN}), maps=({{a0}}->{{a0}}[a0],), dirs=('fwd',))"
 MONO = "TSplitMono(monad='T', j={a0}->{a0}[a0], k={a0}->{a0}[a0])"
 TRIANGLE = f"SketchTriangle(mono={MONO}, phi={{a0}}->{{b0,b1}}[b1])"
+ONE_B = "{b0,b1}->{b0,b1}[b0,b1]"
+PAIR = "{(a0,b1)}"
 
 
 def values():
@@ -52,6 +62,16 @@ def values():
     mono = TSplitMono(MONAD, ONE_A, ONE_A)
     triangle = SketchTriangle(mono, F)
     return [
+        (FinSetArrow(A, B, (1,)), "{a0}->{b0,b1}[b1]"),
+        (CoproductData(COP.obj, COP.inl, COP.inr),
+         "CoproductData(obj=('L:a0', 'R:b0', 'R:b1'),"
+         " inl={a0}->{L:a0,R:b0,R:b1}[L:a0], inr={b0,b1}->{L:a0,R:b0,R:b1}[R:b0,R:b1])"),
+        (C.pullback(F, C.identity(B)),
+         f"PullbackData(f={{a0}}->{{b0,b1}}[b1], g={ONE_B}, obj=('(a0,b1)',),"
+         f" p1={PAIR}->{{a0}}[a0], p2={PAIR}->{{b0,b1}}[b1])"),
+        (HomComparison(4, 7, 1, (SpanClass((0, 1), 3),), REPORT),
+         "HomComparison(kleisli_count=4, span_count=7, span_class_count=1,"
+         " classes=(SpanClass(kappa=(0, 1), count=3),))"),
         (KleisliArrow(A, B, F), "kl[{a0}->{b0,b1}; {a0}->{b0,b1}[b1]]"),
         (alg, ALG),
         (LCoalgebraArrow(AW, F, FinSetArrow(B, AW.E(F), (1, 2))),
